@@ -23,7 +23,6 @@ from .aligner import (
 from .compounds import (
     DEFAULT_MARGIN,
     CompoundSuffixSet,
-    apply_compound_splitting,
     induce_compound_suffixes,
     load_compound_suffixes,
     save_compound_suffixes,
@@ -56,7 +55,6 @@ from .pipeline import Mode, PipelineConfig, preprocess, reconstruct, token_piece
 from .suffixes import (
     Split,
     SuffixList,
-    apply_suffix_separation,
     load_suffix_list,
     save_suffix_list,
     separate_suffix,
@@ -75,14 +73,12 @@ __all__ = [
     "SuffixList",
     "Split",
     "separate_suffix",
-    "apply_suffix_separation",
     "load_suffix_list",
     "save_suffix_list",
     "CompoundSuffixSet",
     "DEFAULT_MARGIN",
     "induce_compound_suffixes",
     "split_compound",
-    "apply_compound_splitting",
     "load_compound_suffixes",
     "save_compound_suffixes",
     "Mode",

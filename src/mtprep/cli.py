@@ -47,6 +47,17 @@ def _cast_bool(value: str) -> bool:
     raise ValueError(f"not a boolean: {value!r}")
 
 
+REPORT_FORMATS = ("tsv", "json")
+
+
+def _cast_report(value: str) -> str:
+    if value not in REPORT_FORMATS:
+        raise ValueError(
+            f"invalid choice: {value!r} (choose from {', '.join(REPORT_FORMATS)})"
+        )
+    return value
+
+
 # Optional flags per subcommand: dest -> (caster, default).  Required file
 # arguments deliberately stay CLI-only.
 _OPTIONAL: dict[str, dict[str, tuple[Callable, object]]] = {
@@ -55,9 +66,8 @@ _OPTIONAL: dict[str, dict[str, tuple[Callable, object]]] = {
         "marker": (str, None),
         "pos_tags": (str, None),
         "margin": (int, DEFAULT_MARGIN),
-        "threads": (int, 1),
     },
-    "evaluate": {"report": (str, "tsv"), "threads": (int, 1)},
+    "evaluate": {"report": (_cast_report, "tsv")},
     "align": {"iters": (int, 5), "null": (_cast_bool, False)},
     "demo-table2": {},
 }
@@ -130,15 +140,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="parallel tag corpus; NNP tokens pass through unsplit",
     )
     p.add_argument("--margin", type=int, metavar="N", help="length margin (default 5)")
-    p.add_argument("--threads", type=int, metavar="N", help="sentence parallelism")
     p.add_argument("-i", "--input", required=True, metavar="FILE")
     p.add_argument("-o", "--output", required=True, metavar="FILE")
 
     p = sub.add_parser("evaluate", help="score a hypothesis corpus")
     p.add_argument("--hyp", required=True, metavar="FILE")
     p.add_argument("--ref", required=True, metavar="FILE")
-    p.add_argument("--report", choices=["tsv", "json"], help="output format")
-    p.add_argument("--threads", type=int, metavar="N", help="sentence parallelism")
+    p.add_argument("--report", choices=REPORT_FORMATS, help="output format")
 
     p = sub.add_parser("align", help="train the EM aligner and print links")
     p.add_argument("--src", required=True, metavar="FILE")
@@ -180,29 +188,26 @@ def _cmd_preprocess(args: argparse.Namespace) -> int:
         raise UsageError(f"--mode {args.mode} requires --compounds")
     if args.marker == "":
         raise UsageError("--marker must not be empty")
-    if args.threads < 1:
-        raise UsageError("--threads must be >= 1")
+    if args.margin < 0:
+        raise UsageError("--margin must be >= 0")
     config = PipelineConfig(
         mode=mode,
         suffix_list=load_suffix_list(args.suffixes) if args.suffixes else None,
         compound_set=load_compound_suffixes(args.compounds) if args.compounds else None,
         marker=args.marker,
-        nnp_tags=args.pos_tags,
+        nnp_tags=(
+            read_token_corpus(args.pos_tags) if args.pos_tags is not None else None
+        ),
         margin=args.margin,
     )
     corpus = read_token_corpus(args.input)
-    result = preprocess(corpus, config, threads=args.threads)
+    result = preprocess(corpus, config)
     write_token_corpus(result, args.output)
     return 0
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
-    if args.threads < 1:
-        raise UsageError("--threads must be >= 1")
-    report = evaluate(
-        read_token_corpus(args.hyp), read_token_corpus(args.ref),
-        threads=args.threads,
-    )
+    report = evaluate(read_token_corpus(args.hyp), read_token_corpus(args.ref))
     if args.report == "json":
         print(report.to_json())
     else:

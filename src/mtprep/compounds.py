@@ -13,8 +13,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import Iterator, Mapping
 
-from .corpus import Corpus
-from .markers import check_marker, mark_pieces
+from .suffixes import longest_tail
 
 DEFAULT_MARGIN = 5
 
@@ -38,7 +37,8 @@ class CompoundSuffixSet:
 
     @cached_property
     def ordered(self) -> tuple[str, ...]:
-        """Members sorted longest first so a scan finds the longest match."""
+        """Members sorted longest first (ties lexicographic): a stable
+        display order, also the iteration order."""
         return tuple(sorted(self.counts, key=lambda s: (-len(s), s)))
 
     @property
@@ -87,7 +87,8 @@ def induce_compound_suffixes(
 def split_compound(
     word: str, compound_suffixes: CompoundSuffixSet, margin: int = DEFAULT_MARGIN
 ) -> list[str]:
-    """Recursively strip inventory members off the right edge of the word.
+    """Repeatedly strip the longest fitting inventory member off the right
+    edge of the word.
 
     A strip needs residue.endswith(member), a strictly shorter member than
     the current residue (constituents stay non-empty), and the original
@@ -98,42 +99,18 @@ def split_compound(
         raise ValueError("cannot split an empty word")
     stripped: list[str] = []
     residue = word
+    longest = len(word) - margin - 1
     while True:
-        match = None
-        for member in compound_suffixes.ordered:
-            if (
-                len(residue) > len(member)
-                and len(word) > len(member) + margin
-                and residue.endswith(member)
-            ):
-                match = member
-                break
-        if match is None:
+        length = longest_tail(
+            residue, compound_suffixes.counts, min(len(residue) - 1, longest)
+        )
+        if not length:
             break
-        stripped.append(match)
-        residue = residue[: -len(match)]
+        stripped.append(residue[-length:])
+        residue = residue[:-length]
     stripped.append(residue)
     stripped.reverse()
     return stripped
-
-
-def apply_compound_splitting(
-    corpus: Corpus,
-    compound_suffixes: CompoundSuffixSet,
-    marker: str | None = None,
-    margin: int = DEFAULT_MARGIN,
-) -> Corpus:
-    """Split every token of the corpus, keeping the sentence structure."""
-    check_marker(marker)
-    out = []
-    for sentence in corpus:
-        tokens: list[str] = []
-        for word in sentence:
-            tokens.extend(
-                mark_pieces(split_compound(word, compound_suffixes, margin), marker)
-            )
-        out.append(tokens)
-    return out
 
 
 def save_compound_suffixes(

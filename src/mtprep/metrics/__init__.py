@@ -80,15 +80,11 @@ class EvalReport:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
-def evaluate(hyps: Corpus, refs: Corpus, threads: int | None = None) -> EvalReport:
-    """Run all three metrics on one hypothesis/reference corpus pair.
-
-    threads only affects the TER shift search (the expensive part); the
-    scores are identical either way.
-    """
+def evaluate(hyps: Corpus, refs: Corpus) -> EvalReport:
+    """Run all three metrics on one hypothesis/reference corpus pair."""
     b = bleu(hyps, refs)
     n = nist(hyps, refs)
-    t = ter(hyps, refs, threads=threads)
+    t = ter(hyps, refs)
     return EvalReport(
         bleu=b.score, nist=n.score, ter=t.score,
         bleu_detail=b, nist_detail=n, ter_detail=t,

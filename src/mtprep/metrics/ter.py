@@ -13,7 +13,6 @@ interleaved-block cases, which is why short sentences get exact search.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from ..corpus import Corpus, Sentence
@@ -150,18 +149,10 @@ def sentence_ter(hyp: Sentence, ref: Sentence) -> SentenceTer:
     return _greedy_ter(hyp, ref)
 
 
-def ter(hyps: Corpus, refs: Corpus, threads: int | None = None) -> TerScore:
-    """Corpus score: total edits over total reference tokens.
-
-    Segments are scored independently; threads > 1 fans them out with the
-    reduction order (and therefore the result) unchanged.
-    """
+def ter(hyps: Corpus, refs: Corpus) -> TerScore:
+    """Corpus score: total edits over total reference tokens."""
     validate_corpora(hyps, refs)
-    if threads is not None and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            sentences = tuple(pool.map(sentence_ter, hyps, refs))
-    else:
-        sentences = tuple(sentence_ter(h, r) for h, r in zip(hyps, refs))
+    sentences = tuple(sentence_ter(h, r) for h, r in zip(hyps, refs))
     total_edits = sum(s.total_edits for s in sentences)
     total_shifts = sum(s.shifts for s in sentences)
     ref_length = sum(s.ref_length for s in sentences)

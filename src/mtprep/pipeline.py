@@ -7,17 +7,15 @@ first, then suffix separation on every resulting constituent).
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
-from pathlib import Path
 
 from .compounds import DEFAULT_MARGIN, CompoundSuffixSet, split_compound
-from .corpus import Corpus, Sentence, read_token_corpus
+from .corpus import Corpus, Sentence
 from .markers import check_marker, join_marked, mark_pieces
 from .suffixes import SuffixList, separate_suffix
 
-# Tokens carrying this POS tag are exempt from splitting when a tag file is
+# Tokens carrying this POS tag are exempt from splitting when tags are
 # supplied: proper nouns fragment badly and gain nothing from separation.
 NNP_TAG = "NNP"
 
@@ -35,11 +33,13 @@ class PipelineConfig:
     suffix_list: SuffixList | None = None
     compound_set: CompoundSuffixSet | None = None
     marker: str | None = None
-    nnp_tags: str | Path | None = None
+    nnp_tags: Corpus | None = None
     margin: int = DEFAULT_MARGIN
 
     def __post_init__(self) -> None:
         check_marker(self.marker)
+        if self.margin < 0:
+            raise ValueError("margin must be >= 0")
         if self.mode in (Mode.SS, Mode.CS_SS) and self.suffix_list is None:
             raise ValueError(f"mode {self.mode.value} requires a suffix list")
         if self.mode in (Mode.CS, Mode.CS_SS) and self.compound_set is None:
@@ -82,20 +82,16 @@ def _process_sentence(
     return tokens
 
 
-def preprocess(
-    corpus: Corpus, config: PipelineConfig, threads: int | None = None
-) -> Corpus:
+def preprocess(corpus: Corpus, config: PipelineConfig) -> Corpus:
     """Apply the configured splitting to every token of every sentence.
 
     Sentence count is always preserved.  When a marker is configured, any
     input token already containing it is rejected (round-tripping would be
-    ambiguous otherwise).  When a tag file is configured, tokens tagged NNP
-    pass through whole.  Sentences are independent, so threads > 1 fans
-    them out while keeping the output order identical.
+    ambiguous otherwise).  When tags are configured (one per token, in a
+    line-parallel corpus), tokens tagged NNP pass through whole.
     """
-    tags = None
-    if config.nnp_tags is not None:
-        tags = read_token_corpus(config.nnp_tags)
+    tags = config.nnp_tags
+    if tags is not None:
         if len(tags) != len(corpus):
             raise ValueError(
                 f"tag file has {len(tags)} sentences, corpus has {len(corpus)}"
@@ -106,14 +102,10 @@ def preprocess(
                     f"sentence {k + 1}: {len(tag_sent)} tags "
                     f"for {len(sentence)} tokens"
                 )
-    jobs = (
-        (k, sentence, tags[k] if tags is not None else None, config)
+    return [
+        _process_sentence(k, sentence, tags[k] if tags is not None else None, config)
         for k, sentence in enumerate(corpus)
-    )
-    if threads is not None and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(lambda job: _process_sentence(*job), jobs))
-    return [_process_sentence(*job) for job in jobs]
+    ]
 
 
 def reconstruct(corpus: Corpus, marker: str = "@@") -> Corpus:

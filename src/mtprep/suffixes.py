@@ -4,6 +4,8 @@ A word is split at most once, on the longest inventory entry that is a
 strict suffix of the word (the stem must keep at least one character).
 The inventory itself is a hand-written list of source-language suffixes
 that correspond to free-standing postpositions in the target language.
+
+longest_tail is the matching primitive shared with compound splitting.
 """
 
 from __future__ import annotations
@@ -11,32 +13,41 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Container, Iterator
 
-from .corpus import Corpus
-from .markers import check_marker, mark_pieces
+
+def longest_tail(residue: str, members: Container[str], cap: int) -> int:
+    """Length of the longest tail of residue that is in members, or 0.
+
+    Only tails of at most cap characters count.  Probing by length costs
+    O(len(residue)) lookups whatever the inventory size, and since exactly
+    one string of each length is a tail, the first hit is the longest match.
+    """
+    for length in range(min(cap, len(residue)), 0, -1):
+        if residue[-length:] in members:
+            return length
+    return 0
 
 
 @dataclass(frozen=True)
 class SuffixList:
-    """Suffix inventory ordered longest first (ties lexicographic).
+    """Suffix inventory, deduplicated and ordered longest first (ties
+    lexicographic) so saved files and listings come out in a stable order.
 
-    The ordering is what makes a linear scan in separate_suffix return the
-    longest match, so it is normalized on construction and deduplicated.
+    members holds the same suffixes as a set for matching.
     """
 
     suffixes: tuple[str, ...] = field(default=())
+    members: frozenset[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for s in self.suffixes:
             if not s:
                 raise ValueError("suffix list entries must be non-empty")
-        ordered = tuple(sorted(set(self.suffixes), key=lambda s: (-len(s), s)))
+        members = frozenset(self.suffixes)
+        ordered = tuple(sorted(members, key=lambda s: (-len(s), s)))
         object.__setattr__(self, "suffixes", ordered)
-
-    @classmethod
-    def from_words(cls, words: Iterable[str]) -> "SuffixList":
-        return cls(tuple(words))
+        object.__setattr__(self, "members", members)
 
     def __iter__(self) -> Iterator[str]:
         return iter(self.suffixes)
@@ -45,7 +56,7 @@ class SuffixList:
         return len(self.suffixes)
 
     def __contains__(self, suffix: object) -> bool:
-        return suffix in self.suffixes
+        return suffix in self.members
 
 
 @dataclass(frozen=True)
@@ -98,25 +109,7 @@ def separate_suffix(word: str, suffixes: SuffixList) -> Split:
     """
     if not word:
         raise ValueError("cannot split an empty word")
-    for suffix in suffixes:
-        if len(word) > len(suffix) and word.endswith(suffix):
-            return Split(word[: -len(suffix)], suffix)
+    length = longest_tail(word, suffixes.members, len(word) - 1)
+    if length:
+        return Split(word[:-length], word[-length:])
     return Split(word)
-
-
-def apply_suffix_separation(
-    corpus: Corpus, suffixes: SuffixList, marker: str | None = None
-) -> Corpus:
-    """Split every token of the corpus, keeping the sentence structure.
-
-    With a marker, each stem that was split is emitted as stem+marker so
-    the original line can be reconstructed.
-    """
-    check_marker(marker)
-    out = []
-    for sentence in corpus:
-        tokens: list[str] = []
-        for word in sentence:
-            tokens.extend(mark_pieces(separate_suffix(word, suffixes).pieces(), marker))
-        out.append(tokens)
-    return out

@@ -212,7 +212,7 @@ def _build_once(
         )
 
     src_fused, src_split, tgt, gold_fused, gold_split = _assemble(sentence_units)
-    suffix_list = SuffixList.from_words(suffixes)
+    suffix_list = SuffixList(tuple(suffixes))
     compound_set = induce_compound_suffixes(
         build_vocabulary(src_fused), margin=margin
     )

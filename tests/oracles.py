@@ -168,6 +168,31 @@ def longest_suffix_oracle(word, suffix_words):
     return word[: -len(best)], best
 
 
+def compound_split_oracle(word, members, margin=5):
+    """Per-member scan: strip the first member, in longest-first order with
+    lexicographic ties, that the residue ends with, that is strictly shorter
+    than the residue, and that leaves the word longer than it plus the
+    margin; repeat until none fits.  Returns constituents in surface order."""
+    ordered = sorted(set(members), key=lambda m: (-len(m), m))
+    stripped = []
+    residue = word
+    while True:
+        match = None
+        for member in ordered:
+            if (
+                len(residue) > len(member)
+                and len(word) > len(member) + margin
+                and residue.endswith(member)
+            ):
+                match = member
+                break
+        if match is None:
+            break
+        stripped.append(match)
+        residue = residue[: -len(match)]
+    return [residue] + stripped[::-1]
+
+
 def induce_oracle(vocab_words, margin=5):
     """Plain double loop over the vocabulary: v is a compound suffix when
     some other word w satisfies w.endswith(v) and len(w) > len(v) + margin."""

@@ -102,12 +102,62 @@ def test_preprocess_rejects_empty_marker(corpus_file, suffix_file, tmp_path, cap
 
 
 def test_preprocess_rejects_bad_thread_count(corpus_file, tmp_path, capsys):
+    # preprocess is serial; --threads is no longer a flag at all
+    for count in ("0", "2"):
+        code = main([
+            "preprocess", "--mode", "bl", "--threads", count,
+            "-i", str(corpus_file), "-o", str(tmp_path / "o"),
+        ])
+        assert code == 2
+        assert "unrecognized arguments: --threads" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_evaluate_rejects_threads_flag(corpus_file, capsys):
     code = main([
-        "preprocess", "--mode", "bl", "--threads", "0",
-        "-i", str(corpus_file), "-o", str(tmp_path / "o"),
+        "evaluate", "--hyp", str(corpus_file), "--ref", str(corpus_file),
+        "--threads", "2",
     ])
     assert code == 2
-    capsys.readouterr()
+    assert "unrecognized arguments: --threads" in capsys.readouterr().err
+
+
+def test_preprocess_rejects_negative_margin(corpus_file, suffix_file, tmp_path, capsys):
+    code = main([
+        "preprocess", "--mode", "ss", "--suffixes", str(suffix_file),
+        "--margin", "-3", "-i", str(corpus_file), "-o", str(tmp_path / "o"),
+    ])
+    assert code == 2
+    assert "usage error: --margin must be >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_preprocess_pos_tags_keep_proper_nouns_whole(corpus_file, suffix_file, tmp_path):
+    tags = tmp_path / "tags.txt"
+    tags.write_text("NN NN NNP NN NN NN\nNN NN NN NN\n", encoding="utf-8")
+    out = tmp_path / "out.txt"
+    code = main([
+        "preprocess", "--mode", "ss", "--suffixes", str(suffix_file),
+        "--pos-tags", str(tags), "-i", str(corpus_file), "-o", str(out),
+    ])
+    assert code == 0
+    assert out.read_text(encoding="utf-8").splitlines() == [
+        "dara sahaa mahinyaaMnii daMtatajGYaaMkaDuuna tapaasuuna ghyaa",
+        "sahaa divas aaMnii aushadha gheNe",
+    ]
+
+
+def test_preprocess_pos_tags_shape_mismatch_is_a_data_error(
+    corpus_file, suffix_file, tmp_path, capsys
+):
+    tags = tmp_path / "tags.txt"
+    tags.write_text("NN\n", encoding="utf-8")
+    code = main([
+        "preprocess", "--mode", "ss", "--suffixes", str(suffix_file),
+        "--pos-tags", str(tags), "-i", str(corpus_file), "-o", str(tmp_path / "o"),
+    ])
+    assert code == 1
+    assert "tag file has 1 sentences, corpus has 2" in capsys.readouterr().err
 
 
 # --- induce-suffixes ---------------------------------------------------------
@@ -215,7 +265,7 @@ def test_demo_subcommand_prints_rows(capsys):
 
 def test_config_fills_unset_flags(corpus_file, suffix_file, tmp_path):
     cfg = tmp_path / "prep.cfg"
-    cfg.write_text("marker=@@\n# comment\n\nthreads=2\n", encoding="utf-8")
+    cfg.write_text("marker=@@\n# comment\n\nmargin=5\n", encoding="utf-8")
     out = tmp_path / "out.txt"
     code = main([
         "--config", str(cfg),
@@ -245,6 +295,43 @@ def test_unknown_config_key_is_a_usage_error(corpus_file, tmp_path, capsys):
     code = main(["--config", str(cfg), "demo-table2"])
     assert code == 2
     assert "bogus_key" in capsys.readouterr().err
+
+
+def test_threads_config_key_is_unknown(corpus_file, tmp_path, capsys):
+    cfg = tmp_path / "prep.cfg"
+    cfg.write_text("threads=2\n", encoding="utf-8")
+    code = main([
+        "--config", str(cfg),
+        "preprocess", "--mode", "bl", "-i", str(corpus_file), "-o", str(tmp_path / "o"),
+    ])
+    assert code == 2
+    assert "unknown config keys: threads" in capsys.readouterr().err
+
+
+def test_config_value_must_be_one_of_the_flag_choices(corpus_file, tmp_path, capsys):
+    cfg = tmp_path / "eval.cfg"
+    cfg.write_text("report=xml\n", encoding="utf-8")
+    code = main([
+        "--config", str(cfg),
+        "evaluate", "--hyp", str(corpus_file), "--ref", str(corpus_file),
+    ])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "usage error: config key report: invalid choice: 'xml'" in captured.err
+    assert captured.out == ""
+
+
+def test_config_value_from_the_flag_choices_is_used(corpus_file, tmp_path, capsys):
+    import json
+
+    cfg = tmp_path / "eval.cfg"
+    cfg.write_text("report=json\n", encoding="utf-8")
+    code = main([
+        "--config", str(cfg),
+        "evaluate", "--hyp", str(corpus_file), "--ref", str(corpus_file),
+    ])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["ter"] == 0.0
 
 
 def test_config_parser(tmp_path):

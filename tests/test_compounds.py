@@ -5,14 +5,14 @@ from hypothesis import given, settings, strategies as st
 
 from mtprep.compounds import (
     CompoundSuffixSet,
-    apply_compound_splitting,
     induce_compound_suffixes,
     load_compound_suffixes,
     save_compound_suffixes,
     split_compound,
 )
+from mtprep.pipeline import Mode, PipelineConfig, preprocess
 
-from oracles import induce_oracle
+from oracles import compound_split_oracle, induce_oracle
 
 vocab_st = st.lists(st.text(alphabet="ab", min_size=1, max_size=14), max_size=40)
 
@@ -101,8 +101,24 @@ def test_split_concatenation_identity():
 
 def test_apply_with_marker():
     cset = CompoundSuffixSet({"kaDuuna": 3})
-    out = apply_compound_splitting([["sarakaarakaDuuna", "dara"]], cset, marker="@@")
+    config = PipelineConfig(mode=Mode.CS, compound_set=cset, marker="@@")
+    out = preprocess([["sarakaarakaDuuna", "dara"]], config)
     assert out == [["sarakaara@@", "kaDuuna", "dara"]]
+
+
+# Two letters make many members end the residue at once; margins up to 6
+# exceed the length of the shortest words.
+@settings(max_examples=200)
+@given(
+    st.text(alphabet="ab", min_size=1, max_size=20),
+    st.lists(st.text(alphabet="ab", min_size=1, max_size=8), max_size=16),
+    st.integers(min_value=0, max_value=6),
+)
+def test_split_matches_per_member_scan(word, members, margin):
+    cset = CompoundSuffixSet(dict.fromkeys(members, 1))
+    assert split_compound(word, cset, margin) == compound_split_oracle(
+        word, members, margin
+    )
 
 
 @settings(max_examples=60)

@@ -77,10 +77,6 @@ def test_detail_objects_are_exposed():
     assert report.ter_detail.score == report.ter
 
 
-def test_threads_match_serial():
-    assert evaluate(HYPS, REFS, threads=2) == evaluate(HYPS, REFS)
-
-
 def test_report_is_immutable():
     report = evaluate(HYPS, REFS)
     with pytest.raises(AttributeError):

@@ -69,26 +69,20 @@ def test_reconstruct_round_trip():
     assert reconstruct(marked, marker="@@") == corpus
 
 
-def test_proper_noun_tokens_pass_through(tmp_path):
-    tag_file = tmp_path / "tags.txt"
-    tag_file.write_text("NNP NN\n", encoding="utf-8")
+def test_proper_noun_tokens_pass_through():
     corpus = [["mahinyaaMnii", "mahinyaaMnii"]]
-    out = preprocess(corpus, config(Mode.SS, nnp_tags=tag_file))
+    out = preprocess(corpus, config(Mode.SS, nnp_tags=[["NNP", "NN"]]))
     assert out == [["mahinyaaMnii", "mahiny", "aaMnii"]]
 
 
-def test_tag_shape_mismatch_is_an_error(tmp_path):
-    tag_file = tmp_path / "tags.txt"
-    tag_file.write_text("NN\n", encoding="utf-8")
-    with pytest.raises(ValueError, match="sentence 1"):
-        preprocess([["a", "b"]], config(Mode.SS, nnp_tags=tag_file))
+def test_tag_shape_mismatch_is_an_error():
+    with pytest.raises(ValueError, match="sentence 1: 1 tags for 2 tokens"):
+        preprocess([["a", "b"]], config(Mode.SS, nnp_tags=[["NN"]]))
 
 
-def test_tag_corpus_length_mismatch_is_an_error(tmp_path):
-    tag_file = tmp_path / "tags.txt"
-    tag_file.write_text("NN\nNN\n", encoding="utf-8")
-    with pytest.raises(ValueError):
-        preprocess([["a"]], config(Mode.SS, nnp_tags=tag_file))
+def test_tag_corpus_length_mismatch_is_an_error():
+    with pytest.raises(ValueError, match="tag file has 2 sentences, corpus has 1"):
+        preprocess([["a"]], config(Mode.SS, nnp_tags=[["NN"], ["NN"]]))
 
 
 def test_marker_collision_is_an_error():
@@ -105,15 +99,14 @@ def test_config_requires_resources_for_mode():
         PipelineConfig(mode=Mode.CS_SS, suffix_list=SUFFIXES)
 
 
+def test_config_rejects_negative_margin():
+    with pytest.raises(ValueError, match="margin must be >= 0"):
+        config(Mode.SS, margin=-3)
+
+
 def test_mode_round_trips_through_value():
     for mode in Mode:
         assert Mode(mode.value) is mode
-
-
-def test_threads_match_serial():
-    corpus = [["daMtatajGYaaMkaDuuna", "mahinyaaMnii"], ["dara"], []] * 5
-    cfg = config(Mode.CS_SS, marker="@@")
-    assert preprocess(corpus, cfg, threads=3) == preprocess(corpus, cfg)
 
 
 @settings(max_examples=50)

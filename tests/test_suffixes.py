@@ -3,11 +3,12 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from mtprep.pipeline import Mode, PipelineConfig, preprocess
 from mtprep.suffixes import (
     Split,
     SuffixList,
-    apply_suffix_separation,
     load_suffix_list,
+    longest_tail,
     save_suffix_list,
     separate_suffix,
 )
@@ -16,6 +17,9 @@ from oracles import longest_suffix_oracle
 
 word_st = st.text(alphabet="abcdef", min_size=1, max_size=12)
 suffixes_st = st.lists(st.text(alphabet="abcdef", min_size=1, max_size=5), max_size=8)
+# Two letters make many tails of one word listed at once.
+ab_word_st = st.text(alphabet="ab", min_size=1, max_size=14)
+ab_members_st = st.lists(st.text(alphabet="ab", min_size=1, max_size=6), max_size=16)
 
 
 def test_list_sorted_longest_first_then_lexicographic():
@@ -76,14 +80,16 @@ def test_pieces_shape():
 
 
 def test_apply_to_corpus():
-    sl = SuffixList(["aaMnii"])
-    out = apply_suffix_separation([["mahinyaaMnii", "dara"], []], sl)
+    config = PipelineConfig(mode=Mode.SS, suffix_list=SuffixList(["aaMnii"]))
+    out = preprocess([["mahinyaaMnii", "dara"], []], config)
     assert out == [["mahiny", "aaMnii", "dara"], []]
 
 
 def test_apply_with_marker():
-    sl = SuffixList(["aaMnii"])
-    out = apply_suffix_separation([["mahinyaaMnii"]], sl, marker="@@")
+    config = PipelineConfig(
+        mode=Mode.SS, suffix_list=SuffixList(["aaMnii"]), marker="@@"
+    )
+    out = preprocess([["mahinyaaMnii"]], config)
     assert out == [["mahiny@@", "aaMnii"]]
 
 
@@ -116,6 +122,21 @@ def test_separation_matches_exhaustive_scan(word, suffixes):
     # tie on length cannot happen: equal-length suffix matches of one word
     # are equal strings, so comparing against max-by-len is enough
     assert (got.stem, got.suffix) == (stem, suffix)
+
+
+@given(ab_word_st, ab_members_st)
+def test_separation_matches_exhaustive_scan_on_colliding_tails(word, suffixes):
+    got = separate_suffix(word, SuffixList(suffixes))
+    assert (got.stem, got.suffix) == longest_suffix_oracle(word, suffixes)
+
+
+@given(ab_word_st, ab_members_st, st.integers(min_value=-2, max_value=16))
+def test_longest_tail_is_longest_listed_tail_within_cap(residue, members, cap):
+    fits = [
+        length for length in range(1, len(residue) + 1)
+        if length <= cap and residue[-length:] in set(members)
+    ]
+    assert longest_tail(residue, frozenset(members), cap) == max(fits, default=0)
 
 
 @given(word_st, suffixes_st)

@@ -135,13 +135,6 @@ def test_corpus_rejects_length_mismatch():
         ter([["a"]], [])
 
 
-def test_threads_match_serial():
-    rng = random.Random(3)
-    hyps = [[rng.choice("abcd") for _ in range(rng.randint(1, 8))] for _ in range(20)]
-    refs = [[rng.choice("abcd") for _ in range(rng.randint(1, 8))] for _ in range(20)]
-    assert ter(hyps, refs, threads=4) == ter(hyps, refs)
-
-
 @settings(max_examples=60)
 @given(pair_st)
 def test_ter_never_exceeds_wer(pairs):
