@@ -27,7 +27,12 @@ from .compounds import (
     load_compound_suffixes,
     save_compound_suffixes,
 )
-from .corpus import build_vocabulary, read_token_corpus, write_token_corpus
+from .corpus import (
+    Corpus,
+    build_vocabulary,
+    read_token_corpus,
+    write_token_corpus,
+)
 from .demo import run_demo
 from .metrics import TSV_HEADER, evaluate
 from .pipeline import Mode, PipelineConfig, preprocess
@@ -62,11 +67,7 @@ def _cast_report(value: str) -> str:
 # arguments deliberately stay CLI-only.
 _OPTIONAL: dict[str, dict[str, tuple[Callable, object]]] = {
     "induce-suffixes": {"margin": (int, DEFAULT_MARGIN), "min_count": (int, 1)},
-    "preprocess": {
-        "marker": (str, None),
-        "pos_tags": (str, None),
-        "margin": (int, DEFAULT_MARGIN),
-    },
+    "preprocess": {"marker": (str, None), "pos_tags": (str, None)},
     "evaluate": {"report": (_cast_report, "tsv")},
     "align": {"iters": (int, 5), "null": (_cast_bool, False)},
     "demo-table2": {},
@@ -139,7 +140,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--pos-tags", dest="pos_tags", metavar="FILE",
         help="parallel tag corpus; NNP tokens pass through unsplit",
     )
-    p.add_argument("--margin", type=int, metavar="N", help="length margin (default 5)")
     p.add_argument("-i", "--input", required=True, metavar="FILE")
     p.add_argument("-o", "--output", required=True, metavar="FILE")
 
@@ -188,8 +188,6 @@ def _cmd_preprocess(args: argparse.Namespace) -> int:
         raise UsageError(f"--mode {args.mode} requires --compounds")
     if args.marker == "":
         raise UsageError("--marker must not be empty")
-    if args.margin < 0:
-        raise UsageError("--margin must be >= 0")
     config = PipelineConfig(
         mode=mode,
         suffix_list=load_suffix_list(args.suffixes) if args.suffixes else None,
@@ -198,7 +196,6 @@ def _cmd_preprocess(args: argparse.Namespace) -> int:
         nnp_tags=(
             read_token_corpus(args.pos_tags) if args.pos_tags is not None else None
         ),
-        margin=args.margin,
     )
     corpus = read_token_corpus(args.input)
     result = preprocess(corpus, config)
@@ -216,11 +213,24 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _read_gold(path: str) -> list[set]:
+def _read_gold(path: str, src: Corpus, tgt: Corpus) -> list[set]:
+    """Gold links, one line per sentence pair; every link must index into
+    the pair's source and target sentences."""
     lines = Path(path).read_text(encoding="utf-8").split("\n")
     if lines and lines[-1] == "":
         lines.pop()
-    return [parse_alignment(line) for line in lines]
+    gold = [parse_alignment(line) for line in lines]
+    for lineno, (links, src_sent, tgt_sent) in enumerate(
+        zip(gold, src, tgt), start=1
+    ):
+        for i, j in sorted(links):
+            if i >= len(src_sent) or j >= len(tgt_sent):
+                raise ValueError(
+                    f"{path}:{lineno}: link {i}-{j} is past the end of a "
+                    f"{len(src_sent)}-token source or {len(tgt_sent)}-token "
+                    "target sentence"
+                )
+    return gold
 
 
 def _cmd_align(args: argparse.Namespace) -> int:
@@ -228,12 +238,13 @@ def _cmd_align(args: argparse.Namespace) -> int:
         raise UsageError("--iters must be >= 1")
     src = read_token_corpus(args.src)
     tgt = read_token_corpus(args.tgt)
+    gold = _read_gold(args.gold, src, tgt) if args.gold else None
     table = train_em(src, tgt, iterations=args.iters, null_word=args.null)
     alignments = align_corpus(src, tgt, table)
     for links in alignments:
         print(format_alignment(links))
-    if args.gold:
-        score = corpus_alignment_f1(alignments, _read_gold(args.gold))
+    if gold is not None:
+        score = corpus_alignment_f1(alignments, gold)
         print(
             f"precision={score.precision:.4f} "
             f"recall={score.recall:.4f} f1={score.f1:.4f}",

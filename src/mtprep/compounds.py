@@ -3,11 +3,13 @@
 Induction scans a monolingual vocabulary: a word joins the compound-suffix
 inventory when some other, sufficiently longer vocabulary word ends with it
 (the length margin keeps short accidental tails out).  Splitting then
-recursively strips inventory members off the right edge of a word.
+recursively strips inventory members off the right edge of a word, under
+the same margin, which the inventory carries (and its file records).
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -17,18 +19,24 @@ from .suffixes import longest_tail
 
 DEFAULT_MARGIN = 5
 
+_MARGIN_HEADER = re.compile(r"# margin=([0-9]+)")
+
 
 @dataclass(frozen=True)
 class CompoundSuffixSet:
     """Induced constituent inventory.
 
     counts maps each member to the number of distinct vocabulary words it
-    was observed trailing during induction (its provenance).
+    was observed trailing during induction (its provenance).  margin is the
+    length margin the members were induced with; splitting uses it too.
     """
 
     counts: Mapping[str, int] = field(default_factory=dict)
+    margin: int = DEFAULT_MARGIN
 
     def __post_init__(self) -> None:
+        if self.margin < 0:
+            raise ValueError("margin must be >= 0")
         for member, count in self.counts.items():
             if not member:
                 raise ValueError("compound suffixes must be non-empty")
@@ -40,10 +48,6 @@ class CompoundSuffixSet:
         """Members sorted longest first (ties lexicographic): a stable
         display order, also the iteration order."""
         return tuple(sorted(self.counts, key=lambda s: (-len(s), s)))
-
-    @property
-    def suffixes(self) -> frozenset[str]:
-        return frozenset(self.counts)
 
     def __contains__(self, member: object) -> bool:
         return member in self.counts
@@ -81,22 +85,25 @@ def induce_compound_suffixes(
                 counts[tail] = counts.get(tail, 0) + 1
     if min_count > 1:
         counts = {s: c for s, c in counts.items() if c >= min_count}
-    return CompoundSuffixSet(counts)
+    return CompoundSuffixSet(counts, margin)
 
 
 def split_compound(
-    word: str, compound_suffixes: CompoundSuffixSet, margin: int = DEFAULT_MARGIN
+    word: str, compound_suffixes: CompoundSuffixSet, margin: int | None = None
 ) -> list[str]:
     """Repeatedly strip the longest fitting inventory member off the right
     edge of the word.
 
     A strip needs residue.endswith(member), a strictly shorter member than
     the current residue (constituents stay non-empty), and the original
-    word longer than member length + margin.  Returned constituents are in
-    surface order and always concatenate back to the input.
+    word longer than member length + margin.  margin defaults to the one
+    the inventory was induced with.  Returned constituents are in surface
+    order and always concatenate back to the input.
     """
     if not word:
         raise ValueError("cannot split an empty word")
+    if margin is None:
+        margin = compound_suffixes.margin
     stripped: list[str] = []
     residue = word
     longest = len(word) - margin - 1
@@ -116,18 +123,32 @@ def split_compound(
 def save_compound_suffixes(
     compound_suffixes: CompoundSuffixSet, path: str | Path
 ) -> None:
-    """Write one "suffix<TAB>count" line per member, sorted for stable diffs."""
+    """Write a "# margin=N" header, then one "suffix<TAB>count" line per
+    member, sorted for stable diffs."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(f"# margin={compound_suffixes.margin}\n")
         for member in sorted(compound_suffixes.counts):
             fh.write(f"{member}\t{compound_suffixes.counts[member]}\n")
 
 
 def load_compound_suffixes(path: str | Path) -> CompoundSuffixSet:
-    """Read the tab-separated format written by save_compound_suffixes."""
+    """Read the format written by save_compound_suffixes.
+
+    The "# margin=N" header is optional and only allowed on line 1 (member
+    lines always contain a tab, so it cannot be mistaken for one); a file
+    without it was induced with the default margin.
+    """
     counts: dict[str, int] = {}
+    margin = DEFAULT_MARGIN
     for lineno, line in enumerate(
         Path(path).read_text(encoding="utf-8").splitlines(), start=1
     ):
+        if lineno == 1 and line.startswith("#") and "\t" not in line:
+            header = _MARGIN_HEADER.fullmatch(line)
+            if header is None:
+                raise ValueError(f"{path}:1: bad margin header {line!r}")
+            margin = int(header.group(1))
+            continue
         if not line.strip():
             continue
         parts = line.split("\t")
@@ -140,5 +161,7 @@ def load_compound_suffixes(path: str | Path) -> CompoundSuffixSet:
             raise ValueError(f"{path}:{lineno}: bad count {raw_count!r}") from None
         if not member or count < 1:
             raise ValueError(f"{path}:{lineno}: bad entry {line!r}")
+        if member in counts:
+            raise ValueError(f"{path}:{lineno}: duplicate member {member!r}")
         counts[member] = count
-    return CompoundSuffixSet(counts)
+    return CompoundSuffixSet(counts, margin)

@@ -18,8 +18,14 @@ Corpus = list[Sentence]
 def parse_token_corpus(text: str) -> Corpus:
     """Tokenize corpus text: one sentence per line, split on whitespace runs.
 
-    All tokens are non-empty and whitespace-free by construction.  A final
-    newline does not produce a trailing empty sentence.
+    Lines end at a line feed (U+000A) only.  Tokens are separated by runs
+    of any character for which str.isspace() holds, so tab, carriage
+    return and no-break space (U+00A0) separate tokens too.  All tokens
+    are non-empty and whitespace-free by construction.  A final newline
+    does not produce a trailing empty sentence.  Writing the result back
+    (write_token_corpus) reproduces the text byte for byte only when every
+    line is its tokens joined by single ASCII spaces and the text ends
+    with a line feed (or is empty).
     """
     if not text:
         return []

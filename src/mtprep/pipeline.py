@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .compounds import DEFAULT_MARGIN, CompoundSuffixSet, split_compound
+from .compounds import CompoundSuffixSet, split_compound
 from .corpus import Corpus, Sentence
 from .markers import check_marker, join_marked, mark_pieces
 from .suffixes import SuffixList, separate_suffix
@@ -34,12 +34,9 @@ class PipelineConfig:
     compound_set: CompoundSuffixSet | None = None
     marker: str | None = None
     nnp_tags: Corpus | None = None
-    margin: int = DEFAULT_MARGIN
 
     def __post_init__(self) -> None:
         check_marker(self.marker)
-        if self.margin < 0:
-            raise ValueError("margin must be >= 0")
         if self.mode in (Mode.SS, Mode.CS_SS) and self.suffix_list is None:
             raise ValueError(f"mode {self.mode.value} requires a suffix list")
         if self.mode in (Mode.CS, Mode.CS_SS) and self.compound_set is None:
@@ -56,7 +53,7 @@ def token_pieces(word: str, config: PipelineConfig) -> list[str]:
         return [word]
     if config.mode is Mode.SS:
         return separate_suffix(word, config.suffix_list).pieces()
-    constituents = split_compound(word, config.compound_set, config.margin)
+    constituents = split_compound(word, config.compound_set)
     if config.mode is Mode.CS:
         return constituents
     pieces: list[str] = []

@@ -220,7 +220,6 @@ def _build_once(
         mode=Mode.CS_SS,
         suffix_list=suffix_list,
         compound_set=compound_set,
-        margin=margin,
     )
     if preprocess(src_fused, config) != src_split:
         return None

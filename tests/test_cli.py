@@ -6,6 +6,9 @@ import sys
 import pytest
 
 from mtprep.cli import load_config, main
+from mtprep.compounds import induce_compound_suffixes
+from mtprep.corpus import build_vocabulary, read_token_corpus
+from mtprep.pipeline import Mode, PipelineConfig, preprocess
 
 
 @pytest.fixture
@@ -82,6 +85,17 @@ def test_preprocess_baseline_is_byte_identical(corpus_file, tmp_path):
     assert out.read_bytes() == corpus_file.read_bytes()
 
 
+@pytest.mark.parametrize("text", ["a\xa0b", "a  b", "a b\r\n"])
+def test_preprocess_baseline_normalises_other_whitespace(tmp_path, text):
+    # tokens split on any str.isspace() character; output joins them with
+    # single spaces and ends every line with a newline
+    src = tmp_path / "in.txt"
+    src.write_bytes(text.encode("utf-8"))
+    out = tmp_path / "out.txt"
+    assert main(["preprocess", "--mode", "bl", "-i", str(src), "-o", str(out)]) == 0
+    assert out.read_bytes() == b"a b\n"
+
+
 def test_preprocess_marker(corpus_file, suffix_file, tmp_path):
     out = tmp_path / "out.txt"
     code = main([
@@ -123,12 +137,60 @@ def test_evaluate_rejects_threads_flag(corpus_file, capsys):
 
 
 def test_preprocess_rejects_negative_margin(corpus_file, suffix_file, tmp_path, capsys):
+    # the margin comes from the compound file; preprocess has no such flag
+    for margin in ("-3", "3"):
+        code = main([
+            "preprocess", "--mode", "ss", "--suffixes", str(suffix_file),
+            "--margin", margin, "-i", str(corpus_file), "-o", str(tmp_path / "o"),
+        ])
+        assert code == 2
+        assert "unrecognized arguments: --margin" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_induced_margin_carries_to_preprocess(tmp_path, capsys):
+    mono = tmp_path / "mono.txt"
+    mono.write_text("kaDuuna abckaDuuna\n", encoding="utf-8")
+    comp = tmp_path / "comp.tsv"
+    text = tmp_path / "in.txt"
+    text.write_text("abckaDuuna kaDuuna\n", encoding="utf-8")
+    out = tmp_path / "out.txt"
+    assert main([
+        "induce-suffixes", "--mono", str(mono), "--margin", "2", "-o", str(comp),
+    ]) == 0
+    assert main([
+        "preprocess", "--mode", "cs", "--compounds", str(comp),
+        "-i", str(text), "-o", str(out),
+    ]) == 0
+    assert out.read_text(encoding="utf-8") == "abc kaDuuna kaDuuna\n"
+    inventory = induce_compound_suffixes(
+        build_vocabulary(read_token_corpus(mono)), margin=2
+    )
+    config = PipelineConfig(mode=Mode.CS, compound_set=inventory)
+    assert read_token_corpus(out) == preprocess(read_token_corpus(text), config)
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ("# margin=x\nkaDuuna\t2\n", ":1: bad margin"),
+        ("# margin=-1\nkaDuuna\t2\n", ":1: bad margin"),
+        ("kaDuuna\t2\n# margin=2\n", ":2: expected 'suffix<TAB>count'"),
+        ("kaDuuna\t1\nkaDuuna\t7\n", ":2: duplicate member 'kaDuuna'"),
+    ],
+)
+def test_preprocess_bad_compound_file_is_a_data_error(
+    corpus_file, tmp_path, capsys, body, message
+):
+    comp = tmp_path / "comp.tsv"
+    comp.write_text(body, encoding="utf-8")
     code = main([
-        "preprocess", "--mode", "ss", "--suffixes", str(suffix_file),
-        "--margin", "-3", "-i", str(corpus_file), "-o", str(tmp_path / "o"),
+        "preprocess", "--mode", "cs", "--compounds", str(comp),
+        "-i", str(corpus_file), "-o", str(tmp_path / "o"),
     ])
-    assert code == 2
-    assert "usage error: --margin must be >= 0" in capsys.readouterr().err
+    assert code == 1
+    assert message in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 
@@ -170,7 +232,7 @@ def test_induce_writes_counts(tmp_path, capsys):
     )
     out = tmp_path / "suf.tsv"
     assert main(["induce-suffixes", "--mono", str(mono), "-o", str(out)]) == 0
-    assert out.read_text(encoding="utf-8") == "kaDuuna\t3\n"
+    assert out.read_text(encoding="utf-8") == "# margin=5\nkaDuuna\t3\n"
     assert "1 compound suffixes" in capsys.readouterr().err
 
 
@@ -181,7 +243,7 @@ def test_induce_min_count(tmp_path, capsys):
     assert main([
         "induce-suffixes", "--mono", str(mono), "--min-count", "2", "-o", str(out),
     ]) == 0
-    assert out.read_text(encoding="utf-8") == ""
+    assert out.read_text(encoding="utf-8") == "# margin=5\n"
     capsys.readouterr()
 
 
@@ -242,6 +304,21 @@ def test_align_gold_f1_goes_to_stderr(tmp_path, capsys):
     ]) == 0
     captured = capsys.readouterr()
     assert "precision=1.0000 recall=1.0000 f1=1.0000" in captured.err
+
+
+def test_align_gold_link_past_sentence_end_is_a_data_error(tmp_path, capsys):
+    src = tmp_path / "src.txt"
+    tgt = tmp_path / "tgt.txt"
+    gold = tmp_path / "gold.txt"
+    src.write_text("a b\n", encoding="utf-8")
+    tgt.write_text("x y\n", encoding="utf-8")
+    gold.write_text("0-0 5-9\n", encoding="utf-8")
+    assert main([
+        "align", "--src", str(src), "--tgt", str(tgt), "--gold", str(gold),
+    ]) == 1
+    captured = capsys.readouterr()
+    assert f"{gold}:1: link 5-9 is past the end" in captured.err
+    assert captured.out == ""  # rejected before EM runs
 
 
 def test_align_rejects_bad_iterations(tmp_path, capsys):

@@ -88,6 +88,16 @@ def test_split_leaves_short_words_alone():
     assert split_compound("seena", cset) == ["seena"]
 
 
+def test_split_uses_the_inventory_margin():
+    # 10 > 7 + 2 clears margin 2 but not the default 5
+    assert split_compound("abckaDuuna", CompoundSuffixSet({"kaDuuna": 1})) == [
+        "abckaDuuna"
+    ]
+    cset = CompoundSuffixSet({"kaDuuna": 1}, margin=2)
+    assert split_compound("abckaDuuna", cset) == ["abc", "kaDuuna"]
+    assert induce_compound_suffixes(["kaDuuna", "abckaDuuna"], margin=2) == cset
+
+
 def test_split_never_empties_residue():
     cset = CompoundSuffixSet({"aaaaaa": 1})
     assert split_compound("aaaaaa", cset) == ["aaaaaa"]
@@ -138,10 +148,17 @@ def test_split_pieces_all_nonempty(vocab, word):
 # --- persistence -------------------------------------------------------------
 
 def test_save_load_round_trip(tmp_path):
-    cset = CompoundSuffixSet({"kaDuuna": 3, "na": 7})
+    cset = CompoundSuffixSet({"kaDuuna": 3, "na": 7}, margin=3)
     path = tmp_path / "comp.tsv"
     save_compound_suffixes(cset, path)
-    assert load_compound_suffixes(path).counts == cset.counts
+    assert path.read_text(encoding="utf-8") == "# margin=3\nkaDuuna\t3\nna\t7\n"
+    assert load_compound_suffixes(path) == cset
+
+
+def test_load_without_header_uses_default_margin(tmp_path):
+    path = tmp_path / "comp.tsv"
+    path.write_text("kaDuuna\t3\n", encoding="utf-8")
+    assert load_compound_suffixes(path) == CompoundSuffixSet({"kaDuuna": 3}, margin=5)
 
 
 def test_load_reports_bad_line_number(tmp_path):

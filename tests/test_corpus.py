@@ -76,6 +76,16 @@ def test_write_read_round_trip_property(body, tmp_path_factory):
     assert read_token_corpus(path) == body
 
 
+@given(body=corpus)
+def test_canonical_text_round_trips_byte_for_byte(body, tmp_path_factory):
+    # canonical: tokens joined by single ASCII spaces, every line ending in
+    # a newline; other whitespace is normalised (see test_cli.py)
+    text = "".join(" ".join(s) + "\n" for s in body)
+    path = tmp_path_factory.mktemp("ws") / "c.txt"
+    write_token_corpus(parse_token_corpus(text), path)
+    assert path.read_bytes() == text.encode("utf-8")
+
+
 @given(corpus)
 def test_vocabulary_total_is_token_count(body):
     vocab = build_vocabulary(body)

@@ -100,8 +100,9 @@ def test_config_requires_resources_for_mode():
 
 
 def test_config_rejects_negative_margin():
+    # the margin belongs to the compound inventory, not the pipeline config
     with pytest.raises(ValueError, match="margin must be >= 0"):
-        config(Mode.SS, margin=-3)
+        CompoundSuffixSet({"kaDuuna": 3}, margin=-3)
 
 
 def test_mode_round_trips_through_value():

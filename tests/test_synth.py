@@ -50,7 +50,6 @@ def test_pipeline_reproduces_split_side():
         mode=Mode.CS_SS,
         suffix_list=SuffixList(BENCH.suffix_list),
         compound_set=compounds,
-        margin=BENCH.margin,
     )
     assert preprocess(BENCH.src_fused, config) == BENCH.src_split
 
