@@ -10,6 +10,7 @@ model and no attempt at efficiency beyond dictionaries.
 from __future__ import annotations
 
 import math
+import re
 from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable
@@ -25,17 +26,21 @@ PROB_FLOOR = 1e-12
 
 Link = tuple[int, int]
 
+# One "i-j" link of an alignment line.
+_PAIR = re.compile(r"([0-9]+)-([0-9]+)")
+
 
 @dataclass(frozen=True)
 class TranslationTable:
-    """t(target | source) plus the log-likelihood after each iteration."""
+    """t(target | source) plus the log-likelihood after each iteration.
+
+    has_null records whether training prepended the null word to every
+    source sentence (a source corpus may contain the literal NULL_TOKEN).
+    """
 
     probs: dict[str, dict[str, float]]
     log_likelihoods: tuple[float, ...] = ()
-
-    @property
-    def has_null(self) -> bool:
-        return NULL_TOKEN in self.probs
+    has_null: bool = False
 
     def prob(self, source: str, target: str) -> float:
         return self.probs.get(source, {}).get(target, 0.0)
@@ -105,7 +110,9 @@ def train_em(
             if total < PROB_FLOOR:
                 continue  # no evidence this round: keep the old distribution
             probs[s] = {t: c / total for t, c in counts[s].items()}
-    return TranslationTable(probs=probs, log_likelihoods=tuple(history))
+    return TranslationTable(
+        probs=probs, log_likelihoods=tuple(history), has_null=null_word
+    )
 
 
 def viterbi_align(src: Sentence, tgt: Sentence, table: TranslationTable) -> set[Link]:
@@ -179,11 +186,12 @@ def format_alignment(links: set[Link]) -> str:
 
 
 def parse_alignment(line: str) -> set[Link]:
-    """Inverse of format_alignment; blank line means no links."""
+    """Inverse of format_alignment; blank line means no links.  Indices are
+    ASCII digits only."""
     links = set()
     for pair in line.split():
-        left, sep, right = pair.partition("-")
-        if not sep or not left.isdigit() or not right.isdigit():
+        match = _PAIR.fullmatch(pair)
+        if match is None:
             raise ValueError(f"bad alignment pair {pair!r}")
-        links.add((int(left), int(right)))
+        links.add((int(match[1]), int(match[2])))
     return links

@@ -30,6 +30,8 @@ from .compounds import (
 from .corpus import (
     Corpus,
     build_vocabulary,
+    is_token,
+    read_lines,
     read_token_corpus,
     write_token_corpus,
 )
@@ -77,9 +79,7 @@ _OPTIONAL: dict[str, dict[str, tuple[Callable, object]]] = {
 def load_config(path: str | Path) -> dict[str, str]:
     """Parse the shared key=value config file ('#' comments, blank lines)."""
     entries: dict[str, str] = {}
-    for lineno, line in enumerate(
-        Path(path).read_text(encoding="utf-8").splitlines(), start=1
-    ):
+    for lineno, line in enumerate(read_lines(path), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -186,8 +186,8 @@ def _cmd_preprocess(args: argparse.Namespace) -> int:
         raise UsageError(f"--mode {args.mode} requires --suffixes")
     if mode in (Mode.CS, Mode.CS_SS) and not args.compounds:
         raise UsageError(f"--mode {args.mode} requires --compounds")
-    if args.marker == "":
-        raise UsageError("--marker must not be empty")
+    if args.marker is not None and not is_token(args.marker):
+        raise UsageError("--marker must be non-empty and contain no whitespace")
     config = PipelineConfig(
         mode=mode,
         suffix_list=load_suffix_list(args.suffixes) if args.suffixes else None,
@@ -216,10 +216,12 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 def _read_gold(path: str, src: Corpus, tgt: Corpus) -> list[set]:
     """Gold links, one line per sentence pair; every link must index into
     the pair's source and target sentences."""
-    lines = Path(path).read_text(encoding="utf-8").split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    gold = [parse_alignment(line) for line in lines]
+    gold = []
+    for lineno, line in enumerate(read_lines(path), start=1):
+        try:
+            gold.append(parse_alignment(line))
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
     for lineno, (links, src_sent, tgt_sent) in enumerate(
         zip(gold, src, tgt), start=1
     ):
@@ -280,7 +282,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (OSError, UnicodeDecodeError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -15,6 +15,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import Iterator, Mapping
 
+from .corpus import is_token, read_lines, write_lines
 from .suffixes import longest_tail
 
 DEFAULT_MARGIN = 5
@@ -125,10 +126,12 @@ def save_compound_suffixes(
 ) -> None:
     """Write a "# margin=N" header, then one "suffix<TAB>count" line per
     member, sorted for stable diffs."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"# margin={compound_suffixes.margin}\n")
-        for member in sorted(compound_suffixes.counts):
-            fh.write(f"{member}\t{compound_suffixes.counts[member]}\n")
+    counts = compound_suffixes.counts
+    write_lines(
+        [f"# margin={compound_suffixes.margin}"]
+        + [f"{member}\t{counts[member]}" for member in sorted(counts)],
+        path,
+    )
 
 
 def load_compound_suffixes(path: str | Path) -> CompoundSuffixSet:
@@ -136,13 +139,13 @@ def load_compound_suffixes(path: str | Path) -> CompoundSuffixSet:
 
     The "# margin=N" header is optional and only allowed on line 1 (member
     lines always contain a tab, so it cannot be mistaken for one); a file
-    without it was induced with the default margin.
+    without it was induced with the default margin.  Lines are those of
+    corpus.read_lines.  A member with whitespace in it could never match a
+    token, so it is a data error.
     """
     counts: dict[str, int] = {}
     margin = DEFAULT_MARGIN
-    for lineno, line in enumerate(
-        Path(path).read_text(encoding="utf-8").splitlines(), start=1
-    ):
+    for lineno, line in enumerate(read_lines(path), start=1):
         if lineno == 1 and line.startswith("#") and "\t" not in line:
             header = _MARGIN_HEADER.fullmatch(line)
             if header is None:
@@ -161,6 +164,10 @@ def load_compound_suffixes(path: str | Path) -> CompoundSuffixSet:
             raise ValueError(f"{path}:{lineno}: bad count {raw_count!r}") from None
         if not member or count < 1:
             raise ValueError(f"{path}:{lineno}: bad entry {line!r}")
+        if not is_token(member):
+            raise ValueError(
+                f"{path}:{lineno}: member {member!r} contains whitespace"
+            )
         if member in counts:
             raise ValueError(f"{path}:{lineno}: duplicate member {member!r}")
         counts[member] = count

@@ -12,36 +12,29 @@ from __future__ import annotations
 import sys
 from collections import Counter
 from importlib import resources
-from typing import TextIO
+from typing import Callable, TextIO
 
 from .aligner import Link, train_em, viterbi_align
 from .compounds import CompoundSuffixSet, load_compound_suffixes
-from .corpus import Corpus, parse_token_corpus
+from .corpus import Corpus, read_token_corpus
 from .pipeline import Mode, PipelineConfig, preprocess
 from .suffixes import SuffixList, load_suffix_list
 
 EM_ITERATIONS = 5
 
 
-def _fixture(name: str):
-    return resources.files("mtprep").joinpath("data").joinpath(name)
-
-
-def _fixture_text(name: str) -> str:
-    try:
-        return _fixture(name).read_text(encoding="utf-8")
-    except FileNotFoundError:
-        raise FileNotFoundError(f"bundled fixture {name!r} is missing") from None
+def _load_fixture(name: str, reader: Callable):
+    """Load a bundled data file with a path-taking reader."""
+    with resources.as_file(resources.files("mtprep") / "data" / name) as path:
+        return reader(path)
 
 
 def load_demo_fixtures() -> tuple[SuffixList, CompoundSuffixSet, Corpus, Corpus]:
     """Suffix list, compound set, and the parallel demo corpus."""
-    with resources.as_file(_fixture("demo_suffixes.txt")) as path:
-        suffixes = load_suffix_list(path)
-    with resources.as_file(_fixture("demo_compounds.tsv")) as path:
-        compounds = load_compound_suffixes(path)
-    src = parse_token_corpus(_fixture_text("demo_source.txt"))
-    tgt = parse_token_corpus(_fixture_text("demo_target.txt"))
+    suffixes = _load_fixture("demo_suffixes.txt", load_suffix_list)
+    compounds = _load_fixture("demo_compounds.tsv", load_compound_suffixes)
+    src = _load_fixture("demo_source.txt", read_token_corpus)
+    tgt = _load_fixture("demo_target.txt", read_token_corpus)
     if len(src) != len(tgt) or not src:
         raise ValueError("demo corpus fixtures are not parallel")
     return suffixes, compounds, src, tgt

@@ -12,10 +12,15 @@ algorithms themselves.
 
 from __future__ import annotations
 
+from .corpus import is_token
+
 
 def check_marker(marker: str | None) -> None:
-    if marker is not None and marker == "":
-        raise ValueError("marker must be a non-empty string or None")
+    """A marker must be one token: a marker with whitespace in it would
+    split the marked piece in the written corpus (or add a line), so
+    reconstruct could not undo it."""
+    if marker is not None and not is_token(marker):
+        raise ValueError("marker must be None or non-empty without whitespace")
 
 
 def mark_pieces(pieces: list[str], marker: str | None) -> list[str]:

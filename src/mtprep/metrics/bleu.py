@@ -7,7 +7,7 @@ import math
 from dataclasses import dataclass
 
 from ..corpus import Corpus, Sentence
-from .common import ngram_counts, validate_corpora
+from .common import clipped_ngrams, validate_ngram_scoring
 
 
 @dataclass(frozen=True)
@@ -34,12 +34,8 @@ def _clipped_counts(hyps: Corpus, refs: Corpus, max_n: int) -> tuple[list[int], 
         for n in range(1, max_n + 1):
             if len(hyp) < n:
                 break
-            hyp_counts = ngram_counts(hyp, n)
-            ref_counts = ngram_counts(ref, n)
             totals[n - 1] += len(hyp) - n + 1
-            matches[n - 1] += sum(
-                min(count, ref_counts[gram]) for gram, count in hyp_counts.items()
-            )
+            matches[n - 1] += clipped_ngrams(hyp, ref, n).total()
     return matches, totals
 
 
@@ -51,14 +47,7 @@ def bleu(hyps: Corpus, refs: Corpus, max_n: int = 4) -> BleuScore:
     the whole score 0.  Orders beyond every hypothesis length contribute a
     neutral factor (only reachable on tiny test corpora).
     """
-    validate_corpora(hyps, refs)
-    if max_n < 1:
-        raise ValueError("max_n must be >= 1")
-    hyp_length = sum(len(h) for h in hyps)
-    ref_length = sum(len(r) for r in refs)
-    if hyp_length == 0:
-        raise ValueError("hypothesis corpus has no tokens")
-
+    hyp_length, ref_length = validate_ngram_scoring(hyps, refs, max_n)
     matches, totals = _clipped_counts(hyps, refs, max_n)
     precisions = tuple(
         m / t if t else 1.0 for m, t in zip(matches, totals)

@@ -13,7 +13,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from ..corpus import Corpus
-from .common import Ngram, ngram_counts, validate_corpora
+from .common import Ngram, clipped_ngrams, ngram_counts, validate_ngram_scoring
 
 # exp(BETA * ln(2/3)^2) == 0.5
 BETA = math.log(0.5) / math.log(2.0 / 3.0) ** 2
@@ -57,14 +57,7 @@ def nist(hyps: Corpus, refs: Corpus, max_n: int = 5) -> NistScore:
     hypothesis n-grams contribute 0.  Matching is per segment against its
     own reference, info weights come from the whole reference corpus.
     """
-    validate_corpora(hyps, refs)
-    if max_n < 1:
-        raise ValueError("max_n must be >= 1")
-    hyp_length = sum(len(h) for h in hyps)
-    ref_length = sum(len(r) for r in refs)
-    if hyp_length == 0:
-        raise ValueError("hypothesis corpus has no tokens")
-
+    hyp_length, ref_length = validate_ngram_scoring(hyps, refs, max_n)
     info = reference_information(refs, max_n)
     per_order = []
     for n in range(1, max_n + 1):
@@ -74,11 +67,8 @@ def nist(hyps: Corpus, refs: Corpus, max_n: int = 5) -> NistScore:
             if len(hyp) < n:
                 continue
             total += len(hyp) - n + 1
-            ref_counts = ngram_counts(ref, n)
-            for gram, count in ngram_counts(hyp, n).items():
-                matched = min(count, ref_counts[gram])
-                if matched:
-                    info_sum += matched * info[gram]
+            for gram, matched in clipped_ngrams(hyp, ref, n).items():
+                info_sum += matched * info[gram]
         per_order.append(info_sum / total if total else 0.0)
 
     brevity = math.exp(BETA * math.log(min(hyp_length / ref_length, 1.0)) ** 2)

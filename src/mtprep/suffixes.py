@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Container, Iterator
 
+from .corpus import is_token, read_lines, write_lines
+
 
 def longest_tail(residue: str, members: Container[str], cap: int) -> int:
     """Length of the longest tail of residue that is in members, or 0.
@@ -76,17 +78,20 @@ class Split:
 
 
 def load_suffix_list(path: str | Path) -> SuffixList:
-    """Load a one-suffix-per-line UTF-8 file.
+    """Load a one-suffix-per-line file (lines as in corpus.read_lines).
 
-    Blank lines and lines starting with '#' are ignored; duplicates are
-    dropped.  An empty result is legal but almost certainly a mistake, so
-    it warns.
+    Blank lines and lines starting with '#' are ignored, surrounding
+    whitespace is stripped, and duplicates are dropped.  A suffix with
+    whitespace inside could never match a token, so it is a data error.
+    An empty result is legal but almost certainly a mistake, so it warns.
     """
     entries = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    for lineno, line in enumerate(read_lines(path), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
+        if not is_token(line):
+            raise ValueError(f"{path}:{lineno}: suffix {line!r} contains whitespace")
         entries.append(line)
     if not entries:
         warnings.warn(f"suffix list {path} contains no suffixes", stacklevel=2)
@@ -95,9 +100,7 @@ def load_suffix_list(path: str | Path) -> SuffixList:
 
 def save_suffix_list(suffixes: SuffixList, path: str | Path) -> None:
     """Write one suffix per line in the list's longest-first order."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for suffix in suffixes:
-            fh.write(suffix + "\n")
+    write_lines(suffixes, path)
 
 
 def separate_suffix(word: str, suffixes: SuffixList) -> Split:

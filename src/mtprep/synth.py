@@ -26,7 +26,7 @@ import random
 from dataclasses import dataclass
 
 from .aligner import Link, align_corpus, corpus_alignment_f1, train_em
-from .compounds import induce_compound_suffixes
+from .compounds import DEFAULT_MARGIN, induce_compound_suffixes
 from .corpus import Corpus, build_vocabulary
 from .pipeline import Mode, PipelineConfig, preprocess
 from .suffixes import SuffixList
@@ -50,7 +50,6 @@ class SyntheticBenchmark:
     suffix_list: SuffixList
     stems: tuple[str, ...]
     suffixes: tuple[str, ...]
-    margin: int
 
     def __post_init__(self) -> None:
         if not (
@@ -84,7 +83,7 @@ def _make_stems(rng: random.Random, count: int, suffixes: list[str]) -> list[str
 
 class _Generator:
     """Samples units while tracking the constraints listed in the module
-    docstring.  Stems are at least 6 characters, one more than the margin,
+    docstring.  Stems are at least 6 characters, one more than DEFAULT_MARGIN,
     so any non-head constituent clears the induction length test."""
 
     def __init__(self, rng: random.Random, stems: list[str], suffixes: list[str]):
@@ -189,9 +188,7 @@ def _assemble(sentence_units: list[list[Unit]]):
     return src_fused, src_split, tgt, tuple(gold_fused), tuple(gold_split)
 
 
-def _build_once(
-    rng: random.Random, sentences: int, margin: int
-) -> SyntheticBenchmark | None:
+def _build_once(rng: random.Random, sentences: int) -> SyntheticBenchmark | None:
     suffixes = _make_suffixes(rng, 8)
     stems = _make_stems(rng, 48, suffixes)
     gen = _Generator(rng, stems, suffixes)
@@ -214,7 +211,7 @@ def _build_once(
     src_fused, src_split, tgt, gold_fused, gold_split = _assemble(sentence_units)
     suffix_list = SuffixList(tuple(suffixes))
     compound_set = induce_compound_suffixes(
-        build_vocabulary(src_fused), margin=margin
+        build_vocabulary(src_fused), margin=DEFAULT_MARGIN
     )
     config = PipelineConfig(
         mode=Mode.CS_SS,
@@ -232,12 +229,11 @@ def _build_once(
         suffix_list=suffix_list,
         stems=tuple(stems),
         suffixes=tuple(suffixes),
-        margin=margin,
     )
 
 
 def build_benchmark(
-    sentences: int = 220, seed: int = DEFAULT_SEED, margin: int = 5
+    sentences: int = 220, seed: int = DEFAULT_SEED
 ) -> SyntheticBenchmark:
     """Deterministic benchmark; same arguments, same corpus.
 
@@ -248,7 +244,7 @@ def build_benchmark(
     if sentences < 1:
         raise ValueError("sentences must be >= 1")
     for salt in range(32):
-        bench = _build_once(random.Random(seed * 1000003 + salt), sentences, margin)
+        bench = _build_once(random.Random(seed * 1000003 + salt), sentences)
         if bench is not None:
             return bench
     raise RuntimeError("could not build a self-consistent benchmark corpus")

@@ -75,6 +75,14 @@ def test_without_null_word():
     assert not train_em(SRC, TGT, iterations=1).has_null
 
 
+def test_literal_null_token_is_an_ordinary_word_without_null_word():
+    src = [[NULL_TOKEN, "b"], [NULL_TOKEN, "c"]]
+    tgt = [["x", "y"], ["x", "z"]]
+    table = train_em(src, tgt, iterations=3)
+    assert not table.has_null
+    assert align_corpus(src, tgt, table) == [{(0, 0), (1, 1)}] * 2
+
+
 def test_empty_sentence_pairs_are_skipped():
     table = train_em([["a"], []], [["x"], ["y"]], iterations=2)
     assert table.prob("a", "y") == 0.0
@@ -203,7 +211,7 @@ def test_parse_blank_line_is_empty():
 
 
 def test_parse_rejects_malformed_pairs():
-    for bad in ["0", "0-", "-1", "a-1", "0-1-2", "0:1"]:
+    for bad in ["0", "0-", "-1", "a-1", "0-1-2", "0:1", "\u0661-\u0660", "\u00b2-1"]:
         with pytest.raises(ValueError):
             parse_alignment(bad)
 

@@ -115,6 +115,25 @@ def test_preprocess_rejects_empty_marker(corpus_file, suffix_file, tmp_path, cap
     capsys.readouterr()
 
 
+def test_preprocess_rejects_marker_with_whitespace(
+    corpus_file, suffix_file, tmp_path, capsys
+):
+    # such a marker splits the marked piece or adds a line in the output,
+    # which reconstruct cannot undo
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("marker=@ @\n", encoding="utf-8")
+    argv = [
+        "preprocess", "--mode", "ss", "--suffixes", str(suffix_file),
+        "-i", str(corpus_file), "-o", str(tmp_path / "o"),
+    ]
+    for marker in ("@ @", "@@\n", "\xa0"):
+        assert main(argv + ["--marker", marker]) == 2
+        assert "no whitespace" in capsys.readouterr().err
+    assert main(["--config", str(cfg)] + argv) == 2
+    assert "no whitespace" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_preprocess_rejects_bad_thread_count(corpus_file, tmp_path, capsys):
     # preprocess is serial; --threads is no longer a flag at all
     for count in ("0", "2"):
@@ -191,6 +210,59 @@ def test_preprocess_bad_compound_file_is_a_data_error(
     ])
     assert code == 1
     assert message in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("flag", ["-i", "--suffixes", "--compounds", "--pos-tags"])
+def test_preprocess_undecodable_file_is_named(
+    flag, corpus_file, suffix_file, compound_file, tmp_path, capsys
+):
+    files = {
+        "-i": corpus_file, "--suffixes": suffix_file,
+        "--compounds": compound_file, "--pos-tags": tmp_path / "tags.txt",
+    }
+    files["--pos-tags"].write_text(
+        "NN NN NN NN NN NN\nNN NN NN NN\n", encoding="utf-8"
+    )
+    bad = files[flag]
+    lineno = len(bad.read_bytes().split(b"\n"))
+    bad.write_bytes(bad.read_bytes() + b"\xff\n")
+    argv = ["preprocess", "--mode", "cs+ss", "-o", str(tmp_path / "o")]
+    for name, path in files.items():
+        argv += [name, str(path)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert f"at {bad}:{lineno}" in err
+    assert "can't decode byte 0xff" in err
+
+
+def test_undecodable_gold_and_config_files_are_named(tmp_path, capsys):
+    src = tmp_path / "src.txt"
+    src.write_text("a\n", encoding="utf-8")
+    bad = tmp_path / "bad"
+    bad.write_bytes(b"\xff")
+    assert main([
+        "align", "--src", str(src), "--tgt", str(src), "--gold", str(bad),
+    ]) == 1
+    assert f"at {bad}:1" in capsys.readouterr().err
+    assert main(["--config", str(bad), "demo-table2"]) == 1
+    assert f"at {bad}:1" in capsys.readouterr().err
+
+
+def test_preprocess_suffix_with_whitespace_is_a_data_error(
+    corpus_file, tmp_path, capsys
+):
+    # U+0085 no longer ends a suffix-list line, and such an entry could
+    # never match a whitespace-free token
+    suffixes = tmp_path / "suf.txt"
+    suffixes.write_text("nii\nii\x85aaMnii\n", encoding="utf-8")
+    assert main([
+        "preprocess", "--mode", "ss", "--suffixes", str(suffixes),
+        "-i", str(corpus_file), "-o", str(tmp_path / "o"),
+    ]) == 1
+    assert f"{suffixes}:2: suffix 'ii\\x85aaMnii' contains whitespace" in (
+        capsys.readouterr().err
+    )
     assert not (tmp_path / "o").exists()
 
 
@@ -319,6 +391,23 @@ def test_align_gold_link_past_sentence_end_is_a_data_error(tmp_path, capsys):
     captured = capsys.readouterr()
     assert f"{gold}:1: link 5-9 is past the end" in captured.err
     assert captured.out == ""  # rejected before EM runs
+
+
+@pytest.mark.parametrize("line", ["0-0 1-x", "0-0 \u0661-\u0660", "\u00b2-1"])
+def test_align_malformed_gold_pair_is_a_data_error(line, tmp_path, capsys):
+    # indices are ASCII digits; Arabic-Indic or superscript digits are not
+    src = tmp_path / "src.txt"
+    tgt = tmp_path / "tgt.txt"
+    gold = tmp_path / "gold.txt"
+    src.write_text("a b\n", encoding="utf-8")
+    tgt.write_text("x y\n", encoding="utf-8")
+    gold.write_text(line + "\n", encoding="utf-8")
+    assert main([
+        "align", "--src", str(src), "--tgt", str(tgt), "--gold", str(gold),
+    ]) == 1
+    captured = capsys.readouterr()
+    assert f"{gold}:1: bad alignment pair" in captured.err
+    assert captured.out == ""
 
 
 def test_align_rejects_bad_iterations(tmp_path, capsys):

@@ -90,6 +90,12 @@ def test_marker_collision_is_an_error():
         preprocess([["ma@@hinyaaMnii"]], config(Mode.SS, marker="@@"))
 
 
+def test_config_rejects_marker_with_whitespace():
+    for marker in ("", "@ @", "@@\n", "\u2028"):
+        with pytest.raises(ValueError, match="without whitespace"):
+            config(Mode.SS, marker=marker)
+
+
 def test_config_requires_resources_for_mode():
     with pytest.raises(ValueError):
         PipelineConfig(mode=Mode.SS)

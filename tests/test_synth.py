@@ -2,7 +2,7 @@
 
 import pytest
 
-from mtprep.compounds import induce_compound_suffixes
+from mtprep.compounds import DEFAULT_MARGIN, induce_compound_suffixes
 from mtprep.corpus import build_vocabulary
 from mtprep.pipeline import Mode, PipelineConfig, preprocess
 from mtprep.suffixes import SuffixList
@@ -44,7 +44,7 @@ def test_pipeline_reproduces_split_side():
     # suffix list and the suffixes induced from the fused text, produces
     # exactly the split tokenization
     compounds = induce_compound_suffixes(
-        build_vocabulary(BENCH.src_fused), margin=BENCH.margin
+        build_vocabulary(BENCH.src_fused), margin=DEFAULT_MARGIN
     )
     config = PipelineConfig(
         mode=Mode.CS_SS,
