@@ -215,13 +215,18 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 def _read_gold(path: str, src: Corpus, tgt: Corpus) -> list[set]:
     """Gold links, one line per sentence pair; every link must index into
-    the pair's source and target sentences."""
+    the pair's source and target sentences.  Checked before training, so a
+    bad gold file fails before any alignment is printed."""
     gold = []
     for lineno, line in enumerate(read_lines(path), start=1):
         try:
             gold.append(parse_alignment(line))
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from None
+    if len(gold) != len(src):
+        raise ValueError(
+            f"{path}: {len(gold)} gold alignments for {len(src)} sentence pairs"
+        )
     for lineno, (links, src_sent, tgt_sent) in enumerate(
         zip(gold, src, tgt), start=1
     ):

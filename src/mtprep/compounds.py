@@ -21,6 +21,7 @@ from .suffixes import longest_tail
 DEFAULT_MARGIN = 5
 
 _MARGIN_HEADER = re.compile(r"# margin=([0-9]+)")
+_COUNT = re.compile(r"[0-9]+")
 
 
 @dataclass(frozen=True)
@@ -140,8 +141,8 @@ def load_compound_suffixes(path: str | Path) -> CompoundSuffixSet:
     The "# margin=N" header is optional and only allowed on line 1 (member
     lines always contain a tab, so it cannot be mistaken for one); a file
     without it was induced with the default margin.  Lines are those of
-    corpus.read_lines.  A member with whitespace in it could never match a
-    token, so it is a data error.
+    corpus.read_lines.  Counts are ASCII digits only.  A member with
+    whitespace in it could never match a token, so it is a data error.
     """
     counts: dict[str, int] = {}
     margin = DEFAULT_MARGIN
@@ -158,10 +159,9 @@ def load_compound_suffixes(path: str | Path) -> CompoundSuffixSet:
         if len(parts) != 2:
             raise ValueError(f"{path}:{lineno}: expected 'suffix<TAB>count'")
         member, raw_count = parts
-        try:
-            count = int(raw_count)
-        except ValueError:
-            raise ValueError(f"{path}:{lineno}: bad count {raw_count!r}") from None
+        if not _COUNT.fullmatch(raw_count):
+            raise ValueError(f"{path}:{lineno}: bad count {raw_count!r}")
+        count = int(raw_count)
         if not member or count < 1:
             raise ValueError(f"{path}:{lineno}: bad entry {line!r}")
         if not is_token(member):

@@ -23,21 +23,50 @@ from .common import validate_corpora
 EXACT_SEARCH_LIMIT = 7
 
 
+def _match_masks(ref: Sentence) -> dict[str, int]:
+    """Bit j of masks[tok] is set when ref[j] == tok: the pattern table of
+    the bit-parallel edit distance, built once per reference."""
+    masks: dict[str, int] = {}
+    for j, tok in enumerate(ref):
+        masks[tok] = masks.get(tok, 0) | (1 << j)
+    return masks
+
+
+def _distance(hyp: Sentence, masks: dict[str, int], ref_length: int) -> int:
+    """Levenshtein distance from hyp to the reference behind masks.
+
+    Bit-parallel over Python ints (Myers 1999, in Hyyrö's 2003 form): VP/VN
+    hold the +1/-1 vertical deltas of one DP column, bit j for ref row j, and
+    each hyp token advances the whole column with a few word operations.
+    Python's ~ is unbounded, so VP is masked to ref_length bits; VN stays
+    within them because it is an AND with eq | vn.
+    """
+    if not ref_length:
+        return len(hyp)
+    full = (1 << ref_length) - 1
+    top = 1 << (ref_length - 1)
+    vp, vn, score = full, 0, ref_length
+    get = masks.get
+    for tok in hyp:
+        eq = get(tok, 0)
+        xv = eq | vn
+        xh = (((eq & vp) + vp) ^ vp) | eq
+        ph = vn | ~(xh | vp)
+        mh = vp & xh
+        if ph & top:
+            score += 1
+        elif mh & top:
+            score -= 1
+        # Row 0 of every column is one more than the last: shift in a +1.
+        ph = (ph << 1) | 1
+        vp = ((mh << 1) | ~(xv | ph)) & full
+        vn = ph & xv
+    return score
+
+
 def edit_distance(a: Sentence, b: Sentence) -> int:
     """Word-level Levenshtein distance, unit costs."""
-    if len(a) < len(b):
-        a, b = b, a
-    prev = list(range(len(b) + 1))
-    for i, tok in enumerate(a, start=1):
-        cur = [i] + [0] * len(b)
-        for j in range(1, len(b) + 1):
-            cur[j] = min(
-                prev[j] + 1,
-                cur[j - 1] + 1,
-                prev[j - 1] + (tok != b[j - 1]),
-            )
-        prev = cur
-    return prev[-1]
+    return _distance(a, _match_masks(b), len(b))
 
 
 @dataclass(frozen=True)
@@ -96,7 +125,8 @@ def _exact_ter(hyp: Sentence, ref: Sentence) -> SentenceTer:
     via a minimal shift sequence.  A layer at depth d can only help while
     d < current best total, since each shift already costs 1.
     """
-    best_shifts, best_edits = 0, edit_distance(hyp, ref)
+    masks, ref_length = _match_masks(ref), len(ref)
+    best_shifts, best_edits = 0, _distance(hyp, masks, ref_length)
     layer = [tuple(hyp)]
     seen = {tuple(hyp)}
     depth = 0
@@ -109,7 +139,7 @@ def _exact_ter(hyp: Sentence, ref: Sentence) -> SentenceTer:
                 if key in seen:
                     continue
                 seen.add(key)
-                e = edit_distance(moved, ref)
+                e = _distance(key, masks, ref_length)
                 if depth + e < best_shifts + best_edits:
                     best_shifts, best_edits = depth, e
                 grown.append(key)
@@ -120,15 +150,26 @@ def _exact_ter(hyp: Sentence, ref: Sentence) -> SentenceTer:
 
 
 def _greedy_ter(hyp: Sentence, ref: Sentence) -> SentenceTer:
-    """One best-gain shift at a time until no shift strictly helps."""
+    """One best-gain shift at a time until no shift strictly helps.
+
+    A permutation reached by several moves in one step is scored once, at
+    its first move in (i, j, length) order; only a strictly better score
+    replaces the best, so a repeat could never have won.
+    """
+    masks, ref_length = _match_masks(ref), len(ref)
     current = list(hyp)
-    edits = edit_distance(current, ref)
+    edits = _distance(current, masks, ref_length)
     shifts = 0
     while edits > 0:
         best = None
         best_edits = edits
+        seen = set()
         for moved in _moves(current, ref):
-            e = edit_distance(moved, ref)
+            key = tuple(moved)
+            if key in seen:
+                continue
+            seen.add(key)
+            e = _distance(key, masks, ref_length)
             if e < best_edits:
                 best_edits = e
                 best = moved

@@ -125,6 +125,27 @@ def apply_shift(hyp, i, j, length):
     return rest[:j] + span + rest[j:]
 
 
+def greedy_ter_oracle(hyp, ref):
+    """Greedy shift search: repeatedly apply the shift that lowers the edit
+    distance the most, the first in (i, j, length) order among equal gains,
+    until none lowers it.  Returns (shifts, remaining edits)."""
+    current = list(hyp)
+    edits = levenshtein(current, ref)
+    shifts = 0
+    while edits > 0:
+        best = None
+        for i, j, length in shift_candidates(current, ref):
+            shifted = apply_shift(current, i, j, length)
+            e = levenshtein(shifted, ref)
+            if e < edits and (best is None or e < best[0]):
+                best = (e, shifted)
+        if best is None:
+            break
+        edits, current = best
+        shifts += 1
+    return shifts, edits
+
+
 def exhaustive_ter_edits(hyp, ref):
     """Minimum shifts + remaining edit distance over every shift sequence.
 

@@ -197,6 +197,7 @@ def test_induced_margin_carries_to_preprocess(tmp_path, capsys):
         ("# margin=-1\nkaDuuna\t2\n", ":1: bad margin"),
         ("kaDuuna\t2\n# margin=2\n", ":2: expected 'suffix<TAB>count'"),
         ("kaDuuna\t1\nkaDuuna\t7\n", ":2: duplicate member 'kaDuuna'"),
+        ("kaDuuna\t \u0663\n", ":1: bad count ' \u0663'"),
     ],
 )
 def test_preprocess_bad_compound_file_is_a_data_error(
@@ -390,6 +391,21 @@ def test_align_gold_link_past_sentence_end_is_a_data_error(tmp_path, capsys):
     ]) == 1
     captured = capsys.readouterr()
     assert f"{gold}:1: link 5-9 is past the end" in captured.err
+    assert captured.out == ""  # rejected before EM runs
+
+
+def test_align_gold_line_count_is_checked_before_training(tmp_path, capsys):
+    src = tmp_path / "src.txt"
+    tgt = tmp_path / "tgt.txt"
+    gold = tmp_path / "gold.txt"
+    src.write_text("a b\na\n", encoding="utf-8")
+    tgt.write_text("x y\nx\n", encoding="utf-8")
+    gold.write_text("0-0 1-1\n", encoding="utf-8")
+    assert main([
+        "align", "--src", str(src), "--tgt", str(tgt), "--gold", str(gold),
+    ]) == 1
+    captured = capsys.readouterr()
+    assert f"{gold}: 1 gold alignments for 2 sentence pairs" in captured.err
     assert captured.out == ""  # rejected before EM runs
 
 

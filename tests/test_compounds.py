@@ -169,10 +169,12 @@ def test_load_reports_bad_line_number(tmp_path):
 
 
 def test_load_rejects_non_integer_count(tmp_path):
+    # counts are [0-9]+ like gold indices: no padding, sign or other digits
     path = tmp_path / "comp.tsv"
-    path.write_text("kaDuuna\tmany\n", encoding="utf-8")
-    with pytest.raises(ValueError):
-        load_compound_suffixes(path)
+    for raw in ("many", " 3", "3 ", "+3", "\u0663", "\u00b3"):
+        path.write_text(f"kaDuuna\t{raw}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=":1: bad count"):
+            load_compound_suffixes(path)
 
 
 def test_ordered_by_length_then_lexicographic():
