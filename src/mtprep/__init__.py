@@ -47,7 +47,6 @@ from .metrics import (
     edit_distance,
     evaluate,
     nist,
-    sentence_bleu,
     sentence_ter,
     ter,
 )
@@ -94,7 +93,6 @@ __all__ = [
     "SentenceTer",
     "EvalReport",
     "bleu",
-    "sentence_bleu",
     "nist",
     "ter",
     "sentence_ter",

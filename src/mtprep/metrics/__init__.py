@@ -6,7 +6,7 @@ import json
 from dataclasses import dataclass
 
 from ..corpus import Corpus
-from .bleu import BleuScore, bleu, sentence_bleu
+from .bleu import BleuScore, bleu
 from .nist import NistScore, nist
 from .ter import SentenceTer, TerScore, edit_distance, sentence_ter, ter
 
@@ -17,7 +17,6 @@ __all__ = [
     "SentenceTer",
     "EvalReport",
     "bleu",
-    "sentence_bleu",
     "nist",
     "ter",
     "sentence_ter",
@@ -30,19 +29,29 @@ TSV_HEADER = "BLEU\tNIST\tTER"
 
 @dataclass(frozen=True)
 class EvalReport:
-    """All three headline scores plus their components.
+    """The three metric results; bleu, nist and ter read their headline
+    scores, so a report cannot disagree with its components.
 
     bleu is in [0,1] and ter is a ratio (it can exceed 1); the percent
     forms appear in the serializations since scores are conventionally
     quoted scaled by 100.  nist has no percent form.
     """
 
-    bleu: float
-    nist: float
-    ter: float
     bleu_detail: BleuScore
     nist_detail: NistScore
     ter_detail: TerScore
+
+    @property
+    def bleu(self) -> float:
+        return self.bleu_detail.score
+
+    @property
+    def nist(self) -> float:
+        return self.nist_detail.score
+
+    @property
+    def ter(self) -> float:
+        return self.ter_detail.score
 
     def tsv_row(self) -> str:
         """Score row ordered BLEU, NIST, TER; BLEU and TER scaled by 100."""
@@ -82,10 +91,8 @@ class EvalReport:
 
 def evaluate(hyps: Corpus, refs: Corpus) -> EvalReport:
     """Run all three metrics on one hypothesis/reference corpus pair."""
-    b = bleu(hyps, refs)
-    n = nist(hyps, refs)
-    t = ter(hyps, refs)
     return EvalReport(
-        bleu=b.score, nist=n.score, ter=t.score,
-        bleu_detail=b, nist_detail=n, ter_detail=t,
+        bleu_detail=bleu(hyps, refs),
+        nist_detail=nist(hyps, refs),
+        ter_detail=ter(hyps, refs),
     )

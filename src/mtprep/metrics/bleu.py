@@ -6,8 +6,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ..corpus import Corpus, Sentence
-from .common import clipped_ngrams, validate_ngram_scoring
+from ..corpus import Corpus
+from .common import ngram_statistics
 
 
 @dataclass(frozen=True)
@@ -27,18 +27,6 @@ class BleuScore:
         return 100.0 * self.score
 
 
-def _clipped_counts(hyps: Corpus, refs: Corpus, max_n: int) -> tuple[list[int], list[int]]:
-    matches = [0] * max_n
-    totals = [0] * max_n
-    for hyp, ref in zip(hyps, refs):
-        for n in range(1, max_n + 1):
-            if len(hyp) < n:
-                break
-            totals[n - 1] += len(hyp) - n + 1
-            matches[n - 1] += clipped_ngrams(hyp, ref, n).total()
-    return matches, totals
-
-
 def bleu(hyps: Corpus, refs: Corpus, max_n: int = 4) -> BleuScore:
     """Score a hypothesis corpus against a parallel reference corpus.
 
@@ -47,10 +35,11 @@ def bleu(hyps: Corpus, refs: Corpus, max_n: int = 4) -> BleuScore:
     the whole score 0.  Orders beyond every hypothesis length contribute a
     neutral factor (only reachable on tiny test corpora).
     """
-    hyp_length, ref_length = validate_ngram_scoring(hyps, refs, max_n)
-    matches, totals = _clipped_counts(hyps, refs, max_n)
+    stats = ngram_statistics(hyps, refs, max_n)
+    hyp_length, ref_length = stats.hyp_length, stats.ref_length
+    matches = tuple(sum(c.total() for c in order) for order in stats.clipped)
     precisions = tuple(
-        m / t if t else 1.0 for m, t in zip(matches, totals)
+        m / t if t else 1.0 for m, t in zip(matches, stats.totals)
     )
     if hyp_length > ref_length:
         bp = 1.0
@@ -64,26 +53,9 @@ def bleu(hyps: Corpus, refs: Corpus, max_n: int = 4) -> BleuScore:
     return BleuScore(
         score=score,
         precisions=precisions,
-        matches=tuple(matches),
-        totals=tuple(totals),
+        matches=matches,
+        totals=stats.totals,
         brevity_penalty=bp,
         hyp_length=hyp_length,
         ref_length=ref_length,
-    )
-
-
-def sentence_bleu(hyp: Sentence, ref: Sentence, max_n: int = 4) -> float:
-    """Diagnostic per-sentence BLEU with add-one smoothing for orders >= 2.
-
-    Not comparable with corpus scores; useful only for eyeballing single
-    segments, where unsmoothed BLEU is almost always 0.
-    """
-    score = bleu([hyp], [ref], max_n)
-    smoothed = [score.precisions[0]]
-    for m, t in zip(score.matches[1:], score.totals[1:]):
-        smoothed.append((m + 1) / (t + 1))
-    if smoothed[0] == 0.0:
-        return 0.0
-    return score.brevity_penalty * math.exp(
-        sum(math.log(p) for p in smoothed) / max_n
     )

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from collections import Counter
+from dataclasses import dataclass
 from typing import Sequence
 
 Ngram = tuple[str, ...]
@@ -26,24 +27,52 @@ def validate_corpora(hyps: Sequence[Sequence[str]], refs: Sequence[Sequence[str]
             raise ValueError(f"reference sentence {k + 1} is empty")
 
 
-def validate_ngram_scoring(
-    hyps: Sequence[Sequence[str]], refs: Sequence[Sequence[str]], max_n: int
-) -> tuple[int, int]:
-    """Preconditions of the n-gram metrics (BLEU, NIST): those of
-    validate_corpora, max_n >= 1 and at least one hypothesis token.
+@dataclass(frozen=True)
+class NgramStatistics:
+    """What BLEU and NIST read from one hypothesis/reference corpus pair.
 
-    Returns the hypothesis and reference lengths in tokens.
+    clipped[n - 1][k] is segment k's order-n hypothesis n-gram counts
+    clipped to its own reference's counts, in the hypothesis n-grams'
+    order (unmatched n-grams are absent); totals[n - 1] is the number of
+    order-n hypothesis n-grams; ref_counts counts every reference n-gram
+    of orders 1 to max_n over the whole corpus.
     """
+
+    clipped: tuple[tuple[Counter[Ngram], ...], ...]
+    totals: tuple[int, ...]
+    ref_counts: Counter[Ngram]
+    hyp_length: int
+    ref_length: int
+
+
+def ngram_statistics(
+    hyps: Sequence[Sequence[str]], refs: Sequence[Sequence[str]], max_n: int
+) -> NgramStatistics:
+    """Check the preconditions of the n-gram metrics (those of
+    validate_corpora, max_n >= 1 and at least one hypothesis token), then
+    count in one pass, building each segment's reference counts once per
+    order."""
     validate_corpora(hyps, refs)
     if max_n < 1:
         raise ValueError("max_n must be >= 1")
     hyp_length = sum(len(h) for h in hyps)
     if hyp_length == 0:
         raise ValueError("hypothesis corpus has no tokens")
-    return hyp_length, sum(len(r) for r in refs)
-
-
-def clipped_ngrams(hyp: Sequence[str], ref: Sequence[str], n: int) -> Counter[Ngram]:
-    """Order-n hypothesis n-gram counts clipped to the reference's counts,
-    in the hypothesis n-grams' order; unmatched n-grams are absent."""
-    return ngram_counts(hyp, n) & ngram_counts(ref, n)
+    ref_counts: Counter[Ngram] = Counter()
+    clipped = []
+    totals = []
+    for n in range(1, max_n + 1):
+        order = []
+        for hyp, ref in zip(hyps, refs):
+            ref_ngrams = ngram_counts(ref, n)
+            ref_counts.update(ref_ngrams)
+            order.append(ngram_counts(hyp, n) & ref_ngrams)
+        clipped.append(tuple(order))
+        totals.append(sum(max(len(h) - n + 1, 0) for h in hyps))
+    return NgramStatistics(
+        clipped=tuple(clipped),
+        totals=tuple(totals),
+        ref_counts=ref_counts,
+        hyp_length=hyp_length,
+        ref_length=sum(len(r) for r in refs),
+    )

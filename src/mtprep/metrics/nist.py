@@ -13,7 +13,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from ..corpus import Corpus
-from .common import Ngram, clipped_ngrams, ngram_counts, validate_ngram_scoring
+from .common import Ngram, ngram_statistics
 
 # exp(BETA * ln(2/3)^2) == 0.5
 BETA = math.log(0.5) / math.log(2.0 / 3.0) ** 2
@@ -28,25 +28,17 @@ class NistScore:
     ref_length: int
 
 
-def reference_information(refs: Corpus, max_n: int) -> dict[Ngram, float]:
-    """Info weight of every reference n-gram.
+def information(gram: Ngram, ref_counts: Counter[Ngram], ref_length: int) -> float:
+    """Info weight of a reference n-gram.
 
-    info(g) = log2(count(prefix of g) / count(g)), with the prefix count of
-    a unigram taken as the total reference word count.  Weights depend only
-    on the multiset of reference n-grams, so duplicated sentences change
-    nothing.
+    info(g) = log2(count(prefix of g) / count(g)), counted over the whole
+    reference corpus, with the prefix count of a unigram taken as the
+    reference word count (ref_length).  Weights depend only on the
+    proportions of the reference n-gram counts: repeating the whole
+    reference corpus changes no weight, repeating one sentence does.
     """
-    counts: Counter[Ngram] = Counter()
-    total_words = 0
-    for ref in refs:
-        total_words += len(ref)
-        for n in range(1, max_n + 1):
-            counts.update(ngram_counts(ref, n))
-    info = {}
-    for gram, count in counts.items():
-        prefix = counts[gram[:-1]] if len(gram) > 1 else total_words
-        info[gram] = math.log2(prefix / count)
-    return info
+    prefix = ref_counts[gram[:-1]] if len(gram) > 1 else ref_length
+    return math.log2(prefix / ref_counts[gram])
 
 
 def nist(hyps: Corpus, refs: Corpus, max_n: int = 5) -> NistScore:
@@ -57,18 +49,14 @@ def nist(hyps: Corpus, refs: Corpus, max_n: int = 5) -> NistScore:
     hypothesis n-grams contribute 0.  Matching is per segment against its
     own reference, info weights come from the whole reference corpus.
     """
-    hyp_length, ref_length = validate_ngram_scoring(hyps, refs, max_n)
-    info = reference_information(refs, max_n)
+    stats = ngram_statistics(hyps, refs, max_n)
+    hyp_length, ref_length = stats.hyp_length, stats.ref_length
     per_order = []
-    for n in range(1, max_n + 1):
+    for order, total in zip(stats.clipped, stats.totals):
         info_sum = 0.0
-        total = 0
-        for hyp, ref in zip(hyps, refs):
-            if len(hyp) < n:
-                continue
-            total += len(hyp) - n + 1
-            for gram, matched in clipped_ngrams(hyp, ref, n).items():
-                info_sum += matched * info[gram]
+        for clipped in order:
+            for gram, matched in clipped.items():
+                info_sum += matched * information(gram, stats.ref_counts, ref_length)
         per_order.append(info_sum / total if total else 0.0)
 
     brevity = math.exp(BETA * math.log(min(hyp_length / ref_length, 1.0)) ** 2)

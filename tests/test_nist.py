@@ -5,7 +5,8 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mtprep.metrics.nist import BETA, NistScore, nist, reference_information
+from mtprep.metrics.common import ngram_statistics
+from mtprep.metrics.nist import BETA, NistScore, information, nist
 
 from oracles import nist_oracle
 
@@ -61,17 +62,32 @@ def test_no_penalty_for_long_hypotheses():
     assert result.brevity == 1.0
 
 
+def info_weights(refs, max_n):
+    """The info weight of any n-gram of the reference corpus refs."""
+    stats = ngram_statistics(refs, refs, max_n)
+    return lambda gram: information(gram, stats.ref_counts, stats.ref_length)
+
+
 def test_unigram_information_uses_corpus_word_count():
-    info = reference_information([["a", "a", "b", "c"]], max_n=1)
+    info = info_weights([["a", "a", "b", "c"]], max_n=1)
     # four reference words, "a" appears twice: info = log2(4/2)
-    assert info[("a",)] == pytest.approx(1.0)
-    assert info[("b",)] == pytest.approx(2.0)
+    assert info(("a",)) == pytest.approx(1.0)
+    assert info(("b",)) == pytest.approx(2.0)
 
 
 def test_bigram_information_conditions_on_prefix():
-    info = reference_information([["a", "b", "a", "c"]], max_n=2)
+    info = info_weights([["a", "b", "a", "c"]], max_n=2)
     # prefix "a" occurs twice, continuation "a b" once: log2(2/1)
-    assert info[("a", "b")] == pytest.approx(1.0)
+    assert info(("a", "b")) == pytest.approx(1.0)
+
+
+def test_repeating_the_reference_corpus_keeps_every_weight():
+    refs = [["a", "b"], ["a", "c"], ["d"]]
+    once, twice = info_weights(refs, 2), info_weights(refs + refs, 2)
+    for gram in [("a",), ("d",), ("a", "b"), ("a", "c")]:
+        assert twice(gram) == once(gram)
+    # repeating one sentence shifts the proportions: "a b" is now 2 of 3 "a"
+    assert info_weights(refs + refs[:1], 2)(("a", "b")) == pytest.approx(math.log2(3 / 2))
 
 
 def test_per_order_detail_shape():
@@ -91,9 +107,8 @@ def test_rejects_mismatched_corpora():
 def test_matches_oracle(pairs):
     hyps = [h for h, _ in pairs]
     refs = [r for _, r in pairs]
-    assert nist(hyps, refs).score == pytest.approx(
-        nist_oracle(hyps, refs), abs=1e-9
-    )
+    # exact: the implementation sums in the oracle's order
+    assert nist(hyps, refs).score == nist_oracle(hyps, refs)
 
 
 @settings(max_examples=80)
