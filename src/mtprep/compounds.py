@@ -10,8 +10,12 @@ the same margin, which the inventory carries (and its file records).
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import islice
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterator, Mapping
 
@@ -76,17 +80,22 @@ def induce_compound_suffixes(
     if min_count < 1:
         raise ValueError("min_count must be >= 1")
     words = set(vocab)
-    counts: dict[str, int] = {}
-    for w in words:
-        # Tails of length L satisfy len(w) > L + margin, i.e. L <= len(w)-margin-1,
-        # and are strictly shorter than w, so w itself never qualifies.
-        longest = len(w) - margin - 1
-        for length in range(1, longest + 1):
-            tail = w[-length:]
-            if tail in words:
-                counts[tail] = counts.get(tail, 0) + 1
-    if min_count > 1:
-        counts = {s: c for s, c in counts.items() if c >= min_count}
+    by_len = sorted(words, key=len, reverse=True)
+    tails: Counter[str] = Counter()
+    # Tails of length L come from the words with len(w) > L + margin, a
+    # prefix of by_len, and are strictly shorter than w, so w itself never
+    # qualifies.  A length no word has gives no member.
+    for length in sorted({len(w) for w in words} - {0}):
+        end = bisect_left(by_len, -(length + margin), key=lambda w: -len(w))
+        if not end:
+            break
+        tails.update(
+            filter(
+                words.__contains__,
+                map(itemgetter(slice(-length, None)), islice(by_len, end)),
+            )
+        )
+    counts = {s: c for s, c in tails.items() if c >= min_count}
     return CompoundSuffixSet(counts, margin)
 
 

@@ -11,6 +11,7 @@ source/target files stay aligned through preprocessing.
 from __future__ import annotations
 
 from collections import Counter
+from itertools import chain
 from pathlib import Path
 from typing import Iterable
 
@@ -93,7 +94,4 @@ def write_token_corpus(corpus: Corpus, path: str | Path) -> None:
 
 def build_vocabulary(corpus: Corpus) -> Counter[str]:
     """Count exact token frequencies over the whole corpus."""
-    vocab: Counter[str] = Counter()
-    for sentence in corpus:
-        vocab.update(sentence)
-    return vocab
+    return Counter(chain.from_iterable(corpus))

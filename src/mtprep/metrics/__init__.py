@@ -6,8 +6,9 @@ import json
 from dataclasses import dataclass
 
 from ..corpus import Corpus
-from .bleu import BleuScore, bleu
-from .nist import NistScore, nist
+from .bleu import BleuScore, bleu, bleu_from_statistics
+from .common import ngram_statistics
+from .nist import NistScore, nist, nist_from_statistics
 from .ter import SentenceTer, TerScore, edit_distance, sentence_ter, ter
 
 __all__ = [
@@ -90,9 +91,11 @@ class EvalReport:
 
 
 def evaluate(hyps: Corpus, refs: Corpus) -> EvalReport:
-    """Run all three metrics on one hypothesis/reference corpus pair."""
+    """Run all three metrics on one hypothesis/reference corpus pair; BLEU
+    (orders 1-4) and NIST (orders 1-5) share one n-gram statistics pass."""
+    stats = ngram_statistics(hyps, refs, 5)
     return EvalReport(
-        bleu_detail=bleu(hyps, refs),
-        nist_detail=nist(hyps, refs),
+        bleu_detail=bleu_from_statistics(stats, 4),
+        nist_detail=nist_from_statistics(stats),
         ter_detail=ter(hyps, refs),
     )

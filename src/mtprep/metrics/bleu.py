@@ -7,7 +7,7 @@ import math
 from dataclasses import dataclass
 
 from ..corpus import Corpus
-from .common import ngram_statistics
+from .common import NgramStatistics, ngram_statistics
 
 
 @dataclass(frozen=True)
@@ -35,12 +35,18 @@ def bleu(hyps: Corpus, refs: Corpus, max_n: int = 4) -> BleuScore:
     the whole score 0.  Orders beyond every hypothesis length contribute a
     neutral factor (only reachable on tiny test corpora).
     """
-    stats = ngram_statistics(hyps, refs, max_n)
+    return bleu_from_statistics(ngram_statistics(hyps, refs, max_n), max_n)
+
+
+def bleu_from_statistics(stats: NgramStatistics, max_n: int) -> BleuScore:
+    """BLEU from orders 1 to max_n of statistics counted up to max_n or
+    beyond (evaluate counts once up to NIST's order for both metrics)."""
+    if not 1 <= max_n <= len(stats.totals):
+        raise ValueError(f"max_n must be in 1..{len(stats.totals)}")
     hyp_length, ref_length = stats.hyp_length, stats.ref_length
-    matches = tuple(sum(c.total() for c in order) for order in stats.clipped)
-    precisions = tuple(
-        m / t if t else 1.0 for m, t in zip(matches, stats.totals)
-    )
+    totals = stats.totals[:max_n]
+    matches = tuple(sum(c.total() for c in order) for order in stats.clipped[:max_n])
+    precisions = tuple(m / t if t else 1.0 for m, t in zip(matches, totals))
     if hyp_length > ref_length:
         bp = 1.0
     else:
@@ -54,7 +60,7 @@ def bleu(hyps: Corpus, refs: Corpus, max_n: int = 4) -> BleuScore:
         score=score,
         precisions=precisions,
         matches=matches,
-        totals=stats.totals,
+        totals=totals,
         brevity_penalty=bp,
         hyp_length=hyp_length,
         ref_length=ref_length,

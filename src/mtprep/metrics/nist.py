@@ -13,7 +13,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from ..corpus import Corpus
-from .common import Ngram, ngram_statistics
+from .common import Ngram, NgramStatistics, ngram_statistics
 
 # exp(BETA * ln(2/3)^2) == 0.5
 BETA = math.log(0.5) / math.log(2.0 / 3.0) ** 2
@@ -49,7 +49,11 @@ def nist(hyps: Corpus, refs: Corpus, max_n: int = 5) -> NistScore:
     hypothesis n-grams contribute 0.  Matching is per segment against its
     own reference, info weights come from the whole reference corpus.
     """
-    stats = ngram_statistics(hyps, refs, max_n)
+    return nist_from_statistics(ngram_statistics(hyps, refs, max_n))
+
+
+def nist_from_statistics(stats: NgramStatistics) -> NistScore:
+    """NIST over every order the statistics were counted to."""
     hyp_length, ref_length = stats.hyp_length, stats.ref_length
     per_order = []
     for order, total in zip(stats.clipped, stats.totals):

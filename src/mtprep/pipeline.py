@@ -63,19 +63,30 @@ def token_pieces(word: str, config: PipelineConfig) -> list[str]:
 
 
 def _process_sentence(
-    k: int, sentence: Sentence, tags: Sentence | None, config: PipelineConfig
+    k: int,
+    sentence: Sentence,
+    tags: Sentence | None,
+    config: PipelineConfig,
+    cache: dict[str, list[str]],
 ) -> Sentence:
     tokens: list[str] = []
     for t, word in enumerate(sentence):
-        if config.marker is not None and config.marker in word:
-            raise ValueError(
-                f"sentence {k + 1}: input token {word!r} contains "
-                f"the marker {config.marker!r}"
-            )
-        if tags is not None and tags[t] == NNP_TAG:
-            tokens.append(word)
-            continue
-        tokens.extend(mark_pieces(token_pieces(word, config), config.marker))
+        nnp = tags is not None and tags[t] == NNP_TAG
+        pieces = None if nnp else cache.get(word)
+        if pieces is None:
+            # NNP tokens and cache misses reach here.  A token holding the
+            # marker is never cached, so its first occurrence raises, as a
+            # check on every token would.
+            if config.marker is not None and config.marker in word:
+                raise ValueError(
+                    f"sentence {k + 1}: input token {word!r} contains "
+                    f"the marker {config.marker!r}"
+                )
+            if nnp:
+                tokens.append(word)
+                continue
+            pieces = cache[word] = mark_pieces(token_pieces(word, config), config.marker)
+        tokens.extend(pieces)
     return tokens
 
 
@@ -85,7 +96,9 @@ def preprocess(corpus: Corpus, config: PipelineConfig) -> Corpus:
     Sentence count is always preserved.  When a marker is configured, any
     input token already containing it is rejected (round-tripping would be
     ambiguous otherwise).  When tags are configured (one per token, in a
-    line-parallel corpus), tokens tagged NNP pass through whole.
+    line-parallel corpus), tokens tagged NNP pass through whole.  Each
+    distinct word not tagged NNP is split once per call: its marked pieces
+    are kept in a dict that lives as long as the call.
     """
     tags = config.nnp_tags
     if tags is not None:
@@ -99,8 +112,11 @@ def preprocess(corpus: Corpus, config: PipelineConfig) -> Corpus:
                     f"sentence {k + 1}: {len(tag_sent)} tags "
                     f"for {len(sentence)} tokens"
                 )
+    cache: dict[str, list[str]] = {}
     return [
-        _process_sentence(k, sentence, tags[k] if tags is not None else None, config)
+        _process_sentence(
+            k, sentence, tags[k] if tags is not None else None, config, cache
+        )
         for k, sentence in enumerate(corpus)
     ]
 

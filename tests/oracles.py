@@ -178,6 +178,31 @@ def exhaustive_ter_edits(hyp, ref):
 
 # --- splitting -------------------------------------------------------------
 
+def preprocess_oracle(corpus, split, marker=None, tags=None):
+    """Token by token: reject a token that holds the marker, pass a token
+    tagged NNP through whole, split any other token with split(word) and
+    mark every piece but the last.  tags, when given, has one tag per
+    token."""
+    out = []
+    for k, sentence in enumerate(corpus):
+        tokens = []
+        for t, word in enumerate(sentence):
+            if marker is not None and marker in word:
+                raise ValueError(
+                    f"sentence {k + 1}: input token {word!r} contains "
+                    f"the marker {marker!r}"
+                )
+            if tags is not None and tags[k][t] == "NNP":
+                tokens.append(word)
+                continue
+            pieces = split(word)
+            if marker is not None:
+                pieces = [piece + marker for piece in pieces[:-1]] + pieces[-1:]
+            tokens.extend(pieces)
+        out.append(tokens)
+    return out
+
+
 def longest_suffix_oracle(word, suffix_words):
     """Exhaustive scan for the longest strict suffix match."""
     matches = [

@@ -58,11 +58,42 @@ def test_induction_rejects_negative_margin():
         induce_compound_suffixes(["a"], margin=-1)
 
 
-@settings(max_examples=60)
-@given(vocab_st, st.integers(min_value=0, max_value=6))
-def test_induction_matches_double_loop(vocab, margin):
-    got = induce_compound_suffixes(vocab, margin=margin)
-    assert got.counts == induce_oracle(vocab, margin=margin)
+def oracle_counts(vocab, margin, min_count=1):
+    induced = induce_oracle(vocab, margin=margin)
+    return {v: c for v, c in induced.items() if c >= min_count}
+
+
+@settings(max_examples=150)
+@given(
+    vocab_st,
+    st.integers(min_value=0, max_value=9),
+    st.integers(min_value=1, max_value=3),
+)
+def test_induction_matches_double_loop(vocab, margin, min_count):
+    got = induce_compound_suffixes(vocab, margin=margin, min_count=min_count)
+    assert got.counts == oracle_counts(vocab, margin, min_count)
+
+
+@pytest.mark.parametrize("margin", [0, 2, 5])
+def test_induction_without_words_longer_than_margin_plus_one(margin):
+    # each word ends with all the shorter ones, but a tail has at least one
+    # character, so only a word of margin + 2 or more characters can have one
+    vocab = [("ab" * 4)[-n:] for n in range(1, margin + 2)]
+    assert induce_compound_suffixes(vocab, margin=margin).counts == {}
+    longer = vocab + [("ab" * 4)[-(margin + 2):]]
+    assert induce_compound_suffixes(longer, margin=margin).counts == {"b": 1}
+
+
+@pytest.mark.parametrize("margin", [0, 1, 4])
+def test_induction_of_words_of_one_length(margin):
+    # every tail is shorter than the words, so no word can be a member
+    vocab = ["abcdefgh", "bbcdefgh", "xxxxxxgh", "gggggggh"]
+    assert induce_compound_suffixes(vocab, margin=margin).counts == {}
+
+
+def test_induction_ignores_the_empty_word():
+    # a member has at least one character, even when "" is in the vocabulary
+    assert induce_compound_suffixes(["", "na", "aaaaaana"]).counts == {"na": 1}
 
 
 # --- splitting ---------------------------------------------------------------

@@ -1,10 +1,13 @@
 """The one n-gram counting pass that BLEU and NIST read from."""
 
+import re
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mtprep.metrics import bleu, evaluate, nist
+from mtprep.metrics.bleu import bleu_from_statistics
 from mtprep.metrics.common import ngram_statistics
 
 token_st = st.sampled_from("ab")
@@ -60,3 +63,31 @@ def test_statistics_match_brute_force(pairs, max_n):
 def test_checks_run_in_order(hyps, refs, max_n, message):
     with pytest.raises(ValueError, match=message):
         ngram_statistics(hyps, refs, max_n)
+
+
+@settings(max_examples=100)
+@given(pair_st.filter(lambda pairs: any(h for h, _ in pairs)))
+def test_evaluate_shares_one_pass_with_unchanged_scores(pairs):
+    # evaluate counts once up to order 5; BLEU reads orders 1-4 of it
+    hyps = [h for h, _ in pairs]
+    refs = [r for _, r in pairs]
+    report = evaluate(hyps, refs)
+    assert repr(report.bleu_detail) == repr(bleu(hyps, refs))
+    assert repr(report.nist_detail) == repr(nist(hyps, refs))
+
+
+@pytest.mark.parametrize("max_n", [0, 4])
+def test_bleu_reads_only_counted_orders(max_n):
+    stats = ngram_statistics([["a", "b"]], [["a", "b"]], 3)
+    with pytest.raises(ValueError, match=r"max_n must be in 1\.\.3"):
+        bleu_from_statistics(stats, max_n)
+
+
+@pytest.mark.parametrize(
+    "hyps, refs", [([[]], [["a"], ["b"]]), ([], []), ([["a"]], [[]]), ([[]], [["a"]])]
+)
+def test_evaluate_fails_like_bleu(hyps, refs):
+    with pytest.raises(ValueError) as from_bleu:
+        bleu(hyps, refs)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(from_bleu.value))}$"):
+        evaluate(hyps, refs)

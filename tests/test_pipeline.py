@@ -3,9 +3,12 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import mtprep.pipeline as pipeline
 from mtprep.compounds import CompoundSuffixSet, induce_compound_suffixes
 from mtprep.pipeline import Mode, PipelineConfig, preprocess, reconstruct, token_pieces
 from mtprep.suffixes import SuffixList
+
+from oracles import preprocess_oracle
 
 SUFFIXES = SuffixList(["aaMnii", "nii", "ii"])
 COMPOUNDS = CompoundSuffixSet({"kaDuuna": 3, "tajGYaaM": 2})
@@ -161,3 +164,108 @@ def test_marker_round_trip_property(corpus):
     )
     marked = preprocess(corpus, cfg)
     assert reconstruct(marked, marker="##") == corpus
+
+
+# --- the per-call type cache -------------------------------------------------
+
+@st.composite
+def repeated_corpus_st(draw):
+    """A corpus over at most four types, so most tokens repeat one, with
+    per-token NNP/NN tags or none.  "@" in the alphabet makes some types
+    hold the marker "@@"."""
+    types = draw(st.lists(st.text(alphabet="abkD@", min_size=1, max_size=12),
+                          min_size=1, max_size=4))
+    token_st = st.sampled_from(types)
+    corpus = draw(st.lists(st.lists(token_st, max_size=8), min_size=1, max_size=6))
+    tags = None
+    if draw(st.booleans()):
+        tag_st = st.sampled_from(["NNP", "NN"])
+        tags = [draw(st.lists(tag_st, min_size=len(s), max_size=len(s))) for s in corpus]
+    return types, corpus, tags
+
+
+def run_both(corpus, cfg):
+    """preprocess and its oracle on the same input: (output, error message)."""
+    results = []
+    for run in (
+        lambda: preprocess(corpus, cfg),
+        lambda: preprocess_oracle(
+            corpus, lambda w: token_pieces(w, cfg), cfg.marker, cfg.nnp_tags
+        ),
+    ):
+        try:
+            results.append((run(), None))
+        except ValueError as exc:
+            results.append((None, str(exc)))
+    return results
+
+
+@settings(max_examples=150)
+@given(
+    repeated_corpus_st(),
+    st.sampled_from([None, "@@"]),
+    st.integers(min_value=0, max_value=3),
+)
+def test_preprocess_matches_per_token_oracle(drawn, marker, margin):
+    types, corpus, tags = drawn
+    compounds = induce_compound_suffixes(types + ["abkDabkDabkD"], margin=margin)
+    suffixes = SuffixList(["a", "Da", "kab", "D@"])
+    for mode in Mode:
+        cfg = PipelineConfig(
+            mode=mode, suffix_list=suffixes, compound_set=compounds,
+            marker=marker, nnp_tags=tags,
+        )
+        got, expected = run_both(corpus, cfg)
+        assert got == expected
+
+
+def test_cache_keeps_tags_apart():
+    # a word's NNP occurrences never reach the cache, so the same word
+    # splits when untagged and stays whole when tagged, in either order
+    word = "mahinyaaMnii"
+    for tags in ([["NNP", "NN", "NNP"]], [["NN", "NNP", "NN"]]):
+        cfg = config(Mode.SS, marker="@@", nnp_tags=tags)
+        split = ["mahiny@@", "aaMnii"]
+        expected = [[p for tag in tags[0] for p in ([word] if tag == "NNP" else split)]]
+        assert preprocess([[word] * 3], cfg) == expected
+
+
+@pytest.mark.parametrize("tags", [[["NNP"], ["NN"]], [["NN"], ["NNP"]]])
+def test_marker_collision_fires_at_first_occurrence_tagged_or_not(tags):
+    corpus = [["ma@@hin"], ["ma@@hin"]]
+    cfg = config(Mode.SS, marker="@@", nnp_tags=tags)
+    (got, got_error), (_, expected_error) = run_both(corpus, cfg)
+    assert got is None
+    assert got_error == expected_error == (
+        "sentence 1: input token 'ma@@hin' contains the marker '@@'"
+    )
+
+
+def test_marker_collision_after_cached_tokens():
+    # earlier clean tokens are cached; the offending one is always a miss
+    corpus = [["dara", "mahinyaaMnii"], ["dara", "mahinyaaMnii", "x@@"]]
+    with pytest.raises(ValueError, match=r"^sentence 2: input token 'x@@'"):
+        preprocess(corpus, config(Mode.CS_SS, marker="@@"))
+
+
+def test_token_pieces_runs_once_per_non_nnp_type_per_call(monkeypatch):
+    calls = []
+    real = pipeline.token_pieces
+
+    def counting(word, cfg):
+        calls.append(word)
+        return real(word, cfg)
+
+    monkeypatch.setattr(pipeline, "token_pieces", counting)
+    corpus = [
+        ["mahinyaaMnii", "dara", "mahinyaaMnii", "kaDuuna"],
+        ["kaDuuna", "mahinyaaMnii", "dara", "Raama"],
+    ]
+    tags = [["NN", "NN", "NN", "NNP"], ["NN", "NN", "NN", "NNP"]]
+    cfg = config(Mode.CS_SS, marker="@@", nnp_tags=tags)
+    first = preprocess(corpus, cfg)
+    # kaDuuna is split where it is not tagged NNP; Raama is always NNP
+    assert calls == ["mahinyaaMnii", "dara", "kaDuuna"]
+    calls.clear()
+    assert preprocess(corpus, cfg) == first
+    assert calls == ["mahinyaaMnii", "dara", "kaDuuna"]
