@@ -9,10 +9,21 @@ distance the most, stop when no shift lowers it at all; ties go to the
 smallest (block start, landing position, block length), scanned in that
 lexicographic order.  Greedy can over-count by a shift or two in rare
 interleaved-block cases, which is why short sentences get exact search.
+
+Edit distances are computed bit-parallel (Myers 1999, Hyyrö 2003) over
+match masks built once per segment.  Moves are enumerated from the reference
+positions that hold each hypothesis token.  A greedy step stores the
+edit-distance column before every position of the current hypothesis and
+scores each candidate from the stored column at its first changed position
+without building it; a candidate whose column rejoins the stored one at the
+end of the moved span ties the current distance and is skipped, and only
+the winning move is built.  The scores are identical to those of the plain
+O(n*m) dynamic program, which the tests keep as the oracle.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from ..corpus import Corpus, Sentence
@@ -21,6 +32,9 @@ from .common import validate_corpora
 # Exact search is exponential in the worst case; beyond this many tokens on
 # either side, fall back to greedy.
 EXACT_SEARCH_LIMIT = 7
+
+# One edit-distance DP column in bit-parallel form: (VP, VN, last-row value).
+Column = tuple[int, int, int]
 
 
 def _match_masks(ref: Sentence) -> dict[str, int]:
@@ -32,23 +46,19 @@ def _match_masks(ref: Sentence) -> dict[str, int]:
     return masks
 
 
-def _distance(hyp: Sentence, masks: dict[str, int], ref_length: int) -> int:
-    """Levenshtein distance from hyp to the reference behind masks.
+def _scan(state: Column, eqs: Iterable[int], full: int, top: int) -> Column:
+    """Advance one edit-distance column over hypothesis tokens.
 
-    Bit-parallel over Python ints (Myers 1999, in Hyyrö's 2003 form): VP/VN
-    hold the +1/-1 vertical deltas of one DP column, bit j for ref row j, and
-    each hyp token advances the whole column with a few word operations.
-    Python's ~ is unbounded, so VP is masked to ref_length bits; VN stays
-    within them because it is an AND with eq | vn.
+    Bit-parallel over Python ints (Myers 1999, in Hyyrö's 2003 form): the
+    state (VP, VN, score) holds the +1/-1 vertical deltas of one DP column,
+    bit j for ref row j, and the last row's value; eqs are the match masks
+    of the next hypothesis tokens, and each advances the whole column with
+    a few word operations.  Python's ~ is unbounded, so VP is masked to the
+    reference's bits (full); VN stays within them because it is an AND with
+    eq | vn.  top is the bit of the last reference row.
     """
-    if not ref_length:
-        return len(hyp)
-    full = (1 << ref_length) - 1
-    top = 1 << (ref_length - 1)
-    vp, vn, score = full, 0, ref_length
-    get = masks.get
-    for tok in hyp:
-        eq = get(tok, 0)
+    vp, vn, score = state
+    for eq in eqs:
         xv = eq | vn
         xh = (((eq & vp) + vp) ^ vp) | eq
         ph = vn | ~(xh | vp)
@@ -61,7 +71,17 @@ def _distance(hyp: Sentence, masks: dict[str, int], ref_length: int) -> int:
         ph = (ph << 1) | 1
         vp = ((mh << 1) | ~(xv | ph)) & full
         vn = ph & xv
-    return score
+    return vp, vn, score
+
+
+def _distance(hyp: Sentence, masks: dict[str, int], ref_length: int) -> int:
+    """Levenshtein distance from hyp to the reference behind masks."""
+    if not ref_length:
+        return len(hyp)
+    full = (1 << ref_length) - 1
+    get = masks.get
+    eqs = [get(tok, 0) for tok in hyp]
+    return _scan((full, 0, ref_length), eqs, full, 1 << (ref_length - 1))[2]
 
 
 def edit_distance(a: Sentence, b: Sentence) -> int:
@@ -95,26 +115,35 @@ class TerScore:
     sentences: tuple[SentenceTer, ...]
 
 
-def _moves(hyp: list[str], ref: Sentence):
-    """Legal shifts of hyp against ref, in (i, j, length) lexicographic order.
+def _moves(hyp: Sentence, ref: Sentence):
+    """Legal shifts (i, j, length) of hyp against ref, in that lexicographic
+    order.
 
     The block hyp[i:i+length] must match ref[j:j+length] and must not
     already start at j; the move deletes the block and reinserts it at
-    position j of what remains.
+    position j of what remains (at its end when j is past it).  For each
+    block start i only the reference positions holding hyp[i] are tried.
     """
-    for i in range(len(hyp)):
-        for j in range(len(ref)):
+    positions: dict[str, list[int]] = {}
+    for j, tok in enumerate(ref):
+        positions.setdefault(tok, []).append(j)
+    n, m = len(hyp), len(ref)
+    for i, tok in enumerate(hyp):
+        for j in positions.get(tok, ()):
             if i == j:
                 continue
-            length = 1
+            length = 0
             while (
-                i + length - 1 < len(hyp)
-                and j + length - 1 < len(ref)
-                and hyp[i + length - 1] == ref[j + length - 1]
+                i + length < n and j + length < m and hyp[i + length] == ref[j + length]
             ):
-                rest = hyp[:i] + hyp[i + length :]
-                yield rest[:j] + hyp[i : i + length] + rest[j:]
                 length += 1
+                yield i, j, length
+
+
+def _shift(seq, i: int, j: int, length: int):
+    """seq with the block seq[i:i+length] moved to position j of the rest."""
+    rest = seq[:i] + seq[i + length :]
+    return rest[:j] + seq[i : i + length] + rest[j:]
 
 
 def _exact_ter(hyp: Sentence, ref: Sentence) -> SentenceTer:
@@ -134,8 +163,8 @@ def _exact_ter(hyp: Sentence, ref: Sentence) -> SentenceTer:
         depth += 1
         grown = []
         for state in layer:
-            for moved in _moves(list(state), ref):
-                key = tuple(moved)
+            for i, j, length in _moves(state, ref):
+                key = _shift(state, i, j, length)
                 if key in seen:
                     continue
                 seen.add(key)
@@ -152,33 +181,64 @@ def _exact_ter(hyp: Sentence, ref: Sentence) -> SentenceTer:
 def _greedy_ter(hyp: Sentence, ref: Sentence) -> SentenceTer:
     """One best-gain shift at a time until no shift strictly helps.
 
-    A permutation reached by several moves in one step is scored once, at
-    its first move in (i, j, length) order; only a strictly better score
-    replaces the best, so a repeat could never have won.
+    The moves of a step come from _moves, which tries for each hypothesis
+    token only the reference positions holding it, and none is built to be
+    scored.  A move (i, j, length) changes the current hypothesis only from
+    lo = min(i, j) up to hi = max(i, j) + length (capped at its length, for
+    a block that lands at the end), so the step stores the edit-distance
+    column before every position, and a candidate resumes the scan from the
+    stored column at lo over its rearranged span.  If its column at hi is
+    the stored one, the candidate ties the current distance and cannot win,
+    so it is skipped; otherwise the scan finishes over the unchanged tail.
+    Only the winning move is built.  A permutation reached by several moves
+    is scored each time, which changes nothing: only a strictly better score
+    replaces the best, so a repeat never displaces the first move to it.
+    A step ends early once a candidate reaches the length difference of the
+    two sentences, which no later candidate can beat, and no step starts
+    when the current distance is already that difference.
     """
     masks, ref_length = _match_masks(ref), len(ref)
+    full = (1 << ref_length) - 1
+    top = 1 << (ref_length - 1)
+    get = masks.get
     current = list(hyp)
     edits = _distance(current, masks, ref_length)
     shifts = 0
-    while edits > 0:
+    n = len(current)
+    # No permutation of the hypothesis is closer to the reference than the
+    # difference of their lengths.
+    floor = abs(n - ref_length)
+    while edits > floor:
+        eqs = [get(tok, 0) for tok in current]
+        columns = [(full, 0, ref_length)]
+        for eq in eqs:
+            columns.append(_scan(columns[-1], (eq,), full, top))
         best = None
         best_edits = edits
-        seen = set()
-        for moved in _moves(current, ref):
-            key = tuple(moved)
-            if key in seen:
+        for i, j, length in _moves(current, ref):
+            end = i + length
+            if j < i:
+                # the block lands earlier, before current[j:i]
+                hi = end
+                state = _scan(columns[j], eqs[i:end] + eqs[j:i], full, top)
+            else:
+                # current[end:hi] moves up and the block lands after it
+                hi = min(j + length, n)
+                state = _scan(columns[i], eqs[end:hi] + eqs[i:end], full, top)
+            if state == columns[hi]:
                 continue
-            seen.add(key)
-            e = _distance(key, masks, ref_length)
+            e = _scan(state, eqs[hi:], full, top)[2]
             if e < best_edits:
                 best_edits = e
-                best = moved
+                best = (i, j, length)
+                if e == floor:
+                    break
         if best is None:
             break
-        current = best
+        current = _shift(current, *best)
         edits = best_edits
         shifts += 1
-    return SentenceTer(shifts=shifts, edits_after_shifts=edits, ref_length=len(ref))
+    return SentenceTer(shifts=shifts, edits_after_shifts=edits, ref_length=ref_length)
 
 
 def sentence_ter(hyp: Sentence, ref: Sentence) -> SentenceTer:

@@ -2,6 +2,7 @@
 
 import random
 import time
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from mtprep.metrics.ter import (
     EXACT_SEARCH_LIMIT,
     SentenceTer,
+    _moves,
     edit_distance,
     sentence_ter,
     ter,
@@ -18,6 +20,7 @@ from oracles import (
     exhaustive_ter_edits,
     greedy_ter_oracle,
     levenshtein,
+    shift_candidates,
     wer_oracle,
 )
 
@@ -46,6 +49,24 @@ def test_edit_distance_basics():
 def test_edit_distance_matches_oracle(a, b):
     # up to 80 tokens a side: masks wider than one 64-bit word, empty sides
     assert edit_distance(a, b) == levenshtein(a, b)
+
+
+# --- shift moves -------------------------------------------------------------
+
+@settings(max_examples=200)
+@given(
+    st.sampled_from(["ab", "abc"]).flatmap(
+        lambda alphabet: st.tuples(
+            st.lists(st.sampled_from(alphabet), max_size=12),
+            st.lists(st.sampled_from(alphabet), max_size=12),
+        )
+    )
+)
+def test_moves_match_every_pair_enumeration(pair):
+    # sides of different lengths include blocks whose landing position j is
+    # past the end of what remains of the hypothesis
+    hyp, ref = pair
+    assert list(_moves(hyp, ref)) == shift_candidates(hyp, ref)
 
 
 # --- single sentences --------------------------------------------------------
@@ -124,8 +145,8 @@ def test_permutations_cost_less_than_length(sent):
     assert sentence_ter(hyp, sent).total_edits <= len(sent)
 
 
-def _greedy_pair(alphabet):
-    sent = st.lists(st.sampled_from(alphabet), min_size=8, max_size=30)
+def _greedy_pair(alphabet, max_size=30):
+    sent = st.lists(st.sampled_from(alphabet), min_size=8, max_size=max_size)
     return st.tuples(sent, sent)
 
 
@@ -137,6 +158,28 @@ def test_greedy_matches_dp_oracle(pair):
     hyp, ref = pair
     result = sentence_ter(hyp, ref)
     assert (result.shifts, result.edits_after_shifts) == greedy_ter_oracle(hyp, ref)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(["abcd", "abcdefgh"]).flatmap(partial(_greedy_pair, max_size=20))
+)
+def test_greedy_matches_dp_oracle_on_sparse_alphabets(pair):
+    # 4-8 token types: about a tenth of the candidate moves leave the
+    # edit-distance column as it was by the end of the moved span and are
+    # skipped there, the rest are scored over the unchanged tail
+    hyp, ref = pair
+    result = sentence_ter(hyp, ref)
+    assert (result.shifts, result.edits_after_shifts) == greedy_ter_oracle(hyp, ref)
+
+
+def test_greedy_block_move_wider_than_one_word():
+    # 70 distinct reference tokens: the match masks and columns span more
+    # than 64 bits; the block ref[60:63] sits at the front of the hypothesis
+    ref = [f"w{k}" for k in range(70)]
+    hyp = ref[60:63] + ref[:60] + ref[63:]
+    result = sentence_ter(hyp, ref)
+    assert (result.shifts, result.edits_after_shifts) == (1, 0)
 
 
 def test_greedy_speed_floor():
