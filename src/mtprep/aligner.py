@@ -3,8 +3,8 @@
 Bag-of-words model: every target word is generated by one source word of
 the same sentence pair, chosen uniformly.  Training learns the lexical
 table t(target | source); Viterbi alignment links each target position to
-its argmax source position.  Small corpora only; there is no distortion
-model and no attempt at efficiency beyond dictionaries.
+its argmax source position; both put the null word, when on, in slot 0.
+Small corpora only; there is no distortion model.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from typing import Iterable
 from .corpus import Corpus, Sentence
 
 # Pseudo source word that absorbs target words with no good real source.
-# Prepended at position 0 when training with null_word=True.
+# It sits in slot 0 of every source sentence when the null word is on.
 NULL_TOKEN = "<null>"
 
 # Mass below this is treated as zero during normalization.
@@ -34,7 +34,7 @@ _PAIR = re.compile(r"([0-9]+)-([0-9]+)")
 class TranslationTable:
     """t(target | source) plus the log-likelihood after each iteration.
 
-    has_null records whether training prepended the null word to every
+    has_null records whether training put the null word in slot 0 of every
     source sentence (a source corpus may contain the literal NULL_TOKEN).
     """
 
@@ -56,6 +56,11 @@ def _validate_parallel(src_corpus: Corpus, tgt_corpus: Corpus) -> None:
         raise ValueError("cannot train on an empty corpus")
 
 
+def _with_null(src: Sentence, null_word: bool) -> Sentence:
+    """The source side as the model sees it: NULL_TOKEN in slot 0 if on."""
+    return [NULL_TOKEN, *src] if null_word else src
+
+
 def train_em(
     src_corpus: Corpus,
     tgt_corpus: Corpus,
@@ -65,10 +70,10 @@ def train_em(
     """Train the lexical table on a parallel corpus.
 
     Initialization is uniform over co-occurring pairs, so training is fully
-    deterministic.  The log-likelihood recorded for iteration k is measured
-    with the table that iteration starts from; the sequence is
-    non-decreasing.  Sentence pairs with an empty side carry no signal and
-    are skipped.
+    deterministic; table keys keep first-seen order under any hash seed.
+    The log-likelihood recorded for iteration k is measured with the table
+    that iteration starts from; the sequence is non-decreasing.  Sentence
+    pairs with an empty side carry no signal and are skipped.
     """
     _validate_parallel(src_corpus, tgt_corpus)
     if iterations < 1:
@@ -79,37 +84,35 @@ def train_em(
     pairs = []
     for src, tgt in zip(src_corpus, tgt_corpus):
         if src and tgt:
-            pairs.append(([NULL_TOKEN] + src if null_word else src, tgt))
+            pairs.append((_with_null(src, null_word), tgt))
     if not pairs:
         raise ValueError("no non-empty sentence pairs to train on")
 
-    cooc: dict[str, set[str]] = defaultdict(set)
+    cooc: dict[str, dict[str, None]] = defaultdict(dict)
     for src, tgt in pairs:
-        for s in set(src):
-            cooc[s].update(tgt)
-    probs = {
-        s: {t: 1.0 / len(targets) for t in targets} for s, targets in cooc.items()
-    }
+        for s in dict.fromkeys(src):
+            cooc[s].update(dict.fromkeys(tgt))
+    probs = {s: dict.fromkeys(row, 1.0 / len(row)) for s, row in cooc.items()}
 
     history = []
     for _ in range(iterations):
         counts: dict[str, dict[str, float]] = defaultdict(lambda: defaultdict(float))
         log_likelihood = 0.0
         for src, tgt in pairs:
+            rows = [probs[s] for s in src]
+            sinks = [counts[s] for s in src]
             for t in tgt:
-                denom = sum(probs[s].get(t, 0.0) for s in src)
-                denom = max(denom, PROB_FLOOR)
+                column = [row.get(t, 0.0) for row in rows]
+                denom = max(sum(column), PROB_FLOOR)
                 log_likelihood += math.log(denom / len(src))
-                for s in src:
-                    p = probs[s].get(t, 0.0)
+                for p, sink in zip(column, sinks):
                     if p:
-                        counts[s][t] += p / denom
+                        sink[t] += p / denom
         history.append(log_likelihood)
-        for s, dist in probs.items():
+        for s in probs:
             total = sum(counts[s].values())
-            if total < PROB_FLOOR:
-                continue  # no evidence this round: keep the old distribution
-            probs[s] = {t: c / total for t, c in counts[s].items()}
+            if total >= PROB_FLOOR:  # else no evidence: keep the old distribution
+                probs[s] = {t: c / total for t, c in counts[s].items()}
     return TranslationTable(
         probs=probs, log_likelihoods=tuple(history), has_null=null_word
     )
@@ -119,23 +122,19 @@ def viterbi_align(src: Sentence, tgt: Sentence, table: TranslationTable) -> set[
     """Link each target position to its most probable source position.
 
     Ties go to the leftmost candidate.  When the table was trained with a
-    null word it occupies the leftmost slot, so it wins ties and absorbs
-    unknown target words; positions it claims get no link.
+    null word it occupies slot 0, so it wins ties and absorbs unknown
+    target words; positions it claims get no link.
     """
+    first = int(table.has_null)  # slot of the first real source word
+    rows = [table.probs.get(s, {}) for s in _with_null(src, table.has_null)]
+    if not rows:
+        return set()  # no source word and no null word: nothing to link to
     links: set[Link] = set()
     for j, t in enumerate(tgt):
-        best_i = None
-        best_p = -1.0
-        if table.has_null:
-            best_i = -1
-            best_p = table.prob(NULL_TOKEN, t)
-        for i, s in enumerate(src):
-            p = table.prob(s, t)
-            if p > best_p:
-                best_i = i
-                best_p = p
-        if best_i is not None and best_i >= 0:
-            links.add((best_i, j))
+        column = [row.get(t, 0.0) for row in rows]
+        i = column.index(max(column))  # leftmost maximum
+        if i >= first:
+            links.add((i - first, j))
     return links
 
 

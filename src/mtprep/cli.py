@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 from pathlib import Path
 from typing import Callable
 
@@ -77,16 +78,20 @@ _OPTIONAL: dict[str, dict[str, tuple[Callable, object]]] = {
 
 
 def load_config(path: str | Path) -> dict[str, str]:
-    """Parse the shared key=value config file ('#' comments, blank lines)."""
+    """Parse the shared key=value config file ('#' comments, blank lines).
+    A key may appear once."""
     entries: dict[str, str] = {}
     for lineno, line in enumerate(read_lines(path), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
         key, sep, value = stripped.partition("=")
-        if not sep or not key.strip():
+        key = key.strip()
+        if not sep or not key:
             raise UsageError(f"{path}:{lineno}: expected key=value")
-        entries[key.strip()] = value.strip()
+        if key in entries:
+            raise UsageError(f"{path}:{lineno}: duplicate key {key!r}")
+        entries[key] = value.strip()
     known = {dest for opts in _OPTIONAL.values() for dest in opts}
     unknown = set(entries) - known
     if unknown:
@@ -274,6 +279,12 @@ _COMMANDS = {
 }
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    """A library warning is a diagnostic: one line on standard error, with
+    no source location."""
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -283,7 +294,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = load_config(args.config) if args.config else {}
         _merge_config(args, config)
-        return _COMMANDS[args.command](args)
+        with warnings.catch_warnings():
+            warnings.showwarning = _show_warning
+            return _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

@@ -125,8 +125,10 @@ def reconstruct(corpus: Corpus, marker: str = "@@") -> Corpus:
     """Undo a marked preprocessing run: join marker-bearing tokens onward.
 
     reconstruct(preprocess(x, config-with-marker), marker) == x.  A sentence
-    ending in a marked token is malformed and raises.
+    ending in a marked token is malformed and raises, and so does a marker
+    that is None or not one token, even on an empty corpus.
     """
-    if not marker:
-        raise ValueError("marker must be a non-empty string")
+    if marker is None:
+        raise ValueError("reconstruct needs a marker")
+    check_marker(marker)
     return [join_marked(sentence, marker) for sentence in corpus]

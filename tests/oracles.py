@@ -6,7 +6,7 @@ so a bug in the package cannot hide behind a shared helper.
 """
 
 import math
-from collections import Counter
+from collections import Counter, defaultdict
 
 
 def ngrams(tokens, n):
@@ -253,3 +253,75 @@ def induce_oracle(vocab_words, margin=5):
         if trailing:
             induced[v] = trailing
     return induced
+
+
+# --- EM aligner ------------------------------------------------------------
+
+NULL_TOKEN = "<null>"
+PROB_FLOOR = 1e-12
+
+
+def em_oracle(src_corpus, tgt_corpus, iterations=5, null_word=False):
+    """Lexical-table EM with the null word prepended to every source
+    sentence, looking up t(t|s) afresh for the denominator and again for
+    each count.  Returns (probs, log-likelihood per iteration); pairs with
+    an empty side are skipped, and none left raises ValueError."""
+    pairs = []
+    for src, tgt in zip(src_corpus, tgt_corpus):
+        if src and tgt:
+            pairs.append(([NULL_TOKEN] + src if null_word else src, tgt))
+    if not pairs:
+        raise ValueError("no non-empty sentence pairs to train on")
+
+    cooc = defaultdict(set)
+    for src, tgt in pairs:
+        for s in set(src):
+            cooc[s].update(tgt)
+    probs = {
+        s: {t: 1.0 / len(targets) for t in targets} for s, targets in cooc.items()
+    }
+
+    history = []
+    for _ in range(iterations):
+        counts = defaultdict(lambda: defaultdict(float))
+        log_likelihood = 0.0
+        for src, tgt in pairs:
+            for t in tgt:
+                denom = sum(probs[s].get(t, 0.0) for s in src)
+                denom = max(denom, PROB_FLOOR)
+                log_likelihood += math.log(denom / len(src))
+                for s in src:
+                    p = probs[s].get(t, 0.0)
+                    if p:
+                        counts[s][t] += p / denom
+        history.append(log_likelihood)
+        for s, dist in probs.items():
+            total = sum(counts[s].values())
+            if total < PROB_FLOOR:
+                continue  # no evidence this round: keep the old distribution
+            probs[s] = {t: c / total for t, c in counts[s].items()}
+    return probs, tuple(history)
+
+
+def viterbi_oracle(src, tgt, probs, has_null=False):
+    """Each target's first strictly best source position, the null word
+    (position -1, tried first) taking no link."""
+
+    def prob(s, t):
+        return probs.get(s, {}).get(t, 0.0)
+
+    links = set()
+    for j, t in enumerate(tgt):
+        best_i = None
+        best_p = -1.0
+        if has_null:
+            best_i = -1
+            best_p = prob(NULL_TOKEN, t)
+        for i, s in enumerate(src):
+            p = prob(s, t)
+            if p > best_p:
+                best_i = i
+                best_p = p
+        if best_i is not None and best_i >= 0:
+            links.add((best_i, j))
+    return links

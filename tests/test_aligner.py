@@ -1,6 +1,9 @@
 """EM-trained lexical table, Viterbi linking, and alignment F1."""
 
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,6 +20,7 @@ from mtprep.aligner import (
     train_em,
     viterbi_align,
 )
+from oracles import em_oracle, viterbi_oracle
 
 # two-sentence workhorse: "a b | x y" plus the disambiguating pair "a | x"
 SRC = [["a", "b"], ["a"]]
@@ -117,6 +121,63 @@ def test_em_invariants(pairs, null_word):
     assert all(b >= a - 1e-9 for a, b in zip(lls, lls[1:]))
 
 
+# small alphabets give repeated words, empty sides and ties from the uniform start
+alphabet_st = st.integers(2, 4)
+
+
+@st.composite
+def small_parallel_st(draw):
+    size = draw(alphabet_st)
+    src_words = st.sampled_from("abcd"[:size])
+    tgt_words = st.sampled_from("WXYZ"[:size])
+    return draw(st.lists(
+        st.tuples(
+            st.lists(src_words, max_size=6), st.lists(tgt_words, max_size=6)
+        ),
+        min_size=1, max_size=8,
+    ))
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_parallel_st(), st.booleans(), st.integers(1, 5))
+def test_em_and_viterbi_match_the_oracle_exactly(pairs, null_word, iterations):
+    src = [s for s, _ in pairs]
+    tgt = [t for _, t in pairs]
+    if not any(s and t for s, t in pairs):
+        with pytest.raises(ValueError):
+            train_em(src, tgt, iterations=iterations, null_word=null_word)
+        return
+    table = train_em(src, tgt, iterations=iterations, null_word=null_word)
+    probs, history = em_oracle(src, tgt, iterations, null_word)
+    assert table.log_likelihoods == history
+    assert table.probs == probs
+    assert align_corpus(src, tgt, table) == [
+        viterbi_oracle(s, t, probs, null_word) for s, t in zip(src, tgt)
+    ]
+
+
+def test_table_key_order_does_not_depend_on_the_hash_seed():
+    script = (
+        "from mtprep.aligner import train_em\n"
+        "src = [s.split() for s in ['kal wo mi', 'ra kal sen', 'mi ra', "
+        "'sen tu wo kal', 'tu']]\n"
+        "tgt = [t.split() for t in ['KAL WO MI', 'RA KAL SEN', 'MI RA', "
+        "'SEN TU WO KAL', 'TU']]\n"
+        "table = train_em(src, tgt, iterations=3, null_word=True)\n"
+        "print([(s, list(row.items())) for s, row in table.probs.items()])\n"
+    )
+    outputs = [
+        subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONHASHSEED": seed},
+        ).stdout
+        for seed in ("1", "2")
+    ]
+    assert outputs[0] == outputs[1]
+    assert outputs[0].startswith("[('<null>', [('KAL'")
+
+
 # --- Viterbi -----------------------------------------------------------------
 
 def test_alignment_picks_argmax_source():
@@ -133,6 +194,15 @@ def test_unknown_target_links_nowhere_with_null():
     table = train_em(SRC, TGT, iterations=3, null_word=True)
     links = viterbi_align(["a"], ["unseen"], table)
     assert links == set()
+
+
+def test_null_word_wins_a_tie_with_a_real_source():
+    table = TranslationTable({NULL_TOKEN: {"x": 0.5}, "a": {"x": 0.5}}, has_null=True)
+    assert viterbi_align(["a"], ["x"], table) == set()
+    # trained: t(x|null) = t(x|a) = 1 from the uniform start, and stays so
+    trained = train_em([["a"]], [["x"]], iterations=3, null_word=True)
+    assert trained.prob(NULL_TOKEN, "x") == trained.prob("a", "x")
+    assert viterbi_align(["a"], ["x"], trained) == set()
 
 
 def test_unknown_target_without_null_takes_leftmost():

@@ -443,6 +443,21 @@ def test_demo_subcommand_prints_rows(capsys):
     assert "dara sahaa mahiny aaMnii daMta tajGYaaM kaDuuna tapaasuuna ghyaa" in out
 
 
+def test_library_warning_is_one_stderr_line(corpus_file, tmp_path, capsys):
+    empty = tmp_path / "empty.txt"
+    empty.write_text("# nothing listed\n", encoding="utf-8")
+    out = tmp_path / "out.txt"
+    code = main([
+        "preprocess", "--mode", "ss", "--suffixes", str(empty),
+        "-i", str(corpus_file), "-o", str(out),
+    ])
+    assert code == 0
+    assert read_token_corpus(out) == read_token_corpus(corpus_file)
+    captured = capsys.readouterr()
+    assert captured.err == f"warning: suffix list {empty} contains no suffixes\n"
+    assert captured.out == ""
+
+
 # --- config file -------------------------------------------------------------
 
 def test_config_fills_unset_flags(corpus_file, suffix_file, tmp_path):
@@ -520,6 +535,20 @@ def test_config_parser(tmp_path):
     cfg = tmp_path / "c.cfg"
     cfg.write_text("# top\nmarker = @@\niters=3\n", encoding="utf-8")
     assert load_config(cfg) == {"marker": "@@", "iters": "3"}
+
+
+def test_config_rejects_a_repeated_key(corpus_file, suffix_file, tmp_path, capsys):
+    cfg = tmp_path / "prep.cfg"
+    cfg.write_text("marker=@@\n# later\nmarker=++\n", encoding="utf-8")
+    out = tmp_path / "out.txt"
+    code = main([
+        "--config", str(cfg),
+        "preprocess", "--mode", "ss", "--suffixes", str(suffix_file),
+        "-i", str(corpus_file), "-o", str(out),
+    ])
+    assert code == 2
+    assert capsys.readouterr().err == f"usage error: {cfg}:3: duplicate key 'marker'\n"
+    assert not out.exists()
 
 
 def test_config_rejects_lines_without_equals(tmp_path):

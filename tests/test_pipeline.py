@@ -72,6 +72,13 @@ def test_reconstruct_round_trip():
     assert reconstruct(marked, marker="@@") == corpus
 
 
+@pytest.mark.parametrize("marker", [None, "", "@ @", "@@\n"])
+@pytest.mark.parametrize("corpus", [[], [["a"]]])
+def test_reconstruct_rejects_a_marker_that_is_not_one_token(corpus, marker):
+    with pytest.raises(ValueError):
+        reconstruct(corpus, marker)
+
+
 def test_proper_noun_tokens_pass_through():
     corpus = [["mahinyaaMnii", "mahinyaaMnii"]]
     out = preprocess(corpus, config(Mode.SS, nnp_tags=[["NNP", "NN"]]))
