@@ -66,13 +66,30 @@ def _cast_report(value: str) -> str:
     return value
 
 
-# Optional flags per subcommand: dest -> (caster, default).  Required file
-# arguments deliberately stay CLI-only.
+def _count(minimum: int) -> Callable[[str], int]:
+    def cast(value: str) -> int:
+        if not (value.isascii() and value.isdigit()) or int(value) < minimum:
+            raise ValueError(f"must be an integer >= {minimum}, not {value!r}")
+        return int(value)
+    return cast
+
+
+def _cast_marker(value: str) -> str:
+    if not is_token(value):
+        raise ValueError("must be non-empty and contain no whitespace")
+    return value
+
+
+# Optional flags per subcommand: dest -> (caster, default).  A flag or config
+# value reaches a command only through its caster, which does the whole check.
+# Required file arguments deliberately stay CLI-only.
 _OPTIONAL: dict[str, dict[str, tuple[Callable, object]]] = {
-    "induce-suffixes": {"margin": (int, DEFAULT_MARGIN), "min_count": (int, 1)},
-    "preprocess": {"marker": (str, None), "pos_tags": (str, None)},
+    "induce-suffixes": {
+        "margin": (_count(0), DEFAULT_MARGIN), "min_count": (_count(1), 1),
+    },
+    "preprocess": {"marker": (_cast_marker, None), "pos_tags": (str, None)},
     "evaluate": {"report": (_cast_report, "tsv")},
-    "align": {"iters": (int, 5), "null": (_cast_bool, False)},
+    "align": {"iters": (_count(1), 5), "null": (_cast_bool, False)},
     "demo-table2": {},
 }
 
@@ -100,17 +117,15 @@ def load_config(path: str | Path) -> dict[str, str]:
 
 
 def _merge_config(args: argparse.Namespace, config: dict[str, str]) -> None:
-    """Fill unset optional flags from the config file, then defaults."""
+    """Take each optional value from its flag, else its config key, else its default."""
     for dest, (caster, default) in _OPTIONAL[args.command].items():
-        if getattr(args, dest) is not None:
-            continue
-        if dest in config:
-            try:
-                setattr(args, dest, caster(config[dest]))
-            except ValueError as exc:
-                raise UsageError(f"config key {dest}: {exc}") from None
-        else:
-            setattr(args, dest, default)
+        value, source = getattr(args, dest), "--" + dest.replace("_", "-")
+        if value is None:
+            value, source = config.get(dest), f"config key {dest}"
+        try:
+            setattr(args, dest, default if value is None else caster(value))
+        except ValueError as exc:
+            raise UsageError(f"{source}: {exc}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -129,9 +144,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="collect compound suffixes from a monolingual corpus",
     )
     p.add_argument("--mono", required=True, metavar="FILE", help="monolingual corpus")
-    p.add_argument("--margin", type=int, metavar="N", help="length margin (default 5)")
+    p.add_argument("--margin", metavar="N", help="length margin (default 5)")
     p.add_argument(
-        "--min-count", dest="min_count", type=int, metavar="N",
+        "--min-count", dest="min_count", metavar="N",
         help="drop suffixes observed on fewer words (default 1)",
     )
     p.add_argument("-o", "--output", required=True, metavar="FILE")
@@ -151,15 +166,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="score a hypothesis corpus")
     p.add_argument("--hyp", required=True, metavar="FILE")
     p.add_argument("--ref", required=True, metavar="FILE")
-    p.add_argument("--report", choices=REPORT_FORMATS, help="output format")
+    p.add_argument("--report", metavar="{tsv,json}", help="output format")
 
     p = sub.add_parser("align", help="train the EM aligner and print links")
     p.add_argument("--src", required=True, metavar="FILE")
     p.add_argument("--tgt", required=True, metavar="FILE")
-    p.add_argument("--iters", type=int, metavar="N", help="EM iterations (default 5)")
+    p.add_argument("--iters", metavar="N", help="EM iterations (default 5)")
     p.add_argument("--gold", metavar="FILE", help="gold links for scoring")
     p.add_argument(
-        "--null", action="store_const", const=True,
+        "--null", action="store_const", const="on",
         help="add a null source word absorbing unalignable targets",
     )
 
@@ -168,10 +183,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_induce(args: argparse.Namespace) -> int:
-    if args.margin < 0:
-        raise UsageError("--margin must be >= 0")
-    if args.min_count < 1:
-        raise UsageError("--min-count must be >= 1")
     vocab = build_vocabulary(read_token_corpus(args.mono))
     induced = induce_compound_suffixes(
         vocab, margin=args.margin, min_count=args.min_count
@@ -191,8 +202,6 @@ def _cmd_preprocess(args: argparse.Namespace) -> int:
         raise UsageError(f"--mode {args.mode} requires --suffixes")
     if mode in (Mode.CS, Mode.CS_SS) and not args.compounds:
         raise UsageError(f"--mode {args.mode} requires --compounds")
-    if args.marker is not None and not is_token(args.marker):
-        raise UsageError("--marker must be non-empty and contain no whitespace")
     config = PipelineConfig(
         mode=mode,
         suffix_list=load_suffix_list(args.suffixes) if args.suffixes else None,
@@ -246,8 +255,6 @@ def _read_gold(path: str, src: Corpus, tgt: Corpus) -> list[set]:
 
 
 def _cmd_align(args: argparse.Namespace) -> int:
-    if args.iters < 1:
-        raise UsageError("--iters must be >= 1")
     src = read_token_corpus(args.src)
     tgt = read_token_corpus(args.tgt)
     gold = _read_gold(args.gold, src, tgt) if args.gold else None
@@ -300,7 +307,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, Warning) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

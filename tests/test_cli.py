@@ -2,6 +2,7 @@
 
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -458,6 +459,24 @@ def test_library_warning_is_one_stderr_line(corpus_file, tmp_path, capsys):
     assert captured.out == ""
 
 
+def test_warning_made_an_error_exits_1_with_a_message(corpus_file, tmp_path, capsys):
+    # what `python -W error -m mtprep.cli ...` does to the same warning
+    empty = tmp_path / "empty.txt"
+    empty.write_text("# nothing listed\n", encoding="utf-8")
+    out = tmp_path / "out.txt"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main([
+            "preprocess", "--mode", "ss", "--suffixes", str(empty),
+            "-i", str(corpus_file), "-o", str(out),
+        ])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: suffix list {empty} contains no suffixes\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
 # --- config file -------------------------------------------------------------
 
 def test_config_fills_unset_flags(corpus_file, suffix_file, tmp_path):
@@ -516,6 +535,50 @@ def test_config_value_must_be_one_of_the_flag_choices(corpus_file, tmp_path, cap
     captured = capsys.readouterr()
     assert "usage error: config key report: invalid choice: 'xml'" in captured.err
     assert captured.out == ""
+
+
+# (config key, value, message body); a flag and its config key share the body
+_REJECTED = [
+    ("margin", "-1", "must be an integer >= 0, not '-1'"),
+    ("margin", "1_0", "must be an integer >= 0, not '1_0'"),
+    ("margin", "\u0663", "must be an integer >= 0, not '\u0663'"),
+    ("min_count", "0", "must be an integer >= 1, not '0'"),
+    ("min_count", "+2", "must be an integer >= 1, not '+2'"),
+    ("iters", "0", "must be an integer >= 1, not '0'"),
+    ("iters", "abc", "must be an integer >= 1, not 'abc'"),
+    ("iters", "\u0663", "must be an integer >= 1, not '\u0663'"),
+    ("report", "xml", "invalid choice: 'xml' (choose from tsv, json)"),
+    ("marker", "@ @", "must be non-empty and contain no whitespace"),
+    ("marker", "", "must be non-empty and contain no whitespace"),
+    ("null", "maybe", "not a boolean: 'maybe'"),
+]
+
+
+@pytest.mark.parametrize(
+    "key, value, body", _REJECTED, ids=[f"{key}={value}" for key, value, _ in _REJECTED]
+)
+def test_flag_and_config_key_reject_a_value_alike(
+    key, value, body, corpus_file, tmp_path, capsys
+):
+    out = tmp_path / "out.txt"
+    path = str(corpus_file)
+    argv = {
+        "margin": ["induce-suffixes", "--mono", path, "-o", str(out)],
+        "min_count": ["induce-suffixes", "--mono", path, "-o", str(out)],
+        "iters": ["align", "--src", path, "--tgt", path],
+        "null": ["align", "--src", path, "--tgt", path],
+        "report": ["evaluate", "--hyp", path, "--ref", path],
+        "marker": ["preprocess", "--mode", "bl", "-i", path, "-o", str(out)],
+    }[key]
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"{key}={value}\n", encoding="utf-8")
+    assert main(["--config", str(cfg)] + argv) == 2
+    assert capsys.readouterr() == ("", f"usage error: config key {key}: {body}\n")
+    if key != "null":  # --null takes no value
+        flag = "--" + key.replace("_", "-")
+        assert main(argv + [flag, value]) == 2
+        assert capsys.readouterr() == ("", f"usage error: {flag}: {body}\n")
+    assert not out.exists()
 
 
 def test_config_value_from_the_flag_choices_is_used(corpus_file, tmp_path, capsys):
