@@ -4,14 +4,17 @@ Bag-of-words model: every target word is generated by one source word of
 the same sentence pair, chosen uniformly.  Training learns the lexical
 table t(target | source); Viterbi alignment links each target position to
 its argmax source position; both put the null word, when on, in slot 0.
-Small corpora only; there is no distortion model.
+Training numbers the table's cells (each source word's co-occurring
+targets as one run of ids) and iterates over flat lists; the result is a
+dict of rows, which Viterbi reads.  Small corpora only; there is no
+distortion model.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from collections import defaultdict
+from array import array
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -74,6 +77,12 @@ def train_em(
     The log-likelihood recorded for iteration k is measured with the table
     that iteration starts from; the sequence is non-decreasing.  Sentence
     pairs with an empty side carry no signal and are skipped.
+
+    Training runs over cells, one per co-occurring (source, target) pair:
+    t(t|s) and the expected counts are flat float lists indexed by cell,
+    and the E-step reads, for each target word, its source positions' cell
+    ids from one array.  Every sum runs in the order of the dict-per-source
+    EM it replaces, so each value is bit-identical to it.
     """
     _validate_parallel(src_corpus, tgt_corpus)
     if iterations < 1:
@@ -88,31 +97,64 @@ def train_em(
     if not pairs:
         raise ValueError("no non-empty sentence pairs to train on")
 
-    cooc: dict[str, dict[str, None]] = defaultdict(dict)
+    # Each source word's co-occurring targets in first-seen order, then
+    # each source word's cells numbered in that order as one run of ids.
+    cooc: dict[str, dict[str, int | None]] = {}
     for src, tgt in pairs:
+        tgt_keys = dict.fromkeys(tgt)
         for s in dict.fromkeys(src):
-            cooc[s].update(dict.fromkeys(tgt))
-    probs = {s: dict.fromkeys(row, 1.0 / len(row)) for s, row in cooc.items()}
+            cooc.setdefault(s, {}).update(tgt_keys)
+    runs: list[tuple[int, int]] = []  # each source word's cells: range(lo, hi)
+    p: list[float] = []  # t(t|s) of each cell
+    for s, row in cooc.items():
+        lo, hi = len(p), len(p) + len(row)
+        cooc[s] = dict(zip(row, range(lo, hi)))
+        runs.append((lo, hi))
+        p += [1.0 / len(row)] * len(row)
 
+    # The E-step's reads: for each target word, one cell per source position.
+    cells = array("I")
+    widths = array("I")  # the source length of each target word
+    for src, tgt in pairs:
+        rows = [cooc[s] for s in src]
+        cells.extend([row[t] for t in tgt for row in rows])
+        widths.extend([len(src)] * len(tgt))
+    sources = list(cooc)
+    targets = [t for row in cooc.values() for t in row]  # the target of each cell
+    del pairs, cooc
+
+    dropped: set[int] = set()  # cells no longer in their source word's row
     history = []
+    read = p.__getitem__  # p is only ever updated in place
+    cnt = [0.0] * len(p)
     for _ in range(iterations):
-        counts: dict[str, dict[str, float]] = defaultdict(lambda: defaultdict(float))
         log_likelihood = 0.0
-        for src, tgt in pairs:
-            rows = [probs[s] for s in src]
-            sinks = [counts[s] for s in src]
-            for t in tgt:
-                column = [row.get(t, 0.0) for row in rows]
-                denom = max(sum(column), PROB_FLOOR)
-                log_likelihood += math.log(denom / len(src))
-                for p, sink in zip(column, sinks):
-                    if p:
-                        sink[t] += p / denom
+        pos = 0
+        for n in widths:
+            ids = cells[pos : pos + n].tolist()
+            pos += n
+            denom = sum(map(read, ids))
+            if denom < PROB_FLOOR:
+                denom = PROB_FLOOR
+            log_likelihood += math.log(denom / n)
+            for c in ids:  # a cell read as 0.0 adds an exact 0.0
+                cnt[c] += p[c] / denom
         history.append(log_likelihood)
-        for s in probs:
-            total = sum(counts[s].values())
+        for lo, hi in runs:
+            run = cnt[lo:hi]
+            # zero for the next E-step, which frees the counts as the M-step goes
+            cnt[lo:hi] = [0.0] * (hi - lo)
+            total = sum(run)  # 0.0 counts leave the sum's bits alone
             if total >= PROB_FLOOR:  # else no evidence: keep the old distribution
-                probs[s] = {t: c / total for t, c in counts[s].items()}
+                if 0.0 in run:  # a cell read as 0.0 got no count: it leaves the row
+                    dropped.update(c for c in range(lo, hi) if not p[c])
+                p[lo:hi] = [c / total for c in run]
+    del cells, widths, cnt
+
+    probs = {
+        s: {targets[c]: p[c] for c in range(lo, hi) if c not in dropped}
+        for s, (lo, hi) in zip(sources, runs)
+    }
     return TranslationTable(
         probs=probs, log_likelihoods=tuple(history), has_null=null_word
     )

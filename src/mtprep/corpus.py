@@ -10,6 +10,7 @@ source/target files stay aligned through preprocessing.
 
 from __future__ import annotations
 
+import codecs
 from collections import Counter
 from itertools import chain
 from pathlib import Path
@@ -38,10 +39,15 @@ def read_lines(path: str | Path) -> list[str]:
     """Read a UTF-8 file and split it with split_lines.
 
     Invalid UTF-8 raises UnicodeDecodeError (a ValueError) whose message
-    gives the byte offset and names the file and line of the bad byte.
+    gives the byte offset and names the file and line of the bad byte.  A
+    file that starts with a UTF-8 byte order mark raises ValueError: the
+    mark would otherwise become part of the first token or key.
     """
+    data = Path(path).read_bytes()
+    if data.startswith(codecs.BOM_UTF8):
+        raise ValueError(f"{path}:1: starts with a UTF-8 byte order mark")
     try:
-        text = Path(path).read_bytes().decode("utf-8")
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         lineno = exc.object.count(b"\n", 0, exc.start) + 1
         exc.reason = f"{exc.reason} (at {path}:{lineno})"
@@ -51,7 +57,8 @@ def read_lines(path: str | Path) -> list[str]:
 
 def write_lines(lines: Iterable[str], path: str | Path) -> None:
     """Write UTF-8 text, each line ended by a line feed: the inverse of
-    read_lines for lines without a line feed or a final carriage return."""
+    read_lines for lines without a line feed or a final carriage return,
+    the first of them not starting with U+FEFF."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for line in lines:
             fh.write(line)
@@ -87,7 +94,7 @@ def write_token_corpus(corpus: Corpus, path: str | Path) -> None:
     """Write one line per sentence, tokens joined by single spaces.
 
     Inverse of read_token_corpus for corpora whose tokens are non-empty and
-    whitespace-free.
+    whitespace-free, the first not starting with U+FEFF.
     """
     write_lines((" ".join(sentence) for sentence in corpus), path)
 

@@ -20,6 +20,7 @@ from mtprep.aligner import (
     train_em,
     viterbi_align,
 )
+from mtprep.synth import build_benchmark
 from oracles import em_oracle, viterbi_oracle
 
 # two-sentence workhorse: "a b | x y" plus the disambiguating pair "a | x"
@@ -154,6 +155,47 @@ def test_em_and_viterbi_match_the_oracle_exactly(pairs, null_word, iterations):
     assert align_corpus(src, tgt, table) == [
         viterbi_oracle(s, t, probs, null_word) for s, t in zip(src, tgt)
     ]
+
+
+@pytest.mark.parametrize("null_word", [False, True])
+def test_a_cell_that_underflows_leaves_the_row_as_in_the_oracle(null_word):
+    # t(y|a) underflows to 0.0 between 1,050 and 1,100 iterations, and the
+    # M-step after that drops it from a's row
+    src = [["a"], ["a", "b"], ["b", "c"]]
+    tgt = [["x"], ["x", "y"], ["y", "z"]]
+    table = train_em(src, tgt, iterations=1100, null_word=null_word)
+    probs, history = em_oracle(src, tgt, 1100, null_word)
+    assert table.log_likelihoods == history
+    assert table.probs == probs
+    if not null_word:
+        before = train_em(src, tgt, iterations=1050)
+        assert sum(map(len, before.probs.values())) == 7
+        assert sum(map(len, table.probs.values())) == 6
+        assert list(table.probs["a"]) == ["x"]
+
+
+@pytest.mark.parametrize("side", ["fused", "split"])
+@pytest.mark.parametrize("null_word", [False, True])
+def test_table_values_and_key_order_on_the_synthetic_corpus(side, null_word):
+    bench = build_benchmark(300)
+    src = getattr(bench, f"src_{side}")
+    table = train_em(src, bench.tgt, iterations=5, null_word=null_word)
+    probs, history = em_oracle(src, bench.tgt, 5, null_word)
+    assert table.log_likelihoods == history
+    assert table.probs == probs
+    # first seen: sentence pairs in order, then target positions in order
+    seen: dict[str, list[str]] = {}
+    for s_sent, t_sent in zip(src, bench.tgt):
+        if not (s_sent and t_sent):
+            continue
+        for s in [NULL_TOKEN] * null_word + s_sent:
+            row = seen.setdefault(s, [])
+            for t in t_sent:
+                if t not in row:
+                    row.append(t)
+    assert list(table.probs) == list(seen)
+    for s, row in table.probs.items():
+        assert list(row) == [t for t in seen[s] if t in probs[s]]
 
 
 def test_table_key_order_does_not_depend_on_the_hash_seed():

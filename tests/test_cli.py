@@ -251,6 +251,30 @@ def test_undecodable_gold_and_config_files_are_named(tmp_path, capsys):
     assert f"at {bad}:1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("where", ["evaluate --ref", "preprocess -i", "--config"])
+def test_byte_order_mark_is_a_data_error(
+    where, corpus_file, suffix_file, tmp_path, capsys
+):
+    # the mark would become part of the first token (or config key)
+    bad = tmp_path / "bom.txt"
+    body = "marker=@@\n" if where == "--config" else corpus_file.read_text("utf-8")
+    bad.write_bytes(b"\xef\xbb\xbf" + body.encode("utf-8"))
+    out = tmp_path / "o"
+    preprocess = [
+        "preprocess", "--mode", "ss", "--suffixes", str(suffix_file), "-o", str(out),
+    ]
+    argv = {
+        "evaluate --ref": ["evaluate", "--hyp", str(corpus_file), "--ref", str(bad)],
+        "preprocess -i": preprocess + ["-i", str(bad)],
+        "--config": ["--config", str(bad)] + preprocess + ["-i", str(corpus_file)],
+    }[where]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {bad}:1: starts with a UTF-8 byte order mark\n"
+    assert not out.exists()
+
+
 def test_preprocess_suffix_with_whitespace_is_a_data_error(
     corpus_file, tmp_path, capsys
 ):

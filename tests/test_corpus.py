@@ -77,6 +77,21 @@ def test_decode_error_names_file_line_and_offset(tmp_path):
     assert f"{path}:2" in str(info.value)
 
 
+
+def test_read_lines_rejects_a_byte_order_mark(tmp_path):
+    path = tmp_path / "bom.txt"
+    path.write_bytes(b"\xef\xbb\xbfa b\n")
+    with pytest.raises(ValueError, match="starts with a UTF-8 byte order mark") as info:
+        read_lines(path)
+    assert str(info.value) == f"{path}:1: starts with a UTF-8 byte order mark"
+
+
+def test_a_byte_order_mark_after_the_start_stays_in_its_token(tmp_path):
+    path = tmp_path / "l.txt"
+    path.write_bytes("a\n\ufeffb\n".encode("utf-8"))
+    assert read_token_corpus(path) == [["a"], ["\ufeffb"]]
+
+
 # --- the line format -----------------------------------------------------------
 
 def test_read_lines_ends_lines_at_line_feed_only(tmp_path):
