@@ -188,7 +188,7 @@ def test_table_values_and_key_order_on_the_synthetic_corpus(side, null_word):
     for s_sent, t_sent in zip(src, bench.tgt):
         if not (s_sent and t_sent):
             continue
-        for s in [NULL_TOKEN] * null_word + s_sent:
+        for s in ([NULL_TOKEN] if null_word else []) + s_sent:
             row = seen.setdefault(s, [])
             for t in t_sent:
                 if t not in row:

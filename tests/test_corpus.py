@@ -77,11 +77,10 @@ def test_decode_error_names_file_line_and_offset(tmp_path):
     assert f"{path}:2" in str(info.value)
 
 
-
 def test_read_lines_rejects_a_byte_order_mark(tmp_path):
     path = tmp_path / "bom.txt"
     path.write_bytes(b"\xef\xbb\xbfa b\n")
-    with pytest.raises(ValueError, match="starts with a UTF-8 byte order mark") as info:
+    with pytest.raises(ValueError) as info:
         read_lines(path)
     assert str(info.value) == f"{path}:1: starts with a UTF-8 byte order mark"
 
