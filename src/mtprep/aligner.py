@@ -55,8 +55,6 @@ def _validate_parallel(src_corpus: Corpus, tgt_corpus: Corpus) -> None:
             f"source corpus has {len(src_corpus)} sentences, "
             f"target has {len(tgt_corpus)}"
         )
-    if not src_corpus:
-        raise ValueError("cannot train on an empty corpus")
 
 
 def _with_null(src: Sentence, null_word: bool) -> Sentence:
@@ -85,6 +83,8 @@ def train_em(
     EM it replaces, so each value is bit-identical to it.
     """
     _validate_parallel(src_corpus, tgt_corpus)
+    if not src_corpus:
+        raise ValueError("cannot train on an empty corpus")
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
     if null_word and any(NULL_TOKEN in s for s in src_corpus):

@@ -38,7 +38,7 @@ from .corpus import (
 )
 from .demo import run_demo
 from .metrics import TSV_HEADER, evaluate
-from .pipeline import Mode, PipelineConfig, preprocess
+from .pipeline import COMPOUND_MODES, SUFFIX_MODES, Mode, PipelineConfig, preprocess
 from .suffixes import load_suffix_list
 
 
@@ -82,7 +82,7 @@ def _cast_marker(value: str) -> str:
 
 # Optional flags per subcommand: dest -> (caster, default).  A flag or config
 # value reaches a command only through its caster, which does the whole check.
-# Required file arguments deliberately stay CLI-only.
+# Required file arguments deliberately stay CLI-only.  --help shows each default.
 _OPTIONAL: dict[str, dict[str, tuple[Callable, object]]] = {
     "induce-suffixes": {
         "margin": (_count(0), DEFAULT_MARGIN), "min_count": (_count(1), 1),
@@ -144,10 +144,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="collect compound suffixes from a monolingual corpus",
     )
     p.add_argument("--mono", required=True, metavar="FILE", help="monolingual corpus")
-    p.add_argument("--margin", metavar="N", help="length margin (default 5)")
+    p.add_argument("--margin", metavar="N", help="length margin")
     p.add_argument(
         "--min-count", dest="min_count", metavar="N",
-        help="drop suffixes observed on fewer words (default 1)",
+        help="drop suffixes observed on fewer words",
     )
     p.add_argument("-o", "--output", required=True, metavar="FILE")
 
@@ -171,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("align", help="train the EM aligner and print links")
     p.add_argument("--src", required=True, metavar="FILE")
     p.add_argument("--tgt", required=True, metavar="FILE")
-    p.add_argument("--iters", metavar="N", help="EM iterations (default 5)")
+    p.add_argument("--iters", metavar="N", help="EM iterations")
     p.add_argument("--gold", metavar="FILE", help="gold links for scoring")
     p.add_argument(
         "--null", action="store_const", const="on",
@@ -179,6 +179,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     sub.add_parser("demo-table2", help="before/after alignment demonstration")
+
+    for command, subparser in sub.choices.items():
+        for action in subparser._actions:
+            _, default = _OPTIONAL[command].get(action.dest, (None, None))
+            if default is not None:
+                action.help += f" (default {default})"
     return parser
 
 
@@ -198,9 +204,9 @@ def _cmd_induce(args: argparse.Namespace) -> int:
 
 def _cmd_preprocess(args: argparse.Namespace) -> int:
     mode = Mode(args.mode)
-    if mode in (Mode.SS, Mode.CS_SS) and not args.suffixes:
+    if mode in SUFFIX_MODES and not args.suffixes:
         raise UsageError(f"--mode {args.mode} requires --suffixes")
-    if mode in (Mode.CS, Mode.CS_SS) and not args.compounds:
+    if mode in COMPOUND_MODES and not args.compounds:
         raise UsageError(f"--mode {args.mode} requires --compounds")
     config = PipelineConfig(
         mode=mode,

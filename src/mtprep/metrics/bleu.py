@@ -52,10 +52,12 @@ def bleu_from_statistics(stats: NgramStatistics, max_n: int) -> BleuScore:
     else:
         bp = math.exp(1.0 - ref_length / hyp_length)
 
-    if any(p == 0.0 for p in precisions):
-        score = 0.0
-    else:
-        score = bp * math.exp(sum(math.log(p) for p in precisions) / max_n)
+    score = 0.0
+    if all(precisions):
+        log_sum = 0.0  # a loop, not sum(): sum() compensates from Python 3.12 on
+        for p in precisions:
+            log_sum += math.log(p)
+        score = bp * math.exp(log_sum / max_n)
     return BleuScore(
         score=score,
         precisions=precisions,

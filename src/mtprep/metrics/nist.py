@@ -56,16 +56,18 @@ def nist_from_statistics(stats: NgramStatistics) -> NistScore:
     """NIST over every order the statistics were counted to."""
     hyp_length, ref_length = stats.hyp_length, stats.ref_length
     per_order = []
+    score = 0.0  # added up here, not by sum(), as in bleu_from_statistics
     for order, total in zip(stats.clipped, stats.totals):
         info_sum = 0.0
         for clipped in order:
             for gram, matched in clipped.items():
                 info_sum += matched * information(gram, stats.ref_counts, ref_length)
         per_order.append(info_sum / total if total else 0.0)
+        score += per_order[-1]
 
     brevity = math.exp(BETA * math.log(min(hyp_length / ref_length, 1.0)) ** 2)
     return NistScore(
-        score=sum(per_order) * brevity,
+        score=score * brevity,
         per_order=tuple(per_order),
         brevity=brevity,
         hyp_length=hyp_length,

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .compounds import CompoundSuffixSet, split_compound
-from .corpus import Corpus, Sentence
+from .corpus import Corpus
 from .markers import check_marker, join_marked, mark_pieces
 from .suffixes import SuffixList, separate_suffix
 
@@ -27,6 +27,10 @@ class Mode(Enum):
     CS_SS = "cs+ss"
 
 
+COMPOUND_MODES = frozenset({Mode.CS, Mode.CS_SS})
+SUFFIX_MODES = frozenset({Mode.SS, Mode.CS_SS})
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     mode: Mode
@@ -37,9 +41,9 @@ class PipelineConfig:
 
     def __post_init__(self) -> None:
         check_marker(self.marker)
-        if self.mode in (Mode.SS, Mode.CS_SS) and self.suffix_list is None:
+        if self.mode in SUFFIX_MODES and self.suffix_list is None:
             raise ValueError(f"mode {self.mode.value} requires a suffix list")
-        if self.mode in (Mode.CS, Mode.CS_SS) and self.compound_set is None:
+        if self.mode in COMPOUND_MODES and self.compound_set is None:
             raise ValueError(f"mode {self.mode.value} requires a compound suffix set")
 
 
@@ -49,45 +53,14 @@ def token_pieces(word: str, config: PipelineConfig) -> list[str]:
     The pieces always concatenate back to the word; markers are applied by
     the caller so the decomposition itself stays marker-free.
     """
-    if config.mode is Mode.BL:
-        return [word]
-    if config.mode is Mode.SS:
-        return separate_suffix(word, config.suffix_list).pieces()
-    constituents = split_compound(word, config.compound_set)
-    if config.mode is Mode.CS:
-        return constituents
-    pieces: list[str] = []
-    for constituent in constituents:
-        pieces.extend(separate_suffix(constituent, config.suffix_list).pieces())
+    pieces = [word]
+    if config.mode in COMPOUND_MODES:
+        pieces = split_compound(word, config.compound_set)
+    if config.mode in SUFFIX_MODES:
+        constituents, pieces = pieces, []
+        for constituent in constituents:
+            pieces.extend(separate_suffix(constituent, config.suffix_list).pieces())
     return pieces
-
-
-def _process_sentence(
-    k: int,
-    sentence: Sentence,
-    tags: Sentence | None,
-    config: PipelineConfig,
-    cache: dict[str, list[str]],
-) -> Sentence:
-    tokens: list[str] = []
-    for t, word in enumerate(sentence):
-        nnp = tags is not None and tags[t] == NNP_TAG
-        pieces = None if nnp else cache.get(word)
-        if pieces is None:
-            # NNP tokens and cache misses reach here.  A token holding the
-            # marker is never cached, so its first occurrence raises, as a
-            # check on every token would.
-            if config.marker is not None and config.marker in word:
-                raise ValueError(
-                    f"sentence {k + 1}: input token {word!r} contains "
-                    f"the marker {config.marker!r}"
-                )
-            if nnp:
-                tokens.append(word)
-                continue
-            pieces = cache[word] = mark_pieces(token_pieces(word, config), config.marker)
-        tokens.extend(pieces)
-    return tokens
 
 
 def preprocess(corpus: Corpus, config: PipelineConfig) -> Corpus:
@@ -98,27 +71,43 @@ def preprocess(corpus: Corpus, config: PipelineConfig) -> Corpus:
     ambiguous otherwise).  When tags are configured (one per token, in a
     line-parallel corpus), tokens tagged NNP pass through whole.  Each
     distinct word not tagged NNP is split once per call: its marked pieces
-    are kept in a dict that lives as long as the call.
+    are kept in a dict that lives as long as the call.  Sentences are
+    checked in order, tag count before tokens, so the first faulty one raises.
     """
-    tags = config.nnp_tags
-    if tags is not None:
-        if len(tags) != len(corpus):
-            raise ValueError(
-                f"tag file has {len(tags)} sentences, corpus has {len(corpus)}"
-            )
-        for k, (tag_sent, sentence) in enumerate(zip(tags, corpus)):
-            if len(tag_sent) != len(sentence):
-                raise ValueError(
-                    f"sentence {k + 1}: {len(tag_sent)} tags "
-                    f"for {len(sentence)} tokens"
-                )
-    cache: dict[str, list[str]] = {}
-    return [
-        _process_sentence(
-            k, sentence, tags[k] if tags is not None else None, config, cache
+    tags, marker = config.nnp_tags, config.marker
+    if tags is not None and len(tags) != len(corpus):
+        raise ValueError(
+            f"tag file has {len(tags)} sentences, corpus has {len(corpus)}"
         )
-        for k, sentence in enumerate(corpus)
-    ]
+    cache: dict[str, list[str]] = {}
+    result: Corpus = []
+    for k, sentence in enumerate(corpus):
+        sentence_tags = None if tags is None else tags[k]
+        if sentence_tags is not None and len(sentence_tags) != len(sentence):
+            raise ValueError(
+                f"sentence {k + 1}: {len(sentence_tags)} tags "
+                f"for {len(sentence)} tokens"
+            )
+        tokens: list[str] = []
+        for t, word in enumerate(sentence):
+            nnp = sentence_tags is not None and sentence_tags[t] == NNP_TAG
+            pieces = None if nnp else cache.get(word)
+            if pieces is None:
+                # NNP tokens and cache misses reach here.  A token holding
+                # the marker is never cached, so its first occurrence
+                # raises, as a check on every token would.
+                if marker is not None and marker in word:
+                    raise ValueError(
+                        f"sentence {k + 1}: input token {word!r} contains "
+                        f"the marker {marker!r}"
+                    )
+                if nnp:
+                    tokens.append(word)
+                    continue
+                pieces = cache[word] = mark_pieces(token_pieces(word, config), marker)
+            tokens.extend(pieces)
+        result.append(tokens)
+    return result
 
 
 def reconstruct(corpus: Corpus, marker: str = "@@") -> Corpus:

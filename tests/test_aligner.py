@@ -258,6 +258,15 @@ def test_align_corpus_shape():
     assert align_corpus(SRC, TGT, table) == [{(0, 0), (1, 1)}, {(0, 0)}]
 
 
+def test_empty_corpus_aligns_to_nothing_but_cannot_train():
+    table = train_em(SRC, TGT, iterations=3)
+    assert align_corpus([], [], table) == []
+    with pytest.raises(ValueError, match="^cannot train on an empty corpus$"):
+        train_em([], [])
+    with pytest.raises(ValueError, match="^source corpus has 0 sentences, target has 1$"):
+        align_corpus([], [["x"]], table)
+
+
 def test_scaling_a_table_row_keeps_the_argmax():
     base = {"a": {"x": 0.9, "y": 0.1}, "b": {"x": 0.2, "y": 0.8}}
     scaled = {s: {t: 0.5 * p for t, p in row.items()} for s, row in base.items()}

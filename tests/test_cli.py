@@ -6,6 +6,7 @@ import warnings
 
 import pytest
 
+from mtprep import cli
 from mtprep.cli import load_config, main
 from mtprep.compounds import induce_compound_suffixes
 from mtprep.corpus import build_vocabulary, read_token_corpus
@@ -643,6 +644,38 @@ def test_config_rejects_lines_without_equals(tmp_path):
     cfg.write_text("marker\n", encoding="utf-8")
     with pytest.raises(Exception):
         load_config(cfg)
+
+
+def help_text(command, capsys):
+    """A subcommand's --help output with its line wrapping undone."""
+    assert main([command, "--help"]) == 0
+    return " ".join(capsys.readouterr().out.split())
+
+
+@pytest.mark.parametrize("command, shown", [
+    ("induce-suffixes", [
+        "--margin N length margin (default 5)",
+        "--min-count N drop suffixes observed on fewer words (default 1)",
+    ]),
+    ("preprocess", []),
+    ("evaluate", ["--report {tsv,json} output format (default tsv)"]),
+    ("align", [
+        "--iters N EM iterations (default 5)",
+        "--null add a null source word absorbing unalignable targets (default False)",
+    ]),
+    ("demo-table2", []),
+])
+def test_help_shows_each_default(command, shown, capsys):
+    text = help_text(command, capsys)
+    for line in shown:
+        assert line in text
+    assert text.count("(default ") == len(shown)
+
+
+def test_help_reads_its_defaults_from_the_option_table(monkeypatch, capsys):
+    caster, _ = cli._OPTIONAL["align"]["iters"]
+    monkeypatch.setitem(cli._OPTIONAL["align"], "iters", (caster, 9))
+    assert "--iters N EM iterations (default 9)" in help_text("align", capsys)
 
 
 # --- console entry point -----------------------------------------------------

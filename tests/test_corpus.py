@@ -163,11 +163,21 @@ def test_vocabulary_of_empty_corpus():
     assert build_vocabulary([]) == {}
 
 
-@given(body=corpus)
+# read_lines rejects a file that starts with U+FEFF (tested below), so the
+# first token of the first line must not start with it
+@given(body=corpus.filter(lambda b: not (b and b[0] and b[0][0][0] == "\ufeff")))
 def test_write_read_round_trip_property(body, tmp_path_factory):
     path = tmp_path_factory.mktemp("rt") / "c.txt"
     write_token_corpus(body, path)
     assert read_token_corpus(path) == body
+
+
+def test_a_written_first_token_starting_with_a_byte_order_mark_is_rejected(tmp_path):
+    path = tmp_path / "c.txt"
+    write_token_corpus([["\ufeffa"]], path)
+    with pytest.raises(ValueError) as info:
+        read_token_corpus(path)
+    assert str(info.value) == f"{path}:1: starts with a UTF-8 byte order mark"
 
 
 @given(body=corpus)

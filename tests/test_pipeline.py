@@ -95,6 +95,31 @@ def test_tag_corpus_length_mismatch_is_an_error():
         preprocess([["a"]], config(Mode.SS, nnp_tags=[["NN"], ["NN"]]))
 
 
+@pytest.mark.parametrize(
+    "corpus, tags, error",
+    [
+        # a marker in sentence 1 and a wrong tag count in sentence 2
+        ([["x@@"], ["a"]], [["NN"], []], "sentence 1: input token 'x@@' contains"),
+        # a wrong tag count in sentence 1 and a marker in sentence 2
+        ([["a"], ["x@@"]], [[], ["NN"]], "sentence 1: 0 tags for 1 tokens"),
+        # both in sentence 1: its tag count is checked before its tokens
+        ([["x@@"]], [[]], "sentence 1: 0 tags for 1 tokens"),
+    ],
+)
+def test_first_faulty_sentence_raises(corpus, tags, error):
+    with pytest.raises(ValueError, match=f"^{error}"):
+        preprocess(corpus, config(Mode.SS, marker="@@", nnp_tags=tags))
+
+
+def test_tag_sentence_count_is_checked_before_any_split(monkeypatch):
+    calls = []
+    monkeypatch.setattr(pipeline, "token_pieces", lambda w, cfg: calls.append(w))
+    cfg = config(Mode.SS, marker="@@", nnp_tags=[["NN"]])
+    with pytest.raises(ValueError, match="^tag file has 1 sentences, corpus has 2$"):
+        preprocess([["x@@"], ["a"]], cfg)
+    assert calls == []
+
+
 def test_marker_collision_is_an_error():
     with pytest.raises(ValueError, match="contains the marker"):
         preprocess([["ma@@hinyaaMnii"]], config(Mode.SS, marker="@@"))
