@@ -15,10 +15,14 @@ match masks built once per segment.  Moves are enumerated from the reference
 positions that hold each hypothesis token.  A greedy step stores the
 edit-distance column before every position of the current hypothesis and
 scores each candidate from the stored column at its first changed position
-without building it; a candidate whose column rejoins the stored one at the
-end of the moved span ties the current distance and is skipped, and only
-the winning move is built.  The scores are identical to those of the plain
-O(n*m) dynamic program, which the tests keep as the oracle.
+without building it.  A candidate is dropped once a lower bound on its
+final distance, from its column so far and the distance of the unchanged
+rest (the split at a fixed position of Hirschberg 1975, one backward pass per
+step), reaches the step's best, or when its column rejoins the stored one at
+the end of the moved span.  Either way it can at best tie, and only a
+strictly better score replaces the best, so the winner is that of scoring
+every candidate in full; only it is built.  The scores are identical to
+those of the plain O(n*m) dynamic program, which the tests keep as the oracle.
 """
 
 from __future__ import annotations
@@ -178,26 +182,52 @@ def _exact_ter(hyp: Sentence, ref: Sentence) -> SentenceTer:
     )
 
 
+def _scan_below(
+    state: Column, eqs: Iterable[int], limits: Iterable[int], full: int, top: int
+) -> Column | None:
+    """_scan that gives up, returning None, as soon as the last row reaches
+    the limit paired with the token just scanned."""
+    vp, vn, score = state
+    for eq, limit in zip(eqs, limits):
+        xv = eq | vn
+        xh = (((eq & vp) + vp) ^ vp) | eq
+        ph = vn | ~(xh | vp)
+        mh = vp & xh
+        if ph & top:
+            score += 1
+        elif mh & top:
+            score -= 1
+        if score >= limit:
+            return None
+        ph = (ph << 1) | 1
+        vp = ((mh << 1) | ~(xv | ph)) & full
+        vn = ph & xv
+    return vp, vn, score
+
+
 def _greedy_ter(hyp: Sentence, ref: Sentence) -> SentenceTer:
     """One best-gain shift at a time until no shift strictly helps.
 
-    The moves of a step come from _moves, which tries for each hypothesis
-    token only the reference positions holding it, and none is built to be
-    scored.  A move (i, j, length) changes the current hypothesis only from
-    lo = min(i, j) up to hi = max(i, j) + length (capped at its length, for
-    a block that lands at the end), so the step stores the edit-distance
-    column before every position, and a candidate resumes the scan from the
-    stored column at lo over its rearranged span.  If its column at hi is
-    the stored one, the candidate ties the current distance and cannot win,
-    so it is skipped; otherwise the scan finishes over the unchanged tail.
-    Only the winning move is built.  A permutation reached by several moves
-    is scored each time, which changes nothing: only a strictly better score
-    replaces the best, so a repeat never displaces the first move to it.
-    A step ends early once a candidate reaches the length difference of the
-    two sentences, which no later candidate can beat, and no step starts
-    when the current distance is already that difference.
+    A move (i, j, length) from _moves changes the current hypothesis only
+    from lo = min(i, j) up to hi = max(i, j) + length (capped at its
+    length), so the step stores the column before every position, and a
+    candidate resumes from the one at lo over its rearranged span, then
+    over the unchanged tail.  With m the reference length and D(x) the
+    distance from x to the reference, a candidate whose column after
+    position k >= hi has last row s ends at least at s - slack[k], where
+    slack[k] = m - D(current[k:]): adjacent cells of a column differ by at
+    most 1, and D(t, ref[r:]) >= D(t) - r.  Each span token still to scan
+    can lower s by at most 1 more.  One backward pass over the reversed
+    sentences fills slack, and _scan_below drops a candidate once s reaches
+    best_edits + slack[k] (plus those span tokens).  A dropped candidate,
+    like one whose column at hi is the stored one, can at best tie; only a
+    strictly better score replaces the best, so ties, repeats included, go
+    as when every candidate is scored in full.  A step ends early once a
+    candidate reaches the length difference of the two sentences, which no
+    later candidate can beat, and no step starts at that difference.
     """
     masks, ref_length = _match_masks(ref), len(ref)
+    back = _match_masks(ref[::-1]).get
     full = (1 << ref_length) - 1
     top = 1 << (ref_length - 1)
     get = masks.get
@@ -213,26 +243,41 @@ def _greedy_ter(hyp: Sentence, ref: Sentence) -> SentenceTer:
         columns = [(full, 0, ref_length)]
         for eq in eqs:
             columns.append(_scan(columns[-1], (eq,), full, top))
+        # slack[k] = m - D(current[k:]), over the reversed sentences
+        slack, state = [0], columns[0]
+        for tok in reversed(current):
+            state = _scan(state, (back(tok, 0),), full, top)
+            slack.append(ref_length - state[2])
+        slack.reverse()
         best = None
         best_edits = edits
+        cut = [edits + s for s in slack]
         for i, j, length in _moves(current, ref):
             end = i + length
             if j < i:
                 # the block lands earlier, before current[j:i]
-                hi = end
-                state = _scan(columns[j], eqs[i:end] + eqs[j:i], full, top)
+                lo, hi = j, end
+                span = eqs[i:end] + eqs[j:i]
             else:
                 # current[end:hi] moves up and the block lands after it
-                hi = min(j + length, n)
-                state = _scan(columns[i], eqs[end:hi] + eqs[i:end], full, top)
-            if state == columns[hi]:
+                lo, hi = i, min(j + length, n)
+                span = eqs[end:hi] + eqs[i:end]
+            # each span token still to scan can lower the last row by 1 at most
+            limit = cut[hi] + hi - lo
+            if columns[lo][2] >= limit:
                 continue
-            e = _scan(state, eqs[hi:], full, top)[2]
-            if e < best_edits:
-                best_edits = e
-                best = (i, j, length)
-                if e == floor:
-                    break
+            bounds = range(limit - 1, cut[hi] - 1, -1)
+            state = _scan_below(columns[lo], span, bounds, full, top)
+            if state is None or state == columns[hi]:
+                continue
+            state = _scan_below(state, eqs[hi:], cut[hi + 1 :], full, top)
+            if state is None:
+                continue
+            best_edits = state[2]
+            best = (i, j, length)
+            if best_edits == floor:
+                break
+            cut = [best_edits + s for s in slack]
         if best is None:
             break
         current = _shift(current, *best)

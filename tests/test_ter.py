@@ -173,6 +173,66 @@ def test_greedy_matches_dp_oracle_on_sparse_alphabets(pair):
     assert (result.shifts, result.edits_after_shifts) == greedy_ter_oracle(hyp, ref)
 
 
+def _bound_case(size):
+    tokens = st.sampled_from([f"t{k}" for k in range(size)])
+    sent = st.lists(tokens, min_size=1, max_size=16)
+    return st.tuples(sent, sent, st.lists(tokens, max_size=16))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([2, 4, 50]).flatmap(_bound_case))
+def test_greedy_bound_never_exceeds_distance(case):
+    # greedy TER drops the candidate prefix + current[k:] once the last row
+    # of its column, less the prefix tokens still to scan, less slack[k]
+    # reaches the best; slack[k] = m - D(current[k:]) comes from a pass over
+    # the reversed sentences
+    current, ref, prefix = case
+    m = len(ref)
+    for k in range(len(current) + 1):
+        slack = m - edit_distance(current[k:][::-1], ref[::-1])
+        assert slack == m - levenshtein(current[k:], ref)
+        whole = levenshtein(prefix + current[k:], ref)
+        for scanned in range(len(prefix) + 1):
+            left = len(prefix) - scanned
+            assert edit_distance(prefix[:scanned], ref) - left - slack <= whole
+
+
+@st.composite
+def _edited_pair(draw):
+    # eval-mixed-shaped: a reference of 8-24 tokens over 50 Zipf-weighted
+    # types, and the hypothesis it becomes after block moves, substitutions,
+    # and drops or insertions down to half or up to twice its length, so
+    # that the length-difference floor and slack both come into play
+    rng = draw(st.randoms(use_true_random=False))
+    vocab = [f"w{k}" for k in range(50)]
+    weights = [1 / (k + 1) for k in range(50)]
+    ref = rng.choices(vocab, weights, k=rng.randint(8, 24))
+    hyp = list(ref)
+    for _ in range(rng.randint(1, 3)):
+        length = rng.randint(1, 3)
+        i = rng.randrange(len(hyp) - length + 1)
+        block = hyp[i : i + length]
+        del hyp[i : i + length]
+        j = rng.randrange(len(hyp) + 1)
+        hyp[j:j] = block
+    for _ in range(rng.randint(0, len(hyp) // 4)):
+        hyp[rng.randrange(len(hyp))] = rng.choices(vocab, weights)[0]
+    target = max(1, round(len(ref) * rng.uniform(0.5, 2.0)))
+    while len(hyp) > target:
+        del hyp[rng.randrange(len(hyp))]
+    while len(hyp) < target:
+        hyp.insert(rng.randrange(len(hyp) + 1), rng.choices(vocab, weights)[0])
+    return hyp, ref
+
+
+@settings(max_examples=150, deadline=None)
+@given(_edited_pair())
+def test_greedy_matches_dp_oracle_on_edited_references(pair):
+    hyp, ref = pair
+    result = sentence_ter(hyp, ref)
+    assert (result.shifts, result.edits_after_shifts) == greedy_ter_oracle(hyp, ref)
+
+
 def test_greedy_block_move_wider_than_one_word():
     # 70 distinct reference tokens: the match masks and columns span more
     # than 64 bits; the block ref[60:63] sits at the front of the hypothesis
@@ -184,8 +244,9 @@ def test_greedy_block_move_wider_than_one_word():
 
 def test_greedy_speed_floor():
     # 20 seeded 30-token pairs: the reference with three block moves and four
-    # substitutions.  About 0.4 s on a 2-vCPU x86-64 box with the bit-parallel
-    # distance and 7 s with a Python DP; the budget is 10x the former.
+    # substitutions.  About 0.12 s on a 2-vCPU x86-64 box with the bounded
+    # greedy search, 0.4 s with the bit-parallel distance alone and 7 s with
+    # a Python DP; the budget is 10x the bit-parallel time.
     rng = random.Random(2016)
     vocab = [f"w{k}" for k in range(6)]
     pairs = []
