@@ -8,57 +8,52 @@ small expectation-maximization lexical aligner for before/after
 comparisons.
 """
 
-from .aligner import (
-    NULL_TOKEN,
-    F1Score,
-    TranslationTable,
-    align_corpus,
-    alignment_f1,
-    corpus_alignment_f1,
-    format_alignment,
-    parse_alignment,
-    train_em,
-    viterbi_align,
-)
-from .compounds import (
-    DEFAULT_MARGIN,
-    CompoundSuffixSet,
-    induce_compound_suffixes,
-    load_compound_suffixes,
-    save_compound_suffixes,
-    split_compound,
-)
-from .corpus import (
-    Corpus,
-    Sentence,
-    build_vocabulary,
-    parse_token_corpus,
-    read_token_corpus,
-    write_token_corpus,
-)
-from .markers import join_marked, mark_pieces
-from .metrics import (
-    BleuScore,
-    EvalReport,
-    NistScore,
-    SentenceTer,
-    TerScore,
-    bleu,
-    edit_distance,
-    evaluate,
-    nist,
-    sentence_ter,
-    ter,
-)
-from .pipeline import Mode, PipelineConfig, preprocess, reconstruct, token_pieces
-from .suffixes import (
-    Split,
-    SuffixList,
-    load_suffix_list,
-    save_suffix_list,
-    separate_suffix,
-)
-from .synth import SyntheticBenchmark, alignment_improvement, build_benchmark
+from importlib import import_module
+
+# Submodule -> the names the package exports from it.  Importing the package
+# loads none of them; a name's submodule is imported on first use (PEP 562).
+_EXPORTS = {
+    "aligner": (
+        "NULL_TOKEN", "F1Score", "TranslationTable", "align_corpus", "alignment_f1",
+        "corpus_alignment_f1", "format_alignment", "parse_alignment", "train_em",
+        "viterbi_align",
+    ),
+    "compounds": (
+        "DEFAULT_MARGIN", "CompoundSuffixSet", "induce_compound_suffixes",
+        "load_compound_suffixes", "save_compound_suffixes", "split_compound",
+    ),
+    "corpus": (
+        "Corpus", "Sentence", "build_vocabulary", "parse_token_corpus",
+        "read_token_corpus", "write_token_corpus",
+    ),
+    "markers": ("join_marked", "mark_pieces"),
+    "metrics": (
+        "BleuScore", "EvalReport", "NistScore", "SentenceTer", "TerScore", "bleu",
+        "edit_distance", "evaluate", "nist", "sentence_ter", "ter",
+    ),
+    "pipeline": ("Mode", "PipelineConfig", "preprocess", "reconstruct", "token_pieces"),
+    "suffixes": (
+        "Split", "SuffixList", "load_suffix_list", "save_suffix_list", "separate_suffix",
+    ),
+    "synth": ("SyntheticBenchmark", "alignment_improvement", "build_benchmark"),
+}
+_SUBMODULE = {name: module for module, names in _EXPORTS.items() for name in names}
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:  # a submodule: `mtprep.metrics` after `import mtprep`
+        return import_module(f".{name}", __name__)
+    module = _SUBMODULE.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))
+
 
 __version__ = "0.1.0"
 

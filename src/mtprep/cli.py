@@ -4,7 +4,10 @@ Subcommands: induce-suffixes, preprocess, evaluate, align, demo-table2.
 Optional flags can take their defaults from a shared key=value config file
 (--config); explicit flags always win.  Exit codes: 0 success, 1 I/O or
 data errors, 2 usage errors.  Machine-readable output goes to files or
-standard output; diagnostics go to standard error.
+standard output; diagnostics go to standard error.  Importing this module
+loads only what induce-suffixes and preprocess run (corpus, compounds,
+suffixes, markers, pipeline); evaluate loads metrics, align the aligner,
+and demo-table2 the demo, each when it runs.
 """
 
 from __future__ import annotations
@@ -12,16 +15,10 @@ from __future__ import annotations
 import argparse
 import sys
 import warnings
+from importlib import import_module
 from pathlib import Path
 from typing import Callable
 
-from .aligner import (
-    align_corpus,
-    corpus_alignment_f1,
-    format_alignment,
-    parse_alignment,
-    train_em,
-)
 from .compounds import (
     DEFAULT_MARGIN,
     induce_compound_suffixes,
@@ -36,10 +33,35 @@ from .corpus import (
     read_token_corpus,
     write_token_corpus,
 )
-from .demo import run_demo
-from .metrics import TSV_HEADER, evaluate
 from .pipeline import COMPOUND_MODES, SUFFIX_MODES, Mode, PipelineConfig, preprocess
 from .suffixes import load_suffix_list
+
+
+# Module -> the names it gives this namespace, imported only by the commands
+# that run it.  A name is also loaded on first attribute access, and a value
+# already set here (say, a wrapper set from outside) is kept.
+_DEFERRED = {
+    "aligner": (
+        "align_corpus", "corpus_alignment_f1", "format_alignment", "parse_alignment",
+        "train_em",
+    ),
+    "metrics": ("TSV_HEADER", "evaluate"),
+    "demo": ("run_demo",),
+}
+
+
+def _load(module: str) -> None:
+    loaded = import_module(f".{module}", __package__)
+    for name in _DEFERRED[module]:
+        globals().setdefault(name, getattr(loaded, name))
+
+
+def __getattr__(name: str):
+    for module, names in _DEFERRED.items():
+        if name in names:
+            _load(module)
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class UsageError(Exception):
@@ -224,6 +246,7 @@ def _cmd_preprocess(args: argparse.Namespace) -> int:
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
+    _load("metrics")
     report = evaluate(read_token_corpus(args.hyp), read_token_corpus(args.ref))
     if args.report == "json":
         print(report.to_json())
@@ -237,6 +260,7 @@ def _read_gold(path: str, src: Corpus, tgt: Corpus) -> list[set]:
     """Gold links, one line per sentence pair; every link must index into
     the pair's source and target sentences.  Checked before training, so a
     bad gold file fails before any alignment is printed."""
+    _load("aligner")
     gold = []
     for lineno, line in enumerate(read_lines(path), start=1):
         try:
@@ -261,6 +285,7 @@ def _read_gold(path: str, src: Corpus, tgt: Corpus) -> list[set]:
 
 
 def _cmd_align(args: argparse.Namespace) -> int:
+    _load("aligner")
     src = read_token_corpus(args.src)
     tgt = read_token_corpus(args.tgt)
     gold = _read_gold(args.gold, src, tgt) if args.gold else None
@@ -279,6 +304,7 @@ def _cmd_align(args: argparse.Namespace) -> int:
 
 
 def _cmd_demo(args: argparse.Namespace) -> int:
+    _load("demo")
     run_demo()
     return 0
 

@@ -321,6 +321,36 @@ def test_preprocess_pos_tags_shape_mismatch_is_a_data_error(
     assert "tag file has 1 sentences, corpus has 2" in capsys.readouterr().err
 
 
+def test_preprocess_in_place_matches_a_separate_output(
+    corpus_file, suffix_file, compound_file, tmp_path
+):
+    argv = [
+        "preprocess", "--mode", "cs+ss", "--suffixes", str(suffix_file),
+        "--compounds", str(compound_file), "--marker", "@@",
+    ]
+    before = corpus_file.read_bytes()
+    separate = tmp_path / "out.txt"
+    assert main([*argv, "-i", str(corpus_file), "-o", str(separate)]) == 0
+    assert main([*argv, "-i", str(corpus_file), "-o", str(corpus_file)]) == 0
+    assert separate.read_bytes() != before
+    assert corpus_file.read_bytes() == separate.read_bytes()
+
+
+def test_failed_in_place_preprocess_leaves_the_file_untouched(
+    corpus_file, suffix_file, tmp_path, capsys
+):
+    tags = tmp_path / "tags.txt"
+    tags.write_text("NN\n", encoding="utf-8")
+    before = corpus_file.read_bytes()
+    code = main([
+        "preprocess", "--mode", "ss", "--suffixes", str(suffix_file),
+        "--pos-tags", str(tags), "-i", str(corpus_file), "-o", str(corpus_file),
+    ])
+    assert code == 1
+    assert "tag file has 1 sentences, corpus has 2" in capsys.readouterr().err
+    assert corpus_file.read_bytes() == before
+
+
 # --- induce-suffixes ---------------------------------------------------------
 
 def test_induce_writes_counts(tmp_path, capsys):
@@ -676,6 +706,43 @@ def test_help_reads_its_defaults_from_the_option_table(monkeypatch, capsys):
     caster, _ = cli._OPTIONAL["align"]["iters"]
     monkeypatch.setitem(cli._OPTIONAL["align"], "iters", (caster, 9))
     assert "--iters N EM iterations (default 9)" in help_text("align", capsys)
+
+
+# --- names the benchmark's tracer wraps -------------------------------------
+
+# Copied from perfbench/tracing.py::CLI_CALLS.  The tracer reads each of these
+# attributes of mtprep.cli and sets a timing wrapper in its place.
+TRACED_NAMES = (
+    "read_token_corpus", "write_token_corpus", "build_vocabulary",
+    "induce_compound_suffixes", "save_compound_suffixes", "load_compound_suffixes",
+    "load_suffix_list", "preprocess", "evaluate", "train_em", "align_corpus",
+    "corpus_alignment_f1", "parse_alignment", "format_alignment",
+)
+
+
+def test_every_traced_name_resolves_on_a_fresh_import():
+    probe = (
+        "import mtprep.cli as cli; "
+        f"print(*[n for n in {TRACED_NAMES!r} if not callable(getattr(cli, n, None))])"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", probe], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
+
+
+def test_commands_call_the_wrapper_set_on_the_module(corpus_file, monkeypatch, capsys):
+    calls = []
+    for name in ("train_em", "evaluate"):
+        def counting(*args, _name=name, _inner=getattr(cli, name), **kwargs):
+            calls.append(_name)
+            return _inner(*args, **kwargs)
+        monkeypatch.setattr(cli, name, counting)
+    assert main(["align", "--src", str(corpus_file), "--tgt", str(corpus_file)]) == 0
+    assert main(["evaluate", "--hyp", str(corpus_file), "--ref", str(corpus_file)]) == 0
+    assert calls == ["train_em", "evaluate"]
+    capsys.readouterr()
 
 
 # --- console entry point -----------------------------------------------------

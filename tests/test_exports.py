@@ -1,7 +1,17 @@
-"""The package export lists name only what exists."""
+"""The package export lists name only what exists, and importing the package
+or the CLI loads only what is used."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 import mtprep
 import mtprep.metrics
+
+SRC = str(Path(mtprep.__file__).resolve().parent.parent)
 
 
 def test_every_exported_name_resolves():
@@ -12,3 +22,59 @@ def test_every_exported_name_resolves():
         # removed: only its own tests called it
         assert "sentence_bleu" not in namespace
         assert not hasattr(module, "sentence_bleu")
+
+
+
+
+def test_unknown_name_is_an_attribute_error_naming_the_package():
+    with pytest.raises(AttributeError, match="mtprep"):
+        mtprep.no_such_name
+
+
+def test_each_exported_name_is_one_object():
+    for name in mtprep.__all__:
+        assert getattr(mtprep, name) is getattr(mtprep, name)
+        assert name in vars(mtprep)  # cached: later lookups skip __getattr__
+
+
+def fresh(code):
+    """What `code` prints, split into words, in a fresh interpreter.  -S
+    keeps site hooks from loading modules of their own."""
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC},
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.split())
+
+
+def loaded_after(statement):
+    return fresh(
+        f"import sys; before = set(sys.modules); {statement}; "
+        "print(*sorted(set(sys.modules) - before))"
+    )
+
+
+def test_dir_lists_every_exported_name_before_any_is_loaded():
+    assert set(mtprep.__all__) <= fresh("import mtprep; print(*dir(mtprep))")
+
+
+def test_importing_the_cli_loads_only_what_preprocess_runs():
+    loaded = loaded_after("import mtprep.cli")
+    assert {m for m in loaded if m.partition(".")[0] == "mtprep"} == {
+        "mtprep", "mtprep.cli", "mtprep.corpus", "mtprep.compounds",
+        "mtprep.suffixes", "mtprep.markers", "mtprep.pipeline",
+    }
+    assert not loaded & {"json", "random"}
+
+
+def test_importing_the_package_loads_no_submodule():
+    loaded = loaded_after("import mtprep")
+    assert {m for m in loaded if m.startswith("mtprep")} == {"mtprep"}
+
+
+def test_each_submodule_with_exports_resolves_after_importing_the_package():
+    modules = ("aligner", "compounds", "corpus", "markers", "metrics", "pipeline",
+               "suffixes", "synth")
+    code = f"import mtprep; print(*[getattr(mtprep, m).__name__ for m in {modules!r}])"
+    assert fresh(code) == {f"mtprep.{m}" for m in modules}
