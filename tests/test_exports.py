@@ -24,8 +24,6 @@ def test_every_exported_name_resolves():
         assert not hasattr(module, "sentence_bleu")
 
 
-
-
 def test_unknown_name_is_an_attribute_error_naming_the_package():
     with pytest.raises(AttributeError, match="mtprep"):
         mtprep.no_such_name
@@ -51,7 +49,7 @@ def fresh(code):
 def loaded_after(statement):
     return fresh(
         f"import sys; before = set(sys.modules); {statement}; "
-        "print(*sorted(set(sys.modules) - before))"
+        "print(*set(sys.modules) - before)"
     )
 
 
