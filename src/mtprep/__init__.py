@@ -10,8 +10,10 @@ comparisons.
 
 from importlib import import_module
 
-# Submodule -> the names the package exports from it.  Importing the package
-# loads none of them; a name's submodule is imported on first use (PEP 562).
+# Submodule -> the names the package exports from it: the one list of public
+# names, which both __all__ and mtprep.metrics.__all__ are read from.
+# Importing the package loads none of them; a name's submodule is imported on
+# first use (PEP 562).
 _EXPORTS = {
     "aligner": (
         "NULL_TOKEN", "F1Score", "TranslationTable", "align_corpus", "alignment_f1",
@@ -57,54 +59,4 @@ def __dir__() -> list[str]:
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Corpus",
-    "Sentence",
-    "parse_token_corpus",
-    "read_token_corpus",
-    "write_token_corpus",
-    "build_vocabulary",
-    "SuffixList",
-    "Split",
-    "separate_suffix",
-    "load_suffix_list",
-    "save_suffix_list",
-    "CompoundSuffixSet",
-    "DEFAULT_MARGIN",
-    "induce_compound_suffixes",
-    "split_compound",
-    "load_compound_suffixes",
-    "save_compound_suffixes",
-    "Mode",
-    "PipelineConfig",
-    "preprocess",
-    "reconstruct",
-    "token_pieces",
-    "mark_pieces",
-    "join_marked",
-    "BleuScore",
-    "NistScore",
-    "TerScore",
-    "SentenceTer",
-    "EvalReport",
-    "bleu",
-    "nist",
-    "ter",
-    "sentence_ter",
-    "edit_distance",
-    "evaluate",
-    "TranslationTable",
-    "F1Score",
-    "NULL_TOKEN",
-    "train_em",
-    "viterbi_align",
-    "align_corpus",
-    "alignment_f1",
-    "corpus_alignment_f1",
-    "format_alignment",
-    "parse_alignment",
-    "SyntheticBenchmark",
-    "build_benchmark",
-    "alignment_improvement",
-    "__version__",
-]
+__all__ = [*_SUBMODULE, "__version__"]

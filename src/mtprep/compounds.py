@@ -24,8 +24,16 @@ from .suffixes import longest_tail
 
 DEFAULT_MARGIN = 5
 
-_MARGIN_HEADER = re.compile(r"# margin=([0-9]+)")
-_COUNT = re.compile(r"[0-9]+")
+_MARGIN_HEADER = re.compile(r"# margin=(.*)")
+_DIGITS = re.compile(r"[0-9]+")
+
+
+def _parse_digits(raw: str) -> int | None:
+    """raw as an int if it is ASCII digits that int() converts, else None."""
+    try:
+        return int(raw) if _DIGITS.fullmatch(raw) else None
+    except ValueError:  # more digits than sys.get_int_max_str_digits()
+        return None
 
 
 @dataclass(frozen=True)
@@ -158,9 +166,9 @@ def load_compound_suffixes(path: str | Path) -> CompoundSuffixSet:
     for lineno, line in enumerate(read_lines(path), start=1):
         if lineno == 1 and line.startswith("#") and "\t" not in line:
             header = _MARGIN_HEADER.fullmatch(line)
-            if header is None:
+            margin = _parse_digits(header.group(1)) if header else None
+            if margin is None:
                 raise ValueError(f"{path}:1: bad margin header {line!r}")
-            margin = int(header.group(1))
             continue
         if not line.strip():
             continue
@@ -168,9 +176,9 @@ def load_compound_suffixes(path: str | Path) -> CompoundSuffixSet:
         if len(parts) != 2:
             raise ValueError(f"{path}:{lineno}: expected 'suffix<TAB>count'")
         member, raw_count = parts
-        if not _COUNT.fullmatch(raw_count):
+        count = _parse_digits(raw_count)
+        if count is None:
             raise ValueError(f"{path}:{lineno}: bad count {raw_count!r}")
-        count = int(raw_count)
         if not member or count < 1:
             raise ValueError(f"{path}:{lineno}: bad entry {line!r}")
         if not is_token(member):

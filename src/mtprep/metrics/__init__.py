@@ -5,25 +5,15 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
+from .. import _EXPORTS
 from ..corpus import Corpus
 from .bleu import BleuScore, bleu, bleu_from_statistics
 from .common import ngram_statistics
 from .nist import NistScore, nist, nist_from_statistics
 from .ter import SentenceTer, TerScore, edit_distance, sentence_ter, ter
 
-__all__ = [
-    "BleuScore",
-    "NistScore",
-    "TerScore",
-    "SentenceTer",
-    "EvalReport",
-    "bleu",
-    "nist",
-    "ter",
-    "sentence_ter",
-    "edit_distance",
-    "evaluate",
-]
+__all__ = list(_EXPORTS["metrics"])
+del _EXPORTS  # dir() lists this module's own names only
 
 TSV_HEADER = "BLEU\tNIST\tTER"
 

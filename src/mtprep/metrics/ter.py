@@ -12,14 +12,14 @@ interleaved-block cases, which is why short sentences get exact search.
 
 Edit distances are computed bit-parallel (Myers 1999, Hyyrö 2003) over
 match masks built once per segment.  Moves are enumerated from the reference
-positions that hold each hypothesis token.  A greedy step stores the
-edit-distance column before every position of the current hypothesis and
-scores each candidate from the stored column at its first changed position
-without building it.  A candidate is dropped once a lower bound on its
-final distance, from its column so far and the distance of the unchanged
-rest (the split at a fixed position of Hirschberg 1975, one backward pass per
-step), reaches the step's best, or when its column rejoins the stored one at
-the end of the moved span.  Either way it can at best tie, and only a
+positions that hold each hypothesis token.  A greedy step stores _columns,
+the column before every position of the current hypothesis, and scores each
+candidate from the stored column at its first changed position without
+building it.  A candidate is dropped once a lower bound on its final
+distance, from its column so far and the distance of the unchanged rest
+(Hirschberg's 1975 split at a fixed position; _columns of the reversed
+sentences), reaches the step's best, or when its column rejoins the stored
+one at the end of the moved span.  Either way it can at best tie, and only a
 strictly better score replaces the best, so the winner is that of scoring
 every candidate in full; only it is built.  The scores are identical to
 those of the plain O(n*m) dynamic program, which the tests keep as the oracle.
@@ -50,18 +50,20 @@ def _match_masks(ref: Sentence) -> dict[str, int]:
     return masks
 
 
-def _scan(state: Column, eqs: Iterable[int], full: int, top: int) -> Column:
-    """Advance one edit-distance column over hypothesis tokens.
+def _columns(eqs: Iterable[int], full: int, top: int) -> list[Column]:
+    """Edit-distance columns over hypothesis tokens: the empty prefix's,
+    then the one after each token.
 
-    Bit-parallel over Python ints (Myers 1999, in Hyyrö's 2003 form): the
-    state (VP, VN, score) holds the +1/-1 vertical deltas of one DP column,
+    Bit-parallel over Python ints (Myers 1999, in Hyyrö's 2003 form): a
+    column (VP, VN, score) holds the +1/-1 vertical deltas of one DP column,
     bit j for ref row j, and the last row's value; eqs are the match masks
-    of the next hypothesis tokens, and each advances the whole column with
-    a few word operations.  Python's ~ is unbounded, so VP is masked to the
+    of the hypothesis tokens, and each advances the whole column with a few
+    word operations.  Python's ~ is unbounded, so VP is masked to the
     reference's bits (full); VN stays within them because it is an AND with
     eq | vn.  top is the bit of the last reference row.
     """
-    vp, vn, score = state
+    vp, vn, score = full, 0, top.bit_length()
+    columns = [(vp, vn, score)]
     for eq in eqs:
         xv = eq | vn
         xh = (((eq & vp) + vp) ^ vp) | eq
@@ -75,17 +77,16 @@ def _scan(state: Column, eqs: Iterable[int], full: int, top: int) -> Column:
         ph = (ph << 1) | 1
         vp = ((mh << 1) | ~(xv | ph)) & full
         vn = ph & xv
-    return vp, vn, score
+        columns.append((vp, vn, score))
+    return columns
 
 
 def _distance(hyp: Sentence, masks: dict[str, int], ref_length: int) -> int:
     """Levenshtein distance from hyp to the reference behind masks."""
     if not ref_length:
         return len(hyp)
-    full = (1 << ref_length) - 1
-    get = masks.get
-    eqs = [get(tok, 0) for tok in hyp]
-    return _scan((full, 0, ref_length), eqs, full, 1 << (ref_length - 1))[2]
+    eqs = [masks.get(tok, 0) for tok in hyp]
+    return _columns(eqs, (1 << ref_length) - 1, 1 << (ref_length - 1))[-1][2]
 
 
 def edit_distance(a: Sentence, b: Sentence) -> int:
@@ -177,16 +178,14 @@ def _exact_ter(hyp: Sentence, ref: Sentence) -> SentenceTer:
                     best_shifts, best_edits = depth, e
                 grown.append(key)
         layer = grown
-    return SentenceTer(
-        shifts=best_shifts, edits_after_shifts=best_edits, ref_length=len(ref)
-    )
+    return SentenceTer(best_shifts, best_edits, ref_length)
 
 
 def _scan_below(
     state: Column, eqs: Iterable[int], limits: Iterable[int], full: int, top: int
 ) -> Column | None:
-    """_scan that gives up, returning None, as soon as the last row reaches
-    the limit paired with the token just scanned."""
+    """The last of _columns, but resumed from state; None as soon as the last
+    row reaches the limit paired with the token just scanned."""
     vp, vn, score = state
     for eq, limit in zip(eqs, limits):
         xv = eq | vn
@@ -210,15 +209,15 @@ def _greedy_ter(hyp: Sentence, ref: Sentence) -> SentenceTer:
 
     A move (i, j, length) from _moves changes the current hypothesis only
     from lo = min(i, j) up to hi = max(i, j) + length (capped at its
-    length), so the step stores the column before every position, and a
-    candidate resumes from the one at lo over its rearranged span, then
+    length), so the step stores its _columns, one before each position, and
+    a candidate resumes from the one at lo over its rearranged span, then
     over the unchanged tail.  With m the reference length and D(x) the
     distance from x to the reference, a candidate whose column after
     position k >= hi has last row s ends at least at s - slack[k], where
     slack[k] = m - D(current[k:]): adjacent cells of a column differ by at
     most 1, and D(t, ref[r:]) >= D(t) - r.  Each span token still to scan
-    can lower s by at most 1 more.  One backward pass over the reversed
-    sentences fills slack, and _scan_below drops a candidate once s reaches
+    can lower s by at most 1 more.  _columns of the reversed sentences
+    fills slack, and _scan_below drops a candidate once s reaches
     best_edits + slack[k] (plus those span tokens).  A dropped candidate,
     like one whose column at hi is the stored one, can at best tie; only a
     strictly better score replaces the best, so ties, repeats included, go
@@ -240,15 +239,10 @@ def _greedy_ter(hyp: Sentence, ref: Sentence) -> SentenceTer:
     floor = abs(n - ref_length)
     while edits > floor:
         eqs = [get(tok, 0) for tok in current]
-        columns = [(full, 0, ref_length)]
-        for eq in eqs:
-            columns.append(_scan(columns[-1], (eq,), full, top))
+        columns = _columns(eqs, full, top)
         # slack[k] = m - D(current[k:]), over the reversed sentences
-        slack, state = [0], columns[0]
-        for tok in reversed(current):
-            state = _scan(state, (back(tok, 0),), full, top)
-            slack.append(ref_length - state[2])
-        slack.reverse()
+        backward = _columns([back(tok, 0) for tok in reversed(current)], full, top)
+        slack = [ref_length - column[2] for column in reversed(backward)]
         best = None
         best_edits = edits
         cut = [edits + s for s in slack]

@@ -208,6 +208,21 @@ def test_load_rejects_non_integer_count(tmp_path):
             load_compound_suffixes(path)
 
 
+def test_load_names_the_line_of_a_count_too_long_for_int(tmp_path):
+    # 5,000 digits: past the 4,300 that int() converts by default
+    path = tmp_path / "comp.tsv"
+    path.write_text(f"# margin=3\nna\t7\nkaDuuna\t{'9' * 5000}\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=":3: bad count"):
+        load_compound_suffixes(path)
+
+
+def test_load_names_the_line_of_a_margin_too_long_for_int(tmp_path):
+    path = tmp_path / "comp.tsv"
+    path.write_text(f"# margin={'9' * 5000}\nkaDuuna\t3\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=":1: bad margin header"):
+        load_compound_suffixes(path)
+
+
 def test_ordered_by_length_then_lexicographic():
     cset = CompoundSuffixSet({"na": 1, "ii": 1, "kaDuuna": 1})
     assert cset.ordered == ("kaDuuna", "ii", "na")

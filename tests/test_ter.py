@@ -51,6 +51,20 @@ def test_edit_distance_matches_oracle(a, b):
     assert edit_distance(a, b) == levenshtein(a, b)
 
 
+def _long_pair(alphabet):
+    sent = st.lists(st.sampled_from(alphabet), min_size=60, max_size=140)
+    return st.tuples(sent, sent)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(["ab", "abcd"]).flatmap(_long_pair))
+def test_edit_distance_matches_oracle_on_long_sentences(pair):
+    # 60-140 tokens a side: columns on both sides of the 64-bit word
+    # boundary, over alphabets small enough that most tokens match
+    a, b = pair
+    assert edit_distance(a, b) == levenshtein(a, b)
+
+
 # --- shift moves -------------------------------------------------------------
 
 @settings(max_examples=200)
