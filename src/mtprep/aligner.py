@@ -13,12 +13,11 @@ distortion model.
 from __future__ import annotations
 
 import math
-import re
 from array import array
 from dataclasses import dataclass
 from typing import Iterable
 
-from .corpus import Corpus, Sentence
+from .corpus import Corpus, Sentence, parse_digits
 
 # Pseudo source word that absorbs target words with no good real source.
 # It sits in slot 0 of every source sentence when the null word is on.
@@ -28,9 +27,6 @@ NULL_TOKEN = "<null>"
 PROB_FLOOR = 1e-12
 
 Link = tuple[int, int]
-
-# One "i-j" link of an alignment line.
-_PAIR = re.compile(r"([0-9]+)-([0-9]+)")
 
 
 @dataclass(frozen=True)
@@ -227,12 +223,13 @@ def format_alignment(links: set[Link]) -> str:
 
 
 def parse_alignment(line: str) -> set[Link]:
-    """Inverse of format_alignment; blank line means no links.  Indices are
-    ASCII digits only."""
+    """Inverse of format_alignment; blank line means no links.  A pair is two
+    corpus.parse_digits integers joined by "-"; anything else raises."""
     links = set()
     for pair in line.split():
-        match = _PAIR.fullmatch(pair)
-        if match is None:
+        i, _, j = pair.partition("-")
+        link = parse_digits(i), parse_digits(j)
+        if None in link:
             raise ValueError(f"bad alignment pair {pair!r}")
-        links.add((int(match[1]), int(match[2])))
+        links.add(link)
     return links

@@ -29,6 +29,7 @@ from .corpus import (
     Corpus,
     build_vocabulary,
     is_token,
+    parse_digits,
     read_lines,
     read_token_corpus,
     write_token_corpus,
@@ -90,9 +91,10 @@ def _cast_report(value: str) -> str:
 
 def _count(minimum: int) -> Callable[[str], int]:
     def cast(value: str) -> int:
-        if not (value.isascii() and value.isdigit()) or int(value) < minimum:
+        number = parse_digits(value)
+        if number is None or number < minimum:
             raise ValueError(f"must be an integer >= {minimum}, not {value!r}")
-        return int(value)
+        return number
     return cast
 
 

@@ -9,7 +9,6 @@ the same margin, which the inventory carries (and its file records).
 
 from __future__ import annotations
 
-import re
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
@@ -19,21 +18,10 @@ from operator import itemgetter
 from pathlib import Path
 from typing import Iterator, Mapping
 
-from .corpus import is_token, read_lines, write_lines
+from .corpus import is_token, parse_digits, read_lines, write_lines
 from .suffixes import longest_tail
 
 DEFAULT_MARGIN = 5
-
-_MARGIN_HEADER = re.compile(r"# margin=(.*)")
-_DIGITS = re.compile(r"[0-9]+")
-
-
-def _parse_digits(raw: str) -> int | None:
-    """raw as an int if it is ASCII digits that int() converts, else None."""
-    try:
-        return int(raw) if _DIGITS.fullmatch(raw) else None
-    except ValueError:  # more digits than sys.get_int_max_str_digits()
-        return None
 
 
 @dataclass(frozen=True)
@@ -125,7 +113,8 @@ def split_compound(
         margin = compound_suffixes.margin
     stripped: list[str] = []
     residue = word
-    longest = len(word) - margin - 1
+    ordered = compound_suffixes.ordered  # no longer tail is a member
+    longest = min(len(word) - margin - 1, len(ordered[0]) if ordered else 0)
     while True:
         length = longest_tail(
             residue, compound_suffixes.counts, min(len(residue) - 1, longest)
@@ -158,15 +147,16 @@ def load_compound_suffixes(path: str | Path) -> CompoundSuffixSet:
     The "# margin=N" header is optional and only allowed on line 1 (member
     lines always contain a tab, so it cannot be mistaken for one); a file
     without it was induced with the default margin.  Lines are those of
-    corpus.read_lines.  Counts are ASCII digits only.  A member with
-    whitespace in it could never match a token, so it is a data error.
+    corpus.read_lines, and the margin and counts are integers as
+    corpus.parse_digits reads them.  A member with whitespace in it could
+    never match a token, so it is a data error.
     """
     counts: dict[str, int] = {}
     margin = DEFAULT_MARGIN
     for lineno, line in enumerate(read_lines(path), start=1):
         if lineno == 1 and line.startswith("#") and "\t" not in line:
-            header = _MARGIN_HEADER.fullmatch(line)
-            margin = _parse_digits(header.group(1)) if header else None
+            # without the prefix the line still starts with "#": no integer
+            margin = parse_digits(line.removeprefix("# margin="))
             if margin is None:
                 raise ValueError(f"{path}:1: bad margin header {line!r}")
             continue
@@ -176,7 +166,7 @@ def load_compound_suffixes(path: str | Path) -> CompoundSuffixSet:
         if len(parts) != 2:
             raise ValueError(f"{path}:{lineno}: expected 'suffix<TAB>count'")
         member, raw_count = parts
-        count = _parse_digits(raw_count)
+        count = parse_digits(raw_count)
         if count is None:
             raise ValueError(f"{path}:{lineno}: bad count {raw_count!r}")
         if not member or count < 1:

@@ -71,6 +71,17 @@ def is_token(text: str) -> bool:
     return text.split() == [text]
 
 
+def parse_digits(text: str) -> int | None:
+    """text as an int if it is ASCII digits 0-9 that int() converts, else
+    None: no sign, space, underscore or other Unicode digit, and no more
+    digits than sys.get_int_max_str_digits().  Every integer mtprep reads
+    from a flag, a config file or a data file goes through here."""
+    try:
+        return int(text) if text.isascii() and text.isdigit() else None
+    except ValueError:  # more digits than int() converts
+        return None
+
+
 def parse_token_corpus(text: str) -> Corpus:
     """Tokenize corpus text: one sentence per line, split on whitespace runs.
 

@@ -36,11 +36,12 @@ class SuffixList:
     """Suffix inventory, deduplicated and ordered longest first (ties
     lexicographic) so saved files and listings come out in a stable order.
 
-    members holds the same suffixes as a set for matching.
+    members holds them as a set for matching, longest the first one's length.
     """
 
     suffixes: tuple[str, ...] = field(default=())
     members: frozenset[str] = field(init=False, repr=False, compare=False)
+    longest: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for s in self.suffixes:
@@ -50,6 +51,7 @@ class SuffixList:
         ordered = tuple(sorted(members, key=lambda s: (-len(s), s)))
         object.__setattr__(self, "suffixes", ordered)
         object.__setattr__(self, "members", members)
+        object.__setattr__(self, "longest", len(ordered[0]) if ordered else 0)
 
     def __iter__(self) -> Iterator[str]:
         return iter(self.suffixes)
@@ -108,11 +110,11 @@ def separate_suffix(word: str, suffixes: SuffixList) -> Split:
 
     The match must be strict: the word has to be longer than the suffix so
     the stem stays non-empty.  Words with no qualifying suffix come back
-    whole.
+    whole.  No tail longer than the list's longest suffix is probed.
     """
     if not word:
         raise ValueError("cannot split an empty word")
-    length = longest_tail(word, suffixes.members, len(word) - 1)
+    length = longest_tail(word, suffixes.members, min(len(word) - 1, suffixes.longest))
     if length:
         return Split(word[:-length], word[-length:])
     return Split(word)

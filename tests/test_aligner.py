@@ -332,7 +332,12 @@ def test_parse_blank_line_is_empty():
 
 
 def test_parse_rejects_malformed_pairs():
-    for bad in ["0", "0-", "-1", "a-1", "0-1-2", "0:1", "\u0661-\u0660", "\u00b2-1"]:
+    # an index one digit past int()'s limit, where this Python has a limit
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    too_long = ["0-" + "1" * (limit + 1)] if limit else []
+    for bad in [
+        "0", "0-", "-1", "a-1", "0-1-2", "0:1", "\u0661-\u0660", "\u00b2-1", *too_long
+    ]:
         with pytest.raises(ValueError):
             parse_alignment(bad)
 

@@ -38,6 +38,14 @@ def test_zero_higher_order_match_zeroes_corpus_score():
     assert bleu([["a", "c", "b"]], [["a", "x", "b"]]).score == 0.0
 
 
+def test_papineni_2002_modified_unigram_precision():
+    # Papineni et al. (2002), section 2.1: seven "the" against reference 1
+    # clip to the two "the" that it holds
+    result = bleu([["the"] * 7], ["the cat is on the mat".split()])
+    assert (result.matches[0], result.totals[0]) == (2, 7)
+    assert result.precisions[0] == 2 / 7
+
+
 def test_brevity_penalty_on_short_hypothesis():
     result = bleu([["a", "b"]], [["a", "b", "c", "d"]])
     assert result.brevity_penalty == pytest.approx(math.exp(1.0 - 4.0 / 2.0))

@@ -1,5 +1,6 @@
 """Command-line behavior: arguments, config merging, exit codes, file I/O."""
 
+import os
 import subprocess
 import sys
 import warnings
@@ -9,8 +10,20 @@ import pytest
 from mtprep import cli
 from mtprep.cli import load_config, main
 from mtprep.compounds import induce_compound_suffixes
-from mtprep.corpus import build_vocabulary, read_token_corpus
+from mtprep.corpus import (
+    build_vocabulary,
+    read_token_corpus,
+    write_lines,
+    write_token_corpus,
+)
 from mtprep.pipeline import Mode, PipelineConfig, preprocess
+from mtprep.synth import build_benchmark
+
+# int()'s digit limit, and a digit string one past it; the limit is 0 (none)
+# where sys has no get_int_max_str_digits, and then such strings are valid.
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", int)()
+TOO_LONG = "1" * (DIGIT_LIMIT + 1)
+needs_digit_limit = pytest.mark.skipif(not DIGIT_LIMIT, reason="no int() digit limit")
 
 
 @pytest.fixture
@@ -465,7 +478,10 @@ def test_align_gold_line_count_is_checked_before_training(tmp_path, capsys):
     assert captured.out == ""  # rejected before EM runs
 
 
-@pytest.mark.parametrize("line", ["0-0 1-x", "0-0 \u0661-\u0660", "\u00b2-1"])
+@pytest.mark.parametrize("line", [
+    "0-0 1-x", "0-0 \u0661-\u0660", "\u00b2-1",
+    pytest.param("0-" + TOO_LONG, id="0-<too long>", marks=needs_digit_limit),
+])
 def test_align_malformed_gold_pair_is_a_data_error(line, tmp_path, capsys):
     # indices are ASCII digits; Arabic-Indic or superscript digits are not
     src = tmp_path / "src.txt"
@@ -606,12 +622,17 @@ _REJECTED = [
     ("marker", "@ @", "must be non-empty and contain no whitespace"),
     ("marker", "", "must be non-empty and contain no whitespace"),
     ("null", "maybe", "not a boolean: 'maybe'"),
+] + [
+    (key, TOO_LONG, f"must be an integer >= {minimum}, not {TOO_LONG!r}")
+    for key, minimum in [("margin", 0), ("min_count", 1), ("iters", 1)]
 ]
 
 
-@pytest.mark.parametrize(
-    "key, value, body", _REJECTED, ids=[f"{key}={value}" for key, value, _ in _REJECTED]
-)
+@pytest.mark.parametrize("key, value, body", [
+    pytest.param(key, value, body, id=f"{key}=<too long>", marks=needs_digit_limit)
+    if value == TOO_LONG else pytest.param(key, value, body, id=f"{key}={value}")
+    for key, value, body in _REJECTED
+])
 def test_flag_and_config_key_reject_a_value_alike(
     key, value, body, corpus_file, tmp_path, capsys
 ):
@@ -755,3 +776,46 @@ def test_installed_script_runs():
     )
     assert proc.returncode == 0
     assert "one-to-one links (split):" in proc.stdout
+
+
+# --- hash-seed independence --------------------------------------------------
+
+def run_chain(work, hash_seed):
+    """induce-suffixes -> preprocess --mode cs+ss -> align --null -> evaluate on
+    a small synthetic benchmark, each a fresh interpreter with the given
+    PYTHONHASHSEED; returns every output file and each command's output."""
+    bench = build_benchmark(60)
+    work.mkdir()
+    files = {name: work / f"{name}.txt" for name in ("src", "tgt", "gold", "suffixes")}
+    write_token_corpus(bench.src_fused, files["src"])
+    write_token_corpus(bench.tgt, files["tgt"])
+    write_lines((" ".join(f"{i}-{j}" for i, j in sorted(links))
+                 for links in bench.gold_split), files["gold"])
+    write_lines(bench.suffixes, files["suffixes"])
+    compounds, split = work / "compounds.tsv", work / "split.txt"
+    commands = [
+        ["induce-suffixes", "--mono", files["src"], "-o", compounds],
+        ["preprocess", "--mode", "cs+ss", "--suffixes", files["suffixes"],
+         "--compounds", compounds, "-i", files["src"], "-o", split],
+        ["align", "--null", "--src", split, "--tgt", files["tgt"],
+         "--gold", files["gold"]],
+        ["evaluate", "--report", "json", "--hyp", files["src"], "--ref", split],
+    ]
+    outputs = []
+    for argv in commands:
+        proc = subprocess.run(
+            [sys.executable, "-m", "mtprep.cli", *map(str, argv)],
+            capture_output=True, check=True,
+            env={**os.environ, "PYTHONHASHSEED": hash_seed},
+        )
+        outputs.append((proc.stdout, proc.stderr))
+    return outputs, compounds.read_bytes(), split.read_bytes()
+
+
+def test_chain_output_does_not_depend_on_the_hash_seed(tmp_path):
+    first, second = (run_chain(tmp_path / seed, seed) for seed in ("1", "2"))
+    assert first == second
+    # the chain did work: an inventory, split tokens, scored links, scores
+    outputs, compounds, split = first
+    assert compounds.count(b"\n") > 1 and split != (tmp_path / "1/src.txt").read_bytes()
+    assert b"f1=" in outputs[2][1] and b'"ter"' in outputs[3][0]

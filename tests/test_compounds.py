@@ -200,7 +200,8 @@ def test_load_reports_bad_line_number(tmp_path):
 
 
 def test_load_rejects_non_integer_count(tmp_path):
-    # counts are [0-9]+ like gold indices: no padding, sign or other digits
+    # counts are corpus.parse_digits integers like gold indices: no padding,
+    # sign or other digits
     path = tmp_path / "comp.tsv"
     for raw in ("many", " 3", "3 ", "+3", "\u0663", "\u00b3"):
         path.write_text(f"kaDuuna\t{raw}\n", encoding="utf-8")

@@ -1,6 +1,7 @@
 """Corpus file round-trips and vocabulary counting."""
 
 import re
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -10,6 +11,7 @@ from mtprep.compounds import load_compound_suffixes
 from mtprep.corpus import (
     build_vocabulary,
     is_token,
+    parse_digits,
     parse_token_corpus,
     read_lines,
     read_token_corpus,
@@ -116,6 +118,33 @@ def test_is_token():
     assert is_token("ab")
     for text in ("", " ", "a b", "a\xa0b", "@@\n", "a\x85b", "\u2028"):
         assert not is_token(text)
+
+
+# int()'s digit limit; 0 (none) where sys has no get_int_max_str_digits
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", int)()
+needs_digit_limit = pytest.mark.skipif(not DIGIT_LIMIT, reason="no int() digit limit")
+
+
+@pytest.mark.parametrize("text, value", [
+    ("0", 0),
+    ("007", 7),
+    pytest.param(
+        "9" * DIGIT_LIMIT, 10**DIGIT_LIMIT - 1, id="at-limit", marks=needs_digit_limit
+    ),
+    ("", None),
+    ("-1", None),
+    ("+2", None),
+    ("1_0", None),
+    (" 3", None),
+    ("3 ", None),
+    ("\u0663", None),  # Arabic-Indic three
+    ("\u00b3", None),  # superscript three
+    pytest.param(
+        "9" * (DIGIT_LIMIT + 1), None, id="past-limit", marks=needs_digit_limit
+    ),
+])
+def test_parse_digits(text, value):
+    assert parse_digits(text) == value
 
 
 GOLD_SRC = [["a", "b"], [], ["c"]]

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from mtprep.compounds import CompoundSuffixSet, split_compound
 from mtprep.pipeline import Mode, PipelineConfig, preprocess
 from mtprep.suffixes import (
     Split,
@@ -20,6 +21,17 @@ suffixes_st = st.lists(st.text(alphabet="abcdef", min_size=1, max_size=5), max_s
 # Two letters make many tails of one word listed at once.
 ab_word_st = st.text(alphabet="ab", min_size=1, max_size=14)
 ab_members_st = st.lists(st.text(alphabet="ab", min_size=1, max_size=6), max_size=16)
+
+
+class CountingDict(dict):
+    """A dict that counts the membership probes made in it (a Container
+    longest_tail accepts)."""
+
+    probes = 0
+
+    def __contains__(self, key):
+        self.probes += 1
+        return super().__contains__(key)
 
 
 def test_list_sorted_longest_first_then_lexicographic():
@@ -51,6 +63,23 @@ def test_separation_requires_nonempty_stem():
     # the whole word is never treated as its own suffix
     sl = SuffixList(["aaMnii"])
     assert separate_suffix("aaMnii", sl) == Split("aaMnii", None)
+
+
+def test_splitters_probe_no_tail_longer_than_their_longest_entry():
+    word = "x" * 20_000
+    sl = SuffixList(["aaMnii", "ii", "ne"])
+    members = CountingDict.fromkeys(sl.members)
+    object.__setattr__(sl, "members", members)  # count separate_suffix's lookups
+    assert separate_suffix(word, sl) == Split(word)
+    assert separate_suffix(word + "ii", sl) == Split(word, "ii")
+    assert members.probes <= 2 * len("aaMnii")
+    assert SuffixList().longest == 0
+    counts = CountingDict({"kaDuuna": 3, "na": 1})
+    assert split_compound(word + "kaDuuna", CompoundSuffixSet(counts)) == [
+        word, "kaDuuna"
+    ]
+    assert counts.probes <= 2 * len("kaDuuna")
+    assert split_compound(word, CompoundSuffixSet()) == [word]
 
 
 def test_separation_prefers_longest_listed_suffix():

@@ -137,6 +137,18 @@ def test_long_sentences_fall_back_to_greedy():
     assert result.total_edits <= edit_distance(hyp, list(reversed(hyp)))
 
 
+def test_snover_2006_example():
+    # Snover et al. (2006), section 2: one shift ("this week") and three
+    # edits (substitute "saudi" for "the", "arabia" for "saudis", and
+    # insert "american") against 13 reference words
+    hyp = "this week the saudis denied information published in the new york times"
+    ref = ("saudi arabia denied this week information published in the american "
+           "new york times")
+    result = sentence_ter(hyp.split(), ref.split())
+    assert result == SentenceTer(shifts=1, edits_after_shifts=3, ref_length=13)
+    assert ter([hyp.split()], [ref.split()]).score == 4 / 13
+
+
 @settings(max_examples=200, deadline=None)
 @given(sent_st, sent_st)
 def test_matches_exhaustive_search(hyp, ref):
