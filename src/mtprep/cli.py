@@ -6,8 +6,9 @@ Optional flags can take their defaults from a shared key=value config file
 data errors, 2 usage errors.  Machine-readable output goes to files or
 standard output; diagnostics go to standard error.  Importing this module
 loads only what induce-suffixes and preprocess run (corpus, compounds,
-suffixes, markers, pipeline); evaluate loads metrics, align the aligner,
-and demo-table2 the demo, each when it runs.
+suffixes, markers, pipeline).  Commands read the names of metrics, the
+aligner and the demo as attributes of this module, which imports each on
+first use, so evaluate, align and demo-table2 load theirs when they run.
 """
 
 from __future__ import annotations
@@ -38,9 +39,10 @@ from .pipeline import COMPOUND_MODES, SUFFIX_MODES, Mode, PipelineConfig, prepro
 from .suffixes import load_suffix_list
 
 
-# Module -> the names it gives this namespace, imported only by the commands
-# that run it.  A name is also loaded on first attribute access, and a value
-# already set here (say, a wrapper set from outside) is kept.
+# Module -> the names it gives this namespace.  __getattr__ imports a name
+# when a command first reads it through _self; a value already set here (say,
+# a wrapper set from outside) is found first, so it is what runs.
+_self = sys.modules[__name__]
 _DEFERRED = {
     "aligner": (
         "align_corpus", "corpus_alignment_f1", "format_alignment", "parse_alignment",
@@ -51,17 +53,12 @@ _DEFERRED = {
 }
 
 
-def _load(module: str) -> None:
-    loaded = import_module(f".{module}", __package__)
-    for name in _DEFERRED[module]:
-        globals().setdefault(name, getattr(loaded, name))
-
-
 def __getattr__(name: str):
     for module, names in _DEFERRED.items():
         if name in names:
-            _load(module)
-            return globals()[name]
+            value = getattr(import_module(f".{module}", __package__), name)
+            globals()[name] = value
+            return value
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
@@ -136,7 +133,9 @@ def load_config(path: str | Path) -> dict[str, str]:
     known = {dest for opts in _OPTIONAL.values() for dest in opts}
     unknown = set(entries) - known
     if unknown:
-        raise UsageError(f"unknown config keys: {', '.join(sorted(unknown))}")
+        # a key with a line break in it must not break the message's line
+        names = (key if key.isprintable() else repr(key) for key in sorted(unknown))
+        raise UsageError(f"unknown config keys: {', '.join(names)}")
     return entries
 
 
@@ -248,12 +247,11 @@ def _cmd_preprocess(args: argparse.Namespace) -> int:
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
-    _load("metrics")
-    report = evaluate(read_token_corpus(args.hyp), read_token_corpus(args.ref))
+    report = _self.evaluate(read_token_corpus(args.hyp), read_token_corpus(args.ref))
     if args.report == "json":
         print(report.to_json())
     else:
-        print(TSV_HEADER)
+        print(_self.TSV_HEADER)
         print(report.tsv_row())
     return 0
 
@@ -262,11 +260,10 @@ def _read_gold(path: str, src: Corpus, tgt: Corpus) -> list[set]:
     """Gold links, one line per sentence pair; every link must index into
     the pair's source and target sentences.  Checked before training, so a
     bad gold file fails before any alignment is printed."""
-    _load("aligner")
     gold = []
     for lineno, line in enumerate(read_lines(path), start=1):
         try:
-            gold.append(parse_alignment(line))
+            gold.append(_self.parse_alignment(line))
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from None
     if len(gold) != len(src):
@@ -287,16 +284,15 @@ def _read_gold(path: str, src: Corpus, tgt: Corpus) -> list[set]:
 
 
 def _cmd_align(args: argparse.Namespace) -> int:
-    _load("aligner")
     src = read_token_corpus(args.src)
     tgt = read_token_corpus(args.tgt)
     gold = _read_gold(args.gold, src, tgt) if args.gold else None
-    table = train_em(src, tgt, iterations=args.iters, null_word=args.null)
-    alignments = align_corpus(src, tgt, table)
+    table = _self.train_em(src, tgt, iterations=args.iters, null_word=args.null)
+    alignments = _self.align_corpus(src, tgt, table)
     for links in alignments:
-        print(format_alignment(links))
+        print(_self.format_alignment(links))
     if gold is not None:
-        score = corpus_alignment_f1(alignments, gold)
+        score = _self.corpus_alignment_f1(alignments, gold)
         print(
             f"precision={score.precision:.4f} "
             f"recall={score.recall:.4f} f1={score.f1:.4f}",
@@ -306,8 +302,7 @@ def _cmd_align(args: argparse.Namespace) -> int:
 
 
 def _cmd_demo(args: argparse.Namespace) -> int:
-    _load("demo")
-    run_demo()
+    _self.run_demo()
     return 0
 
 

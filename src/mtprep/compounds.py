@@ -31,19 +31,22 @@ class CompoundSuffixSet:
     counts maps each member to the number of distinct vocabulary words it
     was observed trailing during induction (its provenance).  margin is the
     length margin the members were induced with; splitting uses it too.
+    longest is the longest member's length (0 when there is none).
     """
 
     counts: Mapping[str, int] = field(default_factory=dict)
     margin: int = DEFAULT_MARGIN
+    longest: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.margin < 0:
             raise ValueError("margin must be >= 0")
         for member, count in self.counts.items():
-            if not member:
-                raise ValueError("compound suffixes must be non-empty")
+            if not is_token(member):
+                raise ValueError(f"compound suffix {member!r} is not one token")
             if count < 1:
                 raise ValueError(f"provenance count for {member!r} must be >= 1")
+        object.__setattr__(self, "longest", max(map(len, self.counts), default=0))
 
     @cached_property
     def ordered(self) -> tuple[str, ...]:
@@ -113,8 +116,8 @@ def split_compound(
         margin = compound_suffixes.margin
     stripped: list[str] = []
     residue = word
-    ordered = compound_suffixes.ordered  # no longer tail is a member
-    longest = min(len(word) - margin - 1, len(ordered[0]) if ordered else 0)
+    # no longer tail is a member
+    longest = min(len(word) - margin - 1, compound_suffixes.longest)
     while True:
         length = longest_tail(
             residue, compound_suffixes.counts, min(len(residue) - 1, longest)

@@ -18,8 +18,7 @@ candidate from the stored column at its first changed position without
 building it.  A candidate is dropped once a lower bound on its final
 distance, from its column so far and the distance of the unchanged rest
 (Hirschberg's 1975 split at a fixed position; _columns of the reversed
-sentences), reaches the step's best, or when its column rejoins the stored
-one at the end of the moved span.  Either way it can at best tie, and only a
+sentences), reaches the step's best.  It can then at best tie, and only a
 strictly better score replaces the best, so the winner is that of scoring
 every candidate in full; only it is built.  The scores are identical to
 those of the plain O(n*m) dynamic program, which the tests keep as the oracle.
@@ -218,12 +217,11 @@ def _greedy_ter(hyp: Sentence, ref: Sentence) -> SentenceTer:
     most 1, and D(t, ref[r:]) >= D(t) - r.  Each span token still to scan
     can lower s by at most 1 more.  _columns of the reversed sentences
     fills slack, and _scan_below drops a candidate once s reaches
-    best_edits + slack[k] (plus those span tokens).  A dropped candidate,
-    like one whose column at hi is the stored one, can at best tie; only a
-    strictly better score replaces the best, so ties, repeats included, go
-    as when every candidate is scored in full.  A step ends early once a
-    candidate reaches the length difference of the two sentences, which no
-    later candidate can beat, and no step starts at that difference.
+    best_edits + slack[k] (plus those span tokens).  A dropped candidate
+    can at best tie; only a strictly better score replaces the best, so
+    ties, repeats included, go as in scoring every candidate in full.  A
+    step ends early once a candidate reaches the sentences' length
+    difference, which no later candidate can beat, and none starts there.
     """
     masks, ref_length = _match_masks(ref), len(ref)
     back = _match_masks(ref[::-1]).get
@@ -262,7 +260,7 @@ def _greedy_ter(hyp: Sentence, ref: Sentence) -> SentenceTer:
                 continue
             bounds = range(limit - 1, cut[hi] - 1, -1)
             state = _scan_below(columns[lo], span, bounds, full, top)
-            if state is None or state == columns[hi]:
+            if state is None:
                 continue
             state = _scan_below(state, eqs[hi:], cut[hi + 1 :], full, top)
             if state is None:

@@ -40,6 +40,7 @@ class PipelineConfig:
     nnp_tags: Corpus | None = None
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "mode", Mode(self.mode))  # "ss" -> Mode.SS
         check_marker(self.marker)
         if self.mode in SUFFIX_MODES and self.suffix_list is None:
             raise ValueError(f"mode {self.mode.value} requires a suffix list")

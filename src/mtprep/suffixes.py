@@ -45,8 +45,8 @@ class SuffixList:
 
     def __post_init__(self) -> None:
         for s in self.suffixes:
-            if not s:
-                raise ValueError("suffix list entries must be non-empty")
+            if not is_token(s) or s.startswith("#"):
+                raise ValueError(f"suffix {s!r} is not one token or starts with '#'")
         members = frozenset(self.suffixes)
         ordered = tuple(sorted(members, key=lambda s: (-len(s), s)))
         object.__setattr__(self, "suffixes", ordered)

@@ -1,9 +1,11 @@
 """Command-line behavior: arguments, config merging, exit codes, file I/O."""
 
+import importlib.util
 import os
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -595,6 +597,19 @@ def test_threads_config_key_is_unknown(corpus_file, tmp_path, capsys):
     assert "unknown config keys: threads" in capsys.readouterr().err
 
 
+def test_unknown_config_key_with_a_line_break_stays_on_one_line(
+    corpus_file, tmp_path, capsys
+):
+    cfg = tmp_path / "prep.cfg"
+    cfg.write_bytes(b"0\r0=\n")
+    code = main([
+        "--config", str(cfg),
+        "preprocess", "--mode", "bl", "-i", str(corpus_file), "-o", str(tmp_path / "o"),
+    ])
+    assert code == 2
+    assert capsys.readouterr().err == "usage error: unknown config keys: '0\\r0'\n"
+
+
 def test_config_value_must_be_one_of_the_flag_choices(corpus_file, tmp_path, capsys):
     cfg = tmp_path / "eval.cfg"
     cfg.write_text("report=xml\n", encoding="utf-8")
@@ -731,14 +746,16 @@ def test_help_reads_its_defaults_from_the_option_table(monkeypatch, capsys):
 
 # --- names the benchmark's tracer wraps -------------------------------------
 
-# Copied from perfbench/tracing.py::CLI_CALLS.  The tracer reads each of these
-# attributes of mtprep.cli and sets a timing wrapper in its place.
-TRACED_NAMES = (
-    "read_token_corpus", "write_token_corpus", "build_vocabulary",
-    "induce_compound_suffixes", "save_compound_suffixes", "load_compound_suffixes",
-    "load_suffix_list", "preprocess", "evaluate", "train_em", "align_corpus",
-    "corpus_alignment_f1", "parse_alignment", "format_alignment",
+# The tracer reads each attribute it lists of mtprep.cli (CLI_CALLS) and of
+# mtprep.metrics (METRIC_CALLS) and sets a timing wrapper in its place; it
+# imports only the standard library, so its own tuples are read here.
+_tracing_spec = importlib.util.spec_from_file_location(
+    "perfbench_tracing", Path(__file__).parent.parent / "perfbench" / "tracing.py"
 )
+tracing = importlib.util.module_from_spec(_tracing_spec)
+_tracing_spec.loader.exec_module(tracing)
+TRACED_NAMES = tuple(attr for attr, _ in tracing.CLI_CALLS)
+TRACED_METRIC_NAMES = tuple(attr for attr, _ in tracing.METRIC_CALLS)
 
 
 def test_every_traced_name_resolves_on_a_fresh_import():
@@ -751,6 +768,22 @@ def test_every_traced_name_resolves_on_a_fresh_import():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == []
+
+
+def test_every_traced_metric_name_resolves_on_a_fresh_import():
+    # Tracer.install also wraps mtprep.metrics.ter.sentence_ter by name
+    pairs = [("metrics", n) for n in TRACED_METRIC_NAMES] + [("ter", "sentence_ter")]
+    probe = (
+        "import sys, mtprep.metrics as metrics; "
+        "owners = {'metrics': metrics, 'ter': sys.modules['mtprep.metrics.ter']}; "
+        f"print(*[f'{{o}}.{{n}}' for o, n in {pairs!r} "
+        "if not callable(getattr(owners[o], n, None))])"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", probe], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert TRACED_METRIC_NAMES and proc.stdout.split() == []
 
 
 def test_commands_call_the_wrapper_set_on_the_module(corpus_file, monkeypatch, capsys):

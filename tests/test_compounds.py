@@ -186,6 +186,41 @@ def test_save_load_round_trip(tmp_path):
     assert load_compound_suffixes(path) == cset
 
 
+def test_inventory_rejects_what_a_saved_file_cannot_hold():
+    # "ka\t9\nzz" would load back as two members with their own counts
+    for member in ("", "ka\t9\nzz", "a b"):
+        with pytest.raises(ValueError, match="is not one token"):
+            CompoundSuffixSet({"na": 2, member: 1})
+
+
+def _builds(member):
+    try:
+        CompoundSuffixSet({member: 1})
+    except ValueError:
+        return False
+    return True
+
+
+# Lone surrogates have no UTF-8 form, so no file can hold them.
+member_st = st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=6)
+
+
+@settings(max_examples=150)
+@given(
+    st.dictionaries(
+        member_st.filter(_builds), st.integers(min_value=1, max_value=10**30), max_size=8
+    ),
+    st.integers(min_value=0, max_value=40),
+)
+def test_every_buildable_inventory_saves_and_loads_back_equal(
+    tmp_path_factory, counts, margin
+):
+    cset = CompoundSuffixSet(counts, margin)
+    path = tmp_path_factory.mktemp("comp") / "comp.tsv"
+    save_compound_suffixes(cset, path)
+    assert load_compound_suffixes(path) == cset
+
+
 def test_load_without_header_uses_default_margin(tmp_path):
     path = tmp_path / "comp.tsv"
     path.write_text("kaDuuna\t3\n", encoding="utf-8")

@@ -151,6 +151,17 @@ def test_mode_round_trips_through_value():
         assert Mode(mode.value) is mode
 
 
+def test_config_takes_a_mode_by_its_value():
+    # a string mode is the Mode it names, checked like one, never bl
+    with pytest.raises(ValueError, match="^mode ss requires a suffix list$"):
+        PipelineConfig(mode="ss")
+    corpus = [["daMtatajGYaaMkaDuuna", "mahinyaaMnii"]]
+    assert config("cs+ss").mode is Mode.CS_SS
+    assert preprocess(corpus, config("cs+ss")) == preprocess(corpus, config(Mode.CS_SS))
+    with pytest.raises(ValueError):
+        PipelineConfig(mode="xx")
+
+
 @settings(max_examples=50)
 @given(corpus_st)
 def test_concatenation_identity_all_modes(corpus):

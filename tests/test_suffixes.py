@@ -1,7 +1,7 @@
 """Suffix lists and longest-match suffix separation."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from mtprep.compounds import CompoundSuffixSet, split_compound
 from mtprep.pipeline import Mode, PipelineConfig, preprocess
@@ -80,6 +80,8 @@ def test_splitters_probe_no_tail_longer_than_their_longest_entry():
     ]
     assert counts.probes <= 2 * len("kaDuuna")
     assert split_compound(word, CompoundSuffixSet()) == [word]
+    assert CompoundSuffixSet().longest == 0
+    assert CompoundSuffixSet({"na": 2, "kaDuuna": 1}).longest == len("kaDuuna")
 
 
 def test_separation_prefers_longest_listed_suffix():
@@ -141,6 +143,40 @@ def test_save_load_round_trip(tmp_path):
     path = tmp_path / "suf.txt"
     save_suffix_list(sl, path)
     assert list(load_suffix_list(path)) == list(sl)
+
+
+@pytest.mark.parametrize("entry", ["x\ny", "a b", "#aa"])
+def test_list_rejects_what_a_saved_file_cannot_hold(entry):
+    # a line feed or space would load back as two suffixes, and a leading
+    # '#' as a comment
+    with pytest.raises(ValueError, match="not one token or starts with '#'"):
+        SuffixList(["ii", entry])
+
+
+def _builds(entry):
+    try:
+        SuffixList([entry])
+    except ValueError:
+        return False
+    return True
+
+
+# Lone surrogates have no UTF-8 form, so no file can hold them.
+entry_st = st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=6)
+
+
+@settings(max_examples=150)
+@given(st.lists(entry_st.filter(_builds), min_size=1, max_size=8))
+def test_every_buildable_list_saves_and_loads_back_equal(tmp_path_factory, entries):
+    sl = SuffixList(entries)
+    path = tmp_path_factory.mktemp("suf") / "suf.txt"
+    save_suffix_list(sl, path)
+    if sl.suffixes[0].startswith("\ufeff"):
+        # the file starts with a byte order mark, which every reader refuses
+        with pytest.raises(ValueError, match="byte order mark"):
+            load_suffix_list(path)
+    else:
+        assert load_suffix_list(path) == sl
 
 
 @given(word_st, suffixes_st)

@@ -192,8 +192,8 @@ def test_greedy_matches_dp_oracle(pair):
 )
 def test_greedy_matches_dp_oracle_on_sparse_alphabets(pair):
     # 4-8 token types: about a tenth of the candidate moves leave the
-    # edit-distance column as it was by the end of the moved span and are
-    # skipped there, the rest are scored over the unchanged tail
+    # edit-distance column as it was by the end of the moved span, so they
+    # end at the current distance and the bound drops them by the last token
     hyp, ref = pair
     result = sentence_ter(hyp, ref)
     assert (result.shifts, result.edits_after_shifts) == greedy_ter_oracle(hyp, ref)
@@ -266,6 +266,41 @@ def test_greedy_block_move_wider_than_one_word():
     hyp = ref[60:63] + ref[:60] + ref[63:]
     result = sentence_ter(hyp, ref)
     assert (result.shifts, result.edits_after_shifts) == (1, 0)
+
+
+def _long_low_entropy_pairs():
+    """Three seeded pairs longer than the other greedy tests': a 40-token
+    reference over 2 and over 4 token types with a shuffled copy as the
+    hypothesis, and a 100-token reference over 50 Zipf-weighted types with
+    four block moves and ten substitutions."""
+    rng = random.Random(17)
+    pairs = []
+    for alphabet in ("ab", "abcd"):
+        ref = rng.choices(alphabet, k=40)
+        pairs.append((rng.sample(ref, len(ref)), ref))
+    vocab = [f"w{k}" for k in range(50)]
+    weights = [1 / (k + 1) for k in range(50)]
+    ref = rng.choices(vocab, weights, k=100)
+    hyp = list(ref)
+    for _ in range(4):
+        length = rng.randint(2, 6)
+        i = rng.randrange(len(hyp) - length)
+        block = hyp[i : i + length]
+        del hyp[i : i + length]
+        j = rng.randrange(len(hyp) + 1)
+        hyp[j:j] = block
+    for _ in range(10):
+        hyp[rng.randrange(len(hyp))] = rng.choices(vocab, weights)[0]
+    pairs.append((hyp, ref))
+    return pairs
+
+
+def test_greedy_on_long_low_entropy_segments():
+    # the values greedy_ter_oracle gives; it takes 3-45 s a pair, so it is
+    # not run here
+    results = [sentence_ter(hyp, ref) for hyp, ref in _long_low_entropy_pairs()]
+    pinned = [(r.shifts, r.edits_after_shifts) for r in results]
+    assert pinned == [(4, 2), (6, 9), (8, 9)]
 
 
 def test_greedy_speed_floor():
