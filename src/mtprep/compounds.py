@@ -39,14 +39,20 @@ class CompoundSuffixSet:
     longest: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        counts = dict(self.counts)  # a copy: later edits to the caller's skip no check
+        if type(self.margin) is not int:  # saved as digits, only an int loads back equal
+            raise TypeError(f"margin must be an int, not {self.margin!r}")
         if self.margin < 0:
             raise ValueError("margin must be >= 0")
-        for member, count in self.counts.items():
+        for member, count in counts.items():
             if not is_token(member):
                 raise ValueError(f"compound suffix {member!r} is not one token")
+            if type(count) is not int:
+                raise TypeError(f"provenance count for {member!r} must be an int")
             if count < 1:
                 raise ValueError(f"provenance count for {member!r} must be >= 1")
-        object.__setattr__(self, "longest", max(map(len, self.counts), default=0))
+        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "longest", max(map(len, counts), default=0))
 
     @cached_property
     def ordered(self) -> tuple[str, ...]:

@@ -9,10 +9,9 @@ how many target words receive a clean one-to-one link each way.
 
 from __future__ import annotations
 
-import sys
 from collections import Counter
 from importlib import resources
-from typing import Callable, TextIO
+from typing import Callable
 
 from .aligner import Link, train_em, viterbi_align
 from .compounds import CompoundSuffixSet, load_compound_suffixes
@@ -46,11 +45,8 @@ def one_to_one_links(links: set[Link]) -> int:
     return sum(1 for i, _ in links if per_source[i] == 1)
 
 
-def run_demo(out: TextIO | None = None) -> None:
-    """Print the before/after token rows and one-to-one link counts."""
-    # resolve stdout at call time so stream redirection works
-    if out is None:
-        out = sys.stdout
+def run_demo() -> None:
+    """Print the before/after token rows and one-to-one link counts to stdout."""
     suffixes, compounds, src, tgt = load_demo_fixtures()
     config = PipelineConfig(
         mode=Mode.CS_SS, suffix_list=suffixes, compound_set=compounds
@@ -62,19 +58,17 @@ def run_demo(out: TextIO | None = None) -> None:
     fused_links = viterbi_align(src[0], tgt[0], fused_table)
     split_links = viterbi_align(split_src[0], tgt[0], split_table)
 
-    print("source (fused):", file=out)
-    print(" ".join(src[0]), file=out)
-    print("source (split):", file=out)
-    print(" ".join(split_src[0]), file=out)
-    print("target:", file=out)
-    print(" ".join(tgt[0]), file=out)
+    print("source (fused):")
+    print(" ".join(src[0]))
+    print("source (split):")
+    print(" ".join(split_src[0]))
+    print("target:")
+    print(" ".join(tgt[0]))
     print(
         f"one-to-one links (fused): {one_to_one_links(fused_links)}"
-        f" of {len(tgt[0])} target words",
-        file=out,
+        f" of {len(tgt[0])} target words"
     )
     print(
         f"one-to-one links (split): {one_to_one_links(split_links)}"
-        f" of {len(tgt[0])} target words",
-        file=out,
+        f" of {len(tgt[0])} target words"
     )

@@ -33,9 +33,11 @@ def mark_pieces(pieces: list[str], marker: str | None) -> list[str]:
 def join_marked(tokens: list[str], marker: str) -> list[str]:
     """Merge marker-bearing tokens with their successors.
 
-    Raises ValueError if a sentence ends while a join is still pending
-    (a dangling marker).
+    Raises ValueError if the marker is None or not one token, or a
+    sentence ends with a join pending (a dangling marker).
     """
+    if marker is None:
+        raise ValueError("join_marked needs a marker")
     check_marker(marker)
     joined: list[str] = []
     pending = ""

@@ -82,10 +82,10 @@ class EvalReport:
 
 def evaluate(hyps: Corpus, refs: Corpus) -> EvalReport:
     """Run all three metrics on one hypothesis/reference corpus pair; BLEU
-    (orders 1-4) and NIST (orders 1-5) share one n-gram statistics pass."""
-    stats = ngram_statistics(hyps, refs, 5)
+    and NIST share one n-gram statistics pass."""
+    stats = ngram_statistics(hyps, refs)
     return EvalReport(
-        bleu_detail=bleu_from_statistics(stats, 4),
+        bleu_detail=bleu_from_statistics(stats),
         nist_detail=nist_from_statistics(stats),
         ter_detail=ter(hyps, refs),
     )

@@ -9,6 +9,8 @@ from dataclasses import dataclass
 from ..corpus import Corpus
 from .common import NgramStatistics, ngram_statistics
 
+BLEU_ORDER = 4  # orders 1 to 4, as in Papineni et al. 2002
+
 
 @dataclass(frozen=True)
 class BleuScore:
@@ -27,7 +29,7 @@ class BleuScore:
         return 100.0 * self.score
 
 
-def bleu(hyps: Corpus, refs: Corpus, max_n: int = 4) -> BleuScore:
+def bleu(hyps: Corpus, refs: Corpus) -> BleuScore:
     """Score a hypothesis corpus against a parallel reference corpus.
 
     Clipping is per segment against its single reference.  No smoothing:
@@ -35,17 +37,15 @@ def bleu(hyps: Corpus, refs: Corpus, max_n: int = 4) -> BleuScore:
     the whole score 0.  Orders beyond every hypothesis length contribute a
     neutral factor (only reachable on tiny test corpora).
     """
-    return bleu_from_statistics(ngram_statistics(hyps, refs, max_n), max_n)
+    return bleu_from_statistics(ngram_statistics(hyps, refs))
 
 
-def bleu_from_statistics(stats: NgramStatistics, max_n: int) -> BleuScore:
-    """BLEU from orders 1 to max_n of statistics counted up to max_n or
-    beyond (evaluate counts once up to NIST's order for both metrics)."""
-    if not 1 <= max_n <= len(stats.totals):
-        raise ValueError(f"max_n must be in 1..{len(stats.totals)}")
+def bleu_from_statistics(stats: NgramStatistics) -> BleuScore:
+    """BLEU from orders 1 to BLEU_ORDER of the statistics, which are
+    counted to NIST's order so that evaluate counts once for both."""
     hyp_length, ref_length = stats.hyp_length, stats.ref_length
-    totals = stats.totals[:max_n]
-    matches = tuple(sum(c.total() for c in order) for order in stats.clipped[:max_n])
+    totals = stats.totals[:BLEU_ORDER]
+    matches = tuple(sum(c.total() for c in order) for order in stats.clipped[:BLEU_ORDER])
     precisions = tuple(m / t if t else 1.0 for m, t in zip(matches, totals))
     if hyp_length > ref_length:
         bp = 1.0
@@ -57,7 +57,7 @@ def bleu_from_statistics(stats: NgramStatistics, max_n: int) -> BleuScore:
         log_sum = 0.0  # a loop, not sum(): sum() compensates from Python 3.12 on
         for p in precisions:
             log_sum += math.log(p)
-        score = bp * math.exp(log_sum / max_n)
+        score = bp * math.exp(log_sum / BLEU_ORDER)
     return BleuScore(
         score=score,
         precisions=precisions,

@@ -8,6 +8,8 @@ from typing import Sequence
 
 Ngram = tuple[str, ...]
 
+NIST_ORDER = 5  # as in Doddington 2002; BLEU's orders 1 to 4 are a prefix
+
 
 def ngram_counts(tokens: Sequence[str], n: int) -> Counter[Ngram]:
     """Multiset of the order-n n-grams of a token sequence."""
@@ -31,11 +33,11 @@ def validate_corpora(hyps: Sequence[Sequence[str]], refs: Sequence[Sequence[str]
 class NgramStatistics:
     """What BLEU and NIST read from one hypothesis/reference corpus pair.
 
-    clipped[n - 1][k] is segment k's order-n hypothesis n-gram counts
-    clipped to its own reference's counts, in the hypothesis n-grams'
-    order (unmatched n-grams are absent); totals[n - 1] is the number of
-    order-n hypothesis n-grams; ref_counts counts every reference n-gram
-    of orders 1 to max_n over the whole corpus.
+    Orders run from 1 to NIST_ORDER.  clipped[n - 1][k] is segment k's
+    order-n hypothesis n-gram counts clipped to its own reference's counts,
+    in the hypothesis n-grams' order (unmatched n-grams are absent);
+    totals[n - 1] is the number of order-n hypothesis n-grams; ref_counts
+    counts every reference n-gram of those orders over the whole corpus.
     """
 
     clipped: tuple[tuple[Counter[Ngram], ...], ...]
@@ -46,22 +48,20 @@ class NgramStatistics:
 
 
 def ngram_statistics(
-    hyps: Sequence[Sequence[str]], refs: Sequence[Sequence[str]], max_n: int
+    hyps: Sequence[Sequence[str]], refs: Sequence[Sequence[str]]
 ) -> NgramStatistics:
     """Check the preconditions of the n-gram metrics (those of
-    validate_corpora, max_n >= 1 and at least one hypothesis token), then
-    count in one pass, building each segment's reference counts once per
-    order."""
+    validate_corpora and at least one hypothesis token), then count orders
+    1 to NIST_ORDER in one pass, building each segment's reference counts
+    once per order."""
     validate_corpora(hyps, refs)
-    if max_n < 1:
-        raise ValueError("max_n must be >= 1")
     hyp_length = sum(len(h) for h in hyps)
     if hyp_length == 0:
         raise ValueError("hypothesis corpus has no tokens")
     ref_counts: Counter[Ngram] = Counter()
     clipped = []
     totals = []
-    for n in range(1, max_n + 1):
+    for n in range(1, NIST_ORDER + 1):
         order = []
         for hyp, ref in zip(hyps, refs):
             ref_ngrams = ngram_counts(ref, n)

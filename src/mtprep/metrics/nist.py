@@ -41,19 +41,19 @@ def information(gram: Ngram, ref_counts: Counter[Ngram], ref_length: int) -> flo
     return math.log2(prefix / ref_counts[gram])
 
 
-def nist(hyps: Corpus, refs: Corpus, max_n: int = 5) -> NistScore:
+def nist(hyps: Corpus, refs: Corpus) -> NistScore:
     """Score a hypothesis corpus against a parallel reference corpus.
 
-    Each order contributes (sum of info over clipped matches) divided by
-    the number of hypothesis n-grams of that order; orders with no
-    hypothesis n-grams contribute 0.  Matching is per segment against its
+    Each order from 1 to NIST_ORDER contributes (sum of info over clipped
+    matches) divided by the number of hypothesis n-grams of that order;
+    orders with no hypothesis n-grams contribute 0.  Matching is per segment against its
     own reference, info weights come from the whole reference corpus.
     """
-    return nist_from_statistics(ngram_statistics(hyps, refs, max_n))
+    return nist_from_statistics(ngram_statistics(hyps, refs))
 
 
 def nist_from_statistics(stats: NgramStatistics) -> NistScore:
-    """NIST over every order the statistics were counted to."""
+    """NIST over every order the statistics hold (1 to NIST_ORDER)."""
     hyp_length, ref_length = stats.hyp_length, stats.ref_length
     per_order = []
     score = 0.0  # added up here, not by sum(), as in bleu_from_statistics

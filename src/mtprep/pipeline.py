@@ -91,20 +91,16 @@ def preprocess(corpus: Corpus, config: PipelineConfig) -> Corpus:
             )
         tokens: list[str] = []
         for t, word in enumerate(sentence):
-            nnp = sentence_tags is not None and sentence_tags[t] == NNP_TAG
-            pieces = None if nnp else cache.get(word)
+            if marker is not None and marker in word:
+                raise ValueError(
+                    f"sentence {k + 1}: input token {word!r} contains "
+                    f"the marker {marker!r}"
+                )
+            if sentence_tags is not None and sentence_tags[t] == NNP_TAG:
+                tokens.append(word)
+                continue
+            pieces = cache.get(word)
             if pieces is None:
-                # NNP tokens and cache misses reach here.  A token holding
-                # the marker is never cached, so its first occurrence
-                # raises, as a check on every token would.
-                if marker is not None and marker in word:
-                    raise ValueError(
-                        f"sentence {k + 1}: input token {word!r} contains "
-                        f"the marker {marker!r}"
-                    )
-                if nnp:
-                    tokens.append(word)
-                    continue
                 pieces = cache[word] = mark_pieces(token_pieces(word, config), marker)
             tokens.extend(pieces)
         result.append(tokens)

@@ -44,6 +44,8 @@ class SuffixList:
     longest: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        if isinstance(self.suffixes, str):  # would list its characters
+            raise TypeError("suffixes must be a collection of strings, not a str")
         for s in self.suffixes:
             if not is_token(s) or s.startswith("#"):
                 raise ValueError(f"suffix {s!r} is not one token or starts with '#'")

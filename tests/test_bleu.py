@@ -94,18 +94,13 @@ def test_rejects_empty_reference_sentence():
         bleu([["a"], ["b"]], [["a"], []])
 
 
-def test_rejects_bad_max_n():
-    with pytest.raises(ValueError):
-        bleu(HYPS, REFS, max_n=0)
-
-
 @settings(max_examples=150)
 @given(pair_st)
 def test_matches_oracle(pairs):
     hyps = [h for h, _ in pairs]
     refs = [r for _, r in pairs]
     # exact: the implementation sums in the oracle's order, and dividing
-    # by max_n = 4 scales without rounding
+    # by BLEU_ORDER = 4 scales without rounding
     assert bleu(hyps, refs).score == bleu_oracle(hyps, refs)
 
 

@@ -193,6 +193,28 @@ def test_inventory_rejects_what_a_saved_file_cannot_hold():
             CompoundSuffixSet({"na": 2, member: 1})
 
 
+@pytest.mark.parametrize("member", ["xxxxxxxxna", "a b"])
+def test_inventory_keeps_its_own_copy_of_the_counts(member):
+    # a member added to the caller's dict later would skip the token check
+    # and be longer than the longest the inventory computed
+    counts = {"na": 1}
+    cset = CompoundSuffixSet(counts)
+    counts[member] = 1
+    assert member not in cset
+    assert list(cset) == ["na"]
+    assert cset.counts == {"na": 1}
+
+
+@pytest.mark.parametrize(
+    "counts, margin",
+    [({"ab": 2.5}, 5), ({"ab": True}, 5), ({"ab": 1}, 1.5), ({"ab": 1}, True)],
+)
+def test_inventory_rejects_counts_and_margins_that_are_not_ints(counts, margin):
+    # a saved 2.5, True or "# margin=1.5" is refused by the loader
+    with pytest.raises(TypeError, match="must be an int"):
+        CompoundSuffixSet(counts, margin)
+
+
 def _builds(member):
     try:
         CompoundSuffixSet({member: 1})

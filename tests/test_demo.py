@@ -1,7 +1,12 @@
 """Bundled demo corpus and the before/after alignment printout."""
 
 import io
+import sys
 import time
+from contextlib import redirect_stdout
+from pathlib import Path
+
+import pytest
 
 from mtprep.demo import load_demo_fixtures, one_to_one_links, run_demo
 
@@ -19,7 +24,8 @@ def test_fixtures_load_and_are_parallel():
 
 def test_demo_output_shape():
     buf = io.StringIO()
-    run_demo(out=buf)
+    with redirect_stdout(buf):
+        run_demo()
     lines = buf.getvalue().splitlines()
     assert lines[0] == "source (fused):"
     assert lines[2] == "source (split):"
@@ -31,7 +37,8 @@ def test_demo_output_shape():
 
 def test_splitting_raises_one_to_one_links():
     buf = io.StringIO()
-    run_demo(out=buf)
+    with redirect_stdout(buf):
+        run_demo()
     lines = buf.getvalue().splitlines()
     fused = int(lines[6].split(":")[1].split()[0])
     split = int(lines[7].split(":")[1].split()[0])
@@ -44,7 +51,8 @@ def test_splitting_raises_one_to_one_links():
 
 def test_demo_is_fast():
     start = time.perf_counter()
-    run_demo(out=io.StringIO())
+    with redirect_stdout(io.StringIO()):
+        run_demo()
     assert time.perf_counter() - start < 1.0
 
 
@@ -52,3 +60,22 @@ def test_one_to_one_counting():
     # source 0 links twice, sources 1 and 2 once each
     links = {(0, 0), (0, 1), (1, 2), (2, 3)}
     assert one_to_one_links(links) == 2
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib is new in 3.11")
+def test_every_data_file_is_package_data():
+    # a file no glob matches is left out of an installed package, and the
+    # installed demo-table2 then cannot find its fixtures
+    import tomllib
+
+    root = Path(__file__).resolve().parent.parent
+    pyproject = tomllib.loads((root / "pyproject.toml").read_text(encoding="utf-8"))
+    globs = pyproject["tool"]["setuptools"]["package-data"]["mtprep"]
+    package = root / "src" / "mtprep"
+    files = [
+        path.relative_to(package)
+        for path in (package / "data").rglob("*")
+        if path.is_file()
+    ]
+    assert files
+    assert [f for f in files if not any(f.match(g) for g in globs)] == []

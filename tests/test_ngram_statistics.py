@@ -7,8 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mtprep.metrics import bleu, evaluate, nist
-from mtprep.metrics.bleu import bleu_from_statistics
-from mtprep.metrics.common import ngram_statistics
+from mtprep.metrics.common import NIST_ORDER, ngram_statistics
 
 token_st = st.sampled_from("ab")
 pair_st = st.lists(
@@ -23,12 +22,13 @@ def grams(tokens, n):
 
 
 @settings(max_examples=100)
-@given(pair_st.filter(lambda pairs: any(h for h, _ in pairs)), st.integers(1, 6))
-def test_statistics_match_brute_force(pairs, max_n):
+@given(pair_st.filter(lambda pairs: any(h for h, _ in pairs)))
+def test_statistics_match_brute_force(pairs):
     hyps = [h for h, _ in pairs]
     refs = [r for _, r in pairs]
-    stats = ngram_statistics(hyps, refs, max_n)
-    assert len(stats.clipped) == len(stats.totals) == max_n
+    stats = ngram_statistics(hyps, refs)
+    assert NIST_ORDER == 5
+    assert len(stats.clipped) == len(stats.totals) == NIST_ORDER
     for n, order in enumerate(stats.clipped, 1):
         assert len(order) == len(pairs)
         for clipped, hyp, ref in zip(order, hyps, refs):
@@ -43,26 +43,25 @@ def test_statistics_match_brute_force(pairs, max_n):
             assert list(clipped.items()) == list(expected.items())
         assert stats.totals[n - 1] == sum(len(grams(h, n)) for h in hyps)
     assert stats.ref_counts == Counter(
-        g for ref in refs for n in range(1, max_n + 1) for g in grams(ref, n)
+        g for ref in refs for n in range(1, NIST_ORDER + 1) for g in grams(ref, n)
     )
     assert stats.hyp_length == sum(map(len, hyps))
     assert stats.ref_length == sum(map(len, refs))
 
 
 @pytest.mark.parametrize(
-    "hyps, refs, max_n, message",
+    "hyps, refs, message",
     [
-        # corpus checks come first, then max_n, then the token count
-        ([[]], [["a"], ["b"]], 0, "1 sentences, reference has 2"),
-        ([], [], 0, "empty corpus"),
-        ([[]], [[]], 0, "reference sentence 1 is empty"),
-        ([[]], [["a"]], 0, "max_n must be >= 1"),
-        ([[]], [["a"]], 1, "no tokens"),
+        # corpus checks come first, then the token count
+        ([[]], [["a"], ["b"]], "1 sentences, reference has 2"),
+        ([], [], "empty corpus"),
+        ([[]], [[]], "reference sentence 1 is empty"),
+        ([[]], [["a"]], "no tokens"),
     ],
 )
-def test_checks_run_in_order(hyps, refs, max_n, message):
+def test_checks_run_in_order(hyps, refs, message):
     with pytest.raises(ValueError, match=message):
-        ngram_statistics(hyps, refs, max_n)
+        ngram_statistics(hyps, refs)
 
 
 @settings(max_examples=100)
@@ -74,13 +73,6 @@ def test_evaluate_shares_one_pass_with_unchanged_scores(pairs):
     report = evaluate(hyps, refs)
     assert repr(report.bleu_detail) == repr(bleu(hyps, refs))
     assert repr(report.nist_detail) == repr(nist(hyps, refs))
-
-
-@pytest.mark.parametrize("max_n", [0, 4])
-def test_bleu_reads_only_counted_orders(max_n):
-    stats = ngram_statistics([["a", "b"]], [["a", "b"]], 3)
-    with pytest.raises(ValueError, match=r"max_n must be in 1\.\.3"):
-        bleu_from_statistics(stats, max_n)
 
 
 @pytest.mark.parametrize(

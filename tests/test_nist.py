@@ -62,32 +62,32 @@ def test_no_penalty_for_long_hypotheses():
     assert result.brevity == 1.0
 
 
-def info_weights(refs, max_n):
+def info_weights(refs):
     """The info weight of any n-gram of the reference corpus refs."""
-    stats = ngram_statistics(refs, refs, max_n)
+    stats = ngram_statistics(refs, refs)
     return lambda gram: information(gram, stats.ref_counts, stats.ref_length)
 
 
 def test_unigram_information_uses_corpus_word_count():
-    info = info_weights([["a", "a", "b", "c"]], max_n=1)
+    info = info_weights([["a", "a", "b", "c"]])
     # four reference words, "a" appears twice: info = log2(4/2)
     assert info(("a",)) == pytest.approx(1.0)
     assert info(("b",)) == pytest.approx(2.0)
 
 
 def test_bigram_information_conditions_on_prefix():
-    info = info_weights([["a", "b", "a", "c"]], max_n=2)
+    info = info_weights([["a", "b", "a", "c"]])
     # prefix "a" occurs twice, continuation "a b" once: log2(2/1)
     assert info(("a", "b")) == pytest.approx(1.0)
 
 
 def test_repeating_the_reference_corpus_keeps_every_weight():
     refs = [["a", "b"], ["a", "c"], ["d"]]
-    once, twice = info_weights(refs, 2), info_weights(refs + refs, 2)
+    once, twice = info_weights(refs), info_weights(refs + refs)
     for gram in [("a",), ("d",), ("a", "b"), ("a", "c")]:
         assert twice(gram) == once(gram)
     # repeating one sentence shifts the proportions: "a b" is now 2 of 3 "a"
-    assert info_weights(refs + refs[:1], 2)(("a", "b")) == pytest.approx(math.log2(3 / 2))
+    assert info_weights(refs + refs[:1])(("a", "b")) == pytest.approx(math.log2(3 / 2))
 
 
 def test_per_order_detail_shape():

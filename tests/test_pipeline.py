@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 import mtprep.pipeline as pipeline
 from mtprep.compounds import CompoundSuffixSet, induce_compound_suffixes
+from mtprep.markers import join_marked
 from mtprep.pipeline import Mode, PipelineConfig, preprocess, reconstruct, token_pieces
 from mtprep.suffixes import SuffixList
 
@@ -77,6 +78,11 @@ def test_reconstruct_round_trip():
 def test_reconstruct_rejects_a_marker_that_is_not_one_token(corpus, marker):
     with pytest.raises(ValueError):
         reconstruct(corpus, marker)
+
+
+def test_join_marked_needs_a_marker():
+    with pytest.raises(ValueError, match="needs a marker"):
+        join_marked(["mahiny@@", "aaMnii"], None)
 
 
 def test_proper_noun_tokens_pass_through():

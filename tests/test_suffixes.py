@@ -44,6 +44,12 @@ def test_list_deduplicates():
     assert len(sl) == 2
 
 
+def test_list_rejects_a_bare_string():
+    # iterating "aaMnii" would list its characters as suffixes
+    with pytest.raises(TypeError, match="not a str"):
+        SuffixList("aaMnii")
+
+
 def test_list_rejects_empty_suffix():
     with pytest.raises(ValueError):
         SuffixList(["aa", ""])
@@ -74,10 +80,10 @@ def test_splitters_probe_no_tail_longer_than_their_longest_entry():
     assert separate_suffix(word + "ii", sl) == Split(word, "ii")
     assert members.probes <= 2 * len("aaMnii")
     assert SuffixList().longest == 0
-    counts = CountingDict({"kaDuuna": 3, "na": 1})
-    assert split_compound(word + "kaDuuna", CompoundSuffixSet(counts)) == [
-        word, "kaDuuna"
-    ]
+    cset = CompoundSuffixSet({"kaDuuna": 3, "na": 1})
+    counts = CountingDict(cset.counts)
+    object.__setattr__(cset, "counts", counts)  # count split_compound's lookups
+    assert split_compound(word + "kaDuuna", cset) == [word, "kaDuuna"]
     assert counts.probes <= 2 * len("kaDuuna")
     assert split_compound(word, CompoundSuffixSet()) == [word]
     assert CompoundSuffixSet().longest == 0

@@ -69,7 +69,7 @@ def test_gold_links_index_into_sentences():
 
 
 def test_splitting_improves_alignment_f1():
-    fused_f1, split_f1 = alignment_improvement(BENCH, iterations=5)
+    fused_f1, split_f1 = alignment_improvement(BENCH)
     assert split_f1 > fused_f1
     assert 0.0 <= fused_f1 <= 1.0
     assert split_f1 <= 1.0
