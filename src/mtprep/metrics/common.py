@@ -12,8 +12,9 @@ NIST_ORDER = 5  # as in Doddington 2002; BLEU's orders 1 to 4 are a prefix
 
 
 def ngram_counts(tokens: Sequence[str], n: int) -> Counter[Ngram]:
-    """Multiset of the order-n n-grams of a token sequence."""
-    return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+    """Multiset of the order-n n-grams of a token sequence, n >= 1, in the
+    order of their first occurrence; zip builds each n-gram in C."""
+    return Counter(zip(*[tokens[k:] for k in range(n)]))
 
 
 def validate_corpora(hyps: Sequence[Sequence[str]], refs: Sequence[Sequence[str]]) -> None:
@@ -52,8 +53,10 @@ def ngram_statistics(
 ) -> NgramStatistics:
     """Check the preconditions of the n-gram metrics (those of
     validate_corpora and at least one hypothesis token), then count orders
-    1 to NIST_ORDER in one pass, building each segment's reference counts
-    once per order."""
+    1 to NIST_ORDER in one pass.  Each segment's order-n reference n-grams
+    are listed once and feed both the corpus counts and the segment's own
+    counts; Counter counts an iterable in C, but updates from a mapping in
+    a Python loop."""
     validate_corpora(hyps, refs)
     hyp_length = sum(len(h) for h in hyps)
     if hyp_length == 0:
@@ -64,9 +67,9 @@ def ngram_statistics(
     for n in range(1, NIST_ORDER + 1):
         order = []
         for hyp, ref in zip(hyps, refs):
-            ref_ngrams = ngram_counts(ref, n)
+            ref_ngrams = list(zip(*[ref[k:] for k in range(n)]))
             ref_counts.update(ref_ngrams)
-            order.append(ngram_counts(hyp, n) & ref_ngrams)
+            order.append(ngram_counts(hyp, n) & Counter(ref_ngrams))
         clipped.append(tuple(order))
         totals.append(sum(max(len(h) - n + 1, 0) for h in hyps))
     return NgramStatistics(

@@ -10,14 +10,17 @@ smallest (block start, landing position, block length), scanned in that
 lexicographic order.  Greedy can over-count by a shift or two in rare
 interleaved-block cases, which is why short sentences get exact search.
 
-Edit distances are computed bit-parallel (Myers 1999, Hyyrö 2003) over
-match masks built once per segment.  Moves are enumerated from the reference
-positions that hold each hypothesis token.  A greedy step stores _columns,
-the column before every position of the current hypothesis, and scores each
-candidate from the stored column at its first changed position without
-building it.  A candidate is dropped once a lower bound on its final
-distance, from its column so far and the distance of the unchanged rest
-(Hirschberg's 1975 split at a fixed position; _columns of the reversed
+Edit distances are computed bit-parallel (Myers 1999, Hyyrö 2003) over match
+masks built once per segment.  Moves are enumerated from the reference
+positions that hold each hypothesis token, also listed once per segment.
+Greedy search keeps _columns, the column before every position of the
+current hypothesis, and scores each candidate from the stored column at its
+first changed position without building it.  A shift changes only the
+positions it rotates, so the columns before them, and the reversed
+sentences' columns of the suffix after them, carry over to the next step;
+both passes resume from there.  A candidate is dropped once a lower bound on
+its final distance, from its column so far and the distance of the unchanged
+rest (Hirschberg's 1975 split at a fixed position; _columns of the reversed
 sentences), reaches the step's best.  It can then at best tie, and only a
 strictly better score replaces the best, so the winner is that of scoring
 every candidate in full; only it is built.  The scores are identical to
@@ -49,9 +52,13 @@ def _match_masks(ref: Sentence) -> dict[str, int]:
     return masks
 
 
-def _columns(eqs: Iterable[int], full: int, top: int) -> list[Column]:
-    """Edit-distance columns over hypothesis tokens: the empty prefix's,
-    then the one after each token.
+def _columns(
+    eqs: Iterable[int], full: int, top: int, start: Column | None = None
+) -> list[Column]:
+    """Edit-distance columns over hypothesis tokens: start, then the one
+    after each token.  start defaults to the empty prefix's column; any
+    other column resumes a pass, so columns after the first k tokens can
+    be extended without scanning those k again.
 
     Bit-parallel over Python ints (Myers 1999, in Hyyrö's 2003 form): a
     column (VP, VN, score) holds the +1/-1 vertical deltas of one DP column,
@@ -61,8 +68,10 @@ def _columns(eqs: Iterable[int], full: int, top: int) -> list[Column]:
     reference's bits (full); VN stays within them because it is an AND with
     eq | vn.  top is the bit of the last reference row.
     """
-    vp, vn, score = full, 0, top.bit_length()
-    columns = [(vp, vn, score)]
+    if start is None:
+        start = (full, 0, top.bit_length())
+    vp, vn, score = start
+    columns = [start]
     for eq in eqs:
         xv = eq | vn
         xh = (((eq & vp) + vp) ^ vp) | eq
@@ -119,18 +128,24 @@ class TerScore:
     sentences: tuple[SentenceTer, ...]
 
 
-def _moves(hyp: Sentence, ref: Sentence):
+def _positions(ref: Sentence) -> dict[str, list[int]]:
+    """The reference positions holding each token, in increasing order."""
+    positions: dict[str, list[int]] = {}
+    for j, tok in enumerate(ref):
+        positions.setdefault(tok, []).append(j)
+    return positions
+
+
+def _moves(hyp: Sentence, ref: Sentence, positions: dict[str, list[int]]):
     """Legal shifts (i, j, length) of hyp against ref, in that lexicographic
     order.
 
     The block hyp[i:i+length] must match ref[j:j+length] and must not
     already start at j; the move deletes the block and reinserts it at
     position j of what remains (at its end when j is past it).  For each
-    block start i only the reference positions holding hyp[i] are tried.
+    block start i only the reference positions holding hyp[i] are tried;
+    positions is _positions(ref), built once per segment.
     """
-    positions: dict[str, list[int]] = {}
-    for j, tok in enumerate(ref):
-        positions.setdefault(tok, []).append(j)
     n, m = len(hyp), len(ref)
     for i, tok in enumerate(hyp):
         for j in positions.get(tok, ()):
@@ -159,6 +174,7 @@ def _exact_ter(hyp: Sentence, ref: Sentence) -> SentenceTer:
     d < current best total, since each shift already costs 1.
     """
     masks, ref_length = _match_masks(ref), len(ref)
+    positions = _positions(ref)
     best_shifts, best_edits = 0, _distance(hyp, masks, ref_length)
     layer = [tuple(hyp)]
     seen = {tuple(hyp)}
@@ -167,7 +183,7 @@ def _exact_ter(hyp: Sentence, ref: Sentence) -> SentenceTer:
         depth += 1
         grown = []
         for state in layer:
-            for i, j, length in _moves(state, ref):
+            for i, j, length in _moves(state, ref, positions):
                 key = _shift(state, i, j, length)
                 if key in seen:
                     continue
@@ -207,57 +223,66 @@ def _greedy_ter(hyp: Sentence, ref: Sentence) -> SentenceTer:
     """One best-gain shift at a time until no shift strictly helps.
 
     A move (i, j, length) from _moves changes the current hypothesis only
-    from lo = min(i, j) up to hi = max(i, j) + length (capped at its
-    length), so the step stores its _columns, one before each position, and
-    a candidate resumes from the one at lo over its rearranged span, then
-    over the unchanged tail.  With m the reference length and D(x) the
-    distance from x to the reference, a candidate whose column after
-    position k >= hi has last row s ends at least at s - slack[k], where
-    slack[k] = m - D(current[k:]): adjacent cells of a column differ by at
-    most 1, and D(t, ref[r:]) >= D(t) - r.  Each span token still to scan
-    can lower s by at most 1 more.  _columns of the reversed sentences
-    fills slack, and _scan_below drops a candidate once s reaches
-    best_edits + slack[k] (plus those span tokens).  A dropped candidate
-    can at best tie; only a strictly better score replaces the best, so
-    ties, repeats included, go as in scoring every candidate in full.  A
-    step ends early once a candidate reaches the sentences' length
-    difference, which no later candidate can beat, and none starts there.
+    from lo = min(i, j) up to hi = max(i, j) + length (capped at its length
+    n), so the search stores _columns, one before each position, and a
+    candidate resumes from the one at lo over its rearranged span, then over
+    the unchanged tail.  The same holds for the shift a step applies: the
+    columns up to lo stay and the rest resume from the one at lo; the
+    reversed pass keeps its columns over current[hi:] and resumes from the
+    one after them; the match masks are moved as the tokens are.  With m the
+    reference length and D(x) the distance from x to the reference, a
+    candidate whose column after position k >= hi has last row s ends at
+    least at s - slack[k], where slack[k] = m - D(current[k:]): adjacent
+    cells of a column differ by at most 1, and D(t, ref[r:]) >= D(t) - r.
+    Each span token still to scan can lower s by at most 1 more.  _columns
+    of the reversed sentences fills slack, and _scan_below drops a candidate
+    once s reaches best_edits + slack[k] (plus those span tokens).  The
+    first check, at k = lo, reads only the stored column, so the span is
+    built after it.  A dropped candidate can at best tie; only a strictly
+    better score replaces the best, so ties, repeats included, go as in
+    scoring every candidate in full.  A step ends early once a candidate
+    reaches the sentences' length difference, which no later candidate can
+    beat, and none starts there.
     """
     masks, ref_length = _match_masks(ref), len(ref)
     back = _match_masks(ref[::-1]).get
+    positions = _positions(ref)
     full = (1 << ref_length) - 1
     top = 1 << (ref_length - 1)
     get = masks.get
     current = list(hyp)
-    edits = _distance(current, masks, ref_length)
-    shifts = 0
     n = len(current)
+    eqs = [get(tok, 0) for tok in current]
+    # back_eqs[k] matches current[k] against the reversed reference
+    back_eqs = [back(tok, 0) for tok in current]
+    columns = _columns(eqs, full, top)
+    # backward[t]: the column after the last t tokens, over reversed sentences
+    backward = _columns(reversed(back_eqs), full, top)
+    edits = columns[-1][2]
+    shifts = 0
     # No permutation of the hypothesis is closer to the reference than the
     # difference of their lengths.
     floor = abs(n - ref_length)
     while edits > floor:
-        eqs = [get(tok, 0) for tok in current]
-        columns = _columns(eqs, full, top)
-        # slack[k] = m - D(current[k:]), over the reversed sentences
-        backward = _columns([back(tok, 0) for tok in reversed(current)], full, top)
+        # slack[k] = m - D(current[k:])
         slack = [ref_length - column[2] for column in reversed(backward)]
         best = None
         best_edits = edits
         cut = [edits + s for s in slack]
-        for i, j, length in _moves(current, ref):
+        for i, j, length in _moves(current, ref, positions):
             end = i + length
+            # the move rotates current[lo:hi] so that current[mid:hi] leads
             if j < i:
                 # the block lands earlier, before current[j:i]
-                lo, hi = j, end
-                span = eqs[i:end] + eqs[j:i]
+                lo, mid, hi = j, i, end
             else:
                 # current[end:hi] moves up and the block lands after it
-                lo, hi = i, min(j + length, n)
-                span = eqs[end:hi] + eqs[i:end]
+                lo, mid, hi = i, end, min(j + length, n)
             # each span token still to scan can lower the last row by 1 at most
             limit = cut[hi] + hi - lo
             if columns[lo][2] >= limit:
                 continue
+            span = eqs[mid:hi] + eqs[lo:mid]
             bounds = range(limit - 1, cut[hi] - 1, -1)
             state = _scan_below(columns[lo], span, bounds, full, top)
             if state is None:
@@ -266,13 +291,22 @@ def _greedy_ter(hyp: Sentence, ref: Sentence) -> SentenceTer:
             if state is None:
                 continue
             best_edits = state[2]
-            best = (i, j, length)
+            best = (i, j, length), lo, hi
             if best_edits == floor:
                 break
             cut = [best_edits + s for s in slack]
         if best is None:
             break
-        current = _shift(current, *best)
+        # only current[lo:hi] changed: keep the columns before lo and the
+        # backward columns of current[hi:], and resume both passes from there
+        move, lo, hi = best
+        current = _shift(current, *move)
+        eqs = _shift(eqs, *move)
+        back_eqs = _shift(back_eqs, *move)
+        columns = columns[:lo] + _columns(eqs[lo:], full, top, columns[lo])
+        backward = backward[: n - hi] + _columns(
+            back_eqs[hi - 1 :: -1], full, top, backward[n - hi]
+        )
         edits = best_edits
         shifts += 1
     return SentenceTer(shifts=shifts, edits_after_shifts=edits, ref_length=ref_length)

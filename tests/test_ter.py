@@ -5,12 +5,16 @@ import time
 from functools import partial
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from mtprep.metrics.ter import (
     EXACT_SEARCH_LIMIT,
     SentenceTer,
+    _columns,
+    _greedy_ter,
+    _match_masks,
     _moves,
+    _positions,
     edit_distance,
     sentence_ter,
     ter,
@@ -80,7 +84,7 @@ def test_moves_match_every_pair_enumeration(pair):
     # sides of different lengths include blocks whose landing position j is
     # past the end of what remains of the hypothesis
     hyp, ref = pair
-    assert list(_moves(hyp, ref)) == shift_candidates(hyp, ref)
+    assert list(_moves(hyp, ref, _positions(ref))) == shift_candidates(hyp, ref)
 
 
 # --- single sentences --------------------------------------------------------
@@ -257,6 +261,70 @@ def test_greedy_matches_dp_oracle_on_edited_references(pair):
     hyp, ref = pair
     result = sentence_ter(hyp, ref)
     assert (result.shifts, result.edits_after_shifts) == greedy_ter_oracle(hyp, ref)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(token_st, max_size=80), st.lists(token_st, min_size=1, max_size=80), st.data()
+)
+def test_columns_resumed_from_any_column_match_a_fresh_pass(hyp, ref, data):
+    # greedy TER keeps the columns before a shift's first changed position
+    # and resumes the pass from the last one kept
+    masks, m = _match_masks(ref), len(ref)
+    eqs = [masks.get(tok, 0) for tok in hyp]
+    full, top = (1 << m) - 1, 1 << (m - 1)
+    fresh = _columns(eqs, full, top)
+    k = data.draw(st.integers(0, len(hyp)))
+    assert fresh[:k] + _columns(eqs[k:], full, top, fresh[k]) == fresh
+
+
+@st.composite
+def _multi_shift_pair(draw):
+    # 16-40 reference tokens over 2, 4 or 50 types; the hypothesis is the
+    # reference after two to four block moves and a substitution
+    rng = draw(st.randoms(use_true_random=False))
+    types = draw(st.sampled_from([2, 4, 50]))
+    vocab = [f"t{k}" for k in range(types)]
+    ref = rng.choices(vocab, k=rng.randint(16, 40))
+    hyp = list(ref)
+    for _ in range(rng.randint(2, 4)):
+        length = rng.randint(1, 4)
+        i = rng.randrange(len(hyp) - length + 1)
+        block = hyp[i : i + length]
+        del hyp[i : i + length]
+        j = rng.randrange(len(hyp) + 1)
+        hyp[j:j] = block
+    hyp[rng.randrange(len(hyp))] = rng.choice(vocab)
+    return hyp, ref
+
+
+@settings(max_examples=15, deadline=None)
+@given(_multi_shift_pair())
+def test_greedy_with_resumed_columns_matches_dp_oracle(pair):
+    # every step after the first scores candidates from the columns that the
+    # shift before it resumed; the oracle recomputes every distance
+    hyp, ref = pair
+    result = _greedy_ter(hyp, ref)
+    assume(result.shifts >= 2)
+    assert (result.shifts, result.edits_after_shifts) == greedy_ter_oracle(hyp, ref)
+
+
+_W = [f"w{k}" for k in range(20)]
+
+
+@pytest.mark.parametrize(
+    "hyp",
+    [
+        # first shift (0, 8, 2) starts at position 0 (lo == 0), then (14, 16, 2)
+        _W[8:10] + _W[:8] + _W[10:14] + _W[16:18] + _W[14:16] + _W[18:],
+        # first shift (10, 17, 3) ends at the last token (hi == n), then (0, 2, 2)
+        _W[2:4] + _W[:2] + _W[4:10] + _W[17:] + _W[10:17],
+    ],
+)
+def test_greedy_resumes_after_a_shift_at_either_end(hyp):
+    assert greedy_ter_oracle(hyp, _W) == (2, 0)
+    result = _greedy_ter(hyp, _W)
+    assert (result.shifts, result.edits_after_shifts) == (2, 0)
 
 
 def test_greedy_block_move_wider_than_one_word():
