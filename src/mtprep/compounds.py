@@ -2,21 +2,20 @@
 
 Induction scans a monolingual vocabulary: a word joins the compound-suffix
 inventory when some other, sufficiently longer vocabulary word ends with it
-(the length margin keeps short accidental tails out).  Splitting then
-recursively strips inventory members off the right edge of a word, under
-the same margin, which the inventory carries (and its file records).
+(the length margin keeps short accidental tails out).  It sorts the
+reversed words once, so that the words ending with v follow v[::-1] as one
+run, and walks only those runs.  Splitting then recursively strips
+inventory members off the right edge of a word, under the same margin,
+which the inventory carries (and its file records).
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import islice
-from operator import itemgetter
+from itertools import compress
 from pathlib import Path
-from typing import Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .corpus import is_token, parse_digits, read_lines, write_lines
 from .suffixes import longest_tail
@@ -71,36 +70,48 @@ class CompoundSuffixSet:
 
 
 def induce_compound_suffixes(
-    vocab: Mapping[str, int], margin: int = DEFAULT_MARGIN, min_count: int = 1
+    vocab: Iterable[str], margin: int = DEFAULT_MARGIN, min_count: int = 1
 ) -> CompoundSuffixSet:
     """Collect vocabulary words that appear as long-margin suffixes of other
     vocabulary words.
 
-    A word v is kept when some other word w satisfies w.endswith(v) and
+    vocab is any iterable of words; repeats and "" are ignored, and so are
+    the counts when it is a Mapping from word to frequency.  A word v is
+    kept when some other word w satisfies w.endswith(v) and
     len(w) > len(v) + margin; provenance counts the distinct w per v.
-    min_count filters rare members (1 keeps everything observed).
+    min_count (an int) filters rare members (1 keeps everything observed).
+
+    The distinct reversed words are sorted once.  In that order the words
+    ending with v are exactly the run of entries right after v[::-1] that
+    start with it, so v is a candidate only when its successor starts with
+    v[::-1], and each candidate's run is walked once.  The cost is one sort
+    plus one step per pair (v, w) with w.endswith(v).
     """
     if margin < 0:
         raise ValueError("margin must be >= 0")
+    if type(min_count) is not int:  # 2.5 or True would filter like an int
+        raise TypeError(f"min_count must be an int, not {min_count!r}")
     if min_count < 1:
         raise ValueError("min_count must be >= 1")
-    words = set(vocab)
-    by_len = sorted(words, key=len, reverse=True)
-    tails: Counter[str] = Counter()
-    # Tails of length L come from the words with len(w) > L + margin, a
-    # prefix of by_len, and are strictly shorter than w, so w itself never
-    # qualifies.  A length no word has gives no member.
-    for length in sorted({len(w) for w in words} - {0}):
-        end = bisect_left(by_len, -(length + margin), key=lambda w: -len(w))
-        if not end:
-            break
-        tails.update(
-            filter(
-                words.__contains__,
-                map(itemgetter(slice(-length, None)), islice(by_len, end)),
-            )
-        )
-    counts = {s: c for s, c in tails.items() if c >= min_count}
+    # deduplicated before reversing: a word caches its hash, its reverse does not
+    distinct = set(vocab)
+    distinct.discard("")
+    words = sorted([word[::-1] for word in distinct])
+    end = len(words)
+    counts: dict[str, int] = {}
+    for k in compress(range(end), map(str.startswith, words[1:], words)):
+        tail = words[k]
+        longer = len(tail) + margin
+        count = 0
+        k += 1
+        # the count reads every entry of the run, so walking to its end costs
+        # nothing more (and needs no successor string, which U+10FFFF lacks)
+        while k < end and words[k].startswith(tail):
+            if len(words[k]) > longer:
+                count += 1
+            k += 1
+        if count >= min_count:
+            counts[tail[::-1]] = count
     return CompoundSuffixSet(counts, margin)
 
 

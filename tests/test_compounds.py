@@ -1,5 +1,7 @@
 """Compound suffix induction and recursive compound splitting."""
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -94,6 +96,66 @@ def test_induction_of_words_of_one_length(margin):
 def test_induction_ignores_the_empty_word():
     # a member has at least one character, even when "" is in the vocabulary
     assert induce_compound_suffixes(["", "na", "aaaaaana"]).counts == {"na": 1}
+
+
+# Devanagari KA, the combining vowel sign AA, an astral character and the
+# last code point, which sorts after every other character.
+WIDE = "abका\U0001f600\U0010ffff"
+wide_vocab_st = st.lists(st.text(alphabet=WIDE, max_size=12), max_size=40)
+
+
+@settings(max_examples=150)
+@given(
+    wide_vocab_st,
+    st.integers(min_value=0, max_value=9),
+    st.integers(min_value=1, max_value=3),
+)
+def test_induction_matches_double_loop_on_a_wide_alphabet(vocab, margin, min_count):
+    got = induce_compound_suffixes(vocab, margin=margin, min_count=min_count)
+    # the oracle would list "" as a member; induction skips the empty word
+    assert got.counts == oracle_counts(list(filter(None, vocab)), margin, min_count)
+
+
+@settings(max_examples=60)
+@given(wide_vocab_st, st.randoms(use_true_random=False))
+def test_induction_ignores_how_the_words_arrive(vocab, rng):
+    shuffled = vocab[:]
+    rng.shuffle(shuffled)
+    expected = oracle_counts(list(filter(None, vocab)), margin=1)
+    for words in (vocab, shuffled, set(vocab), Counter(vocab), iter(vocab)):
+        assert induce_compound_suffixes(words, margin=1).counts == expected
+
+
+@pytest.mark.parametrize(
+    "vocab, margin, expected",
+    [
+        # a run that holds words failing the margin between words passing it:
+        # reversed, "ana" and "anba" sit between "an" and "anbbbbbb"
+        (["na", "ana", "abna", "bbbbbbna", "xxxxxxna"], 5, {"na": 2}),
+        (["na", "bbbbbbna", "ana", "xxxxxxxna", "cna"], 5, {"na": 2}),
+        # the run of "a" continues past the run of its sibling "ba" to "ca"
+        (["a", "ba", "xxxxxxba", "yyyyyyyca"], 5, {"a": 2, "ba": 1}),
+        (["क", "ाक", "xxxxxxाक", "\U0010ffff" * 7 + "क"],
+         5, {"क": 2, "ाक": 1}),
+        (["\U0010ffff", "a\U0010ffff", "aaaaaaa\U0010ffff", "\U0010ffff" * 8],
+         5, {"\U0010ffff": 2, "a\U0010ffff": 1}),
+        # candidates whose runs hold no word long enough are no members
+        (["na", "ana"], 5, {}),
+        (["na", "ana", "bana", "aaaaaaata"], 5, {}),
+        (["\U0010ffff", "\U0010ffff" * 2, "a\U0010ffff"], 1, {}),
+    ],
+)
+def test_induction_walks_each_run_to_its_end(vocab, margin, expected):
+    assert induce_compound_suffixes(vocab, margin=margin).counts == expected
+    assert oracle_counts(vocab, margin) == expected
+
+
+@pytest.mark.parametrize("min_count", [2.5, 2.0, True])
+def test_induction_rejects_a_min_count_that_is_not_an_int(min_count):
+    words = iter(["na", "aaaaaana"])
+    with pytest.raises(TypeError, match="min_count must be an int"):
+        induce_compound_suffixes(words, min_count=min_count)
+    assert next(words) == "na"  # refused before reading the vocabulary
 
 
 # --- splitting ---------------------------------------------------------------
