@@ -28,11 +28,12 @@ from .compounds import (
 )
 from .corpus import (
     Corpus,
-    build_vocabulary,
+    build_vocabulary,  # not called here; perfbench/tracing.py's CLI_CALLS wraps it
     is_token,
     parse_digits,
     read_lines,
     read_token_corpus,
+    read_types,
     write_token_corpus,
 )
 from .pipeline import COMPOUND_MODES, SUFFIX_MODES, Mode, PipelineConfig, preprocess
@@ -212,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_induce(args: argparse.Namespace) -> int:
-    vocab = build_vocabulary(read_token_corpus(args.mono))
+    vocab = read_types(args.mono)
     induced = induce_compound_suffixes(
         vocab, margin=args.margin, min_count=args.min_count
     )

@@ -79,7 +79,8 @@ def induce_compound_suffixes(
     the counts when it is a Mapping from word to frequency.  A word v is
     kept when some other word w satisfies w.endswith(v) and
     len(w) > len(v) + margin; provenance counts the distinct w per v.
-    min_count (an int) filters rare members (1 keeps everything observed).
+    margin and min_count must be ints; min_count filters rare members (1
+    keeps everything observed).
 
     The distinct reversed words are sorted once.  In that order the words
     ending with v are exactly the run of entries right after v[::-1] that
@@ -87,6 +88,8 @@ def induce_compound_suffixes(
     v[::-1], and each candidate's run is walked once.  The cost is one sort
     plus one step per pair (v, w) with w.endswith(v).
     """
+    if type(margin) is not int:  # CompoundSuffixSet would refuse it after the pass
+        raise TypeError(f"margin must be an int, not {margin!r}")
     if margin < 0:
         raise ValueError("margin must be >= 0")
     if type(min_count) is not int:  # 2.5 or True would filter like an int

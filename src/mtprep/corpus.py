@@ -1,8 +1,10 @@
 """The line format of every file mtprep reads or writes, and corpora on it.
 
 Every file mtprep reads (corpora, tags, suffix lists, compound
-inventories, config, gold alignments) goes through read_lines, and every
-file it writes through write_lines, so "a line" means the same everywhere.
+inventories, config, gold alignments, monolingual text) goes through
+read_text, the one reader: read_lines splits its text into lines, and
+read_types into the set of distinct tokens.  Every file mtprep writes goes
+through write_lines, so "a line" means the same everywhere.
 A corpus has one sentence per line and tokens separated by whitespace.
 Empty lines are kept as empty sentences so that line-parallel
 source/target files stay aligned through preprocessing.
@@ -35,8 +37,8 @@ def split_lines(text: str) -> list[str]:
     return lines
 
 
-def read_lines(path: str | Path) -> list[str]:
-    """Read a UTF-8 file and split it with split_lines.
+def read_text(path: str | Path) -> str:
+    """Read a UTF-8 file into one string.
 
     Invalid UTF-8 raises UnicodeDecodeError (a ValueError) whose message
     gives the byte offset and names the file and line of the bad byte.  A
@@ -47,12 +49,16 @@ def read_lines(path: str | Path) -> list[str]:
     if data.startswith(codecs.BOM_UTF8):
         raise ValueError(f"{path}:1: starts with a UTF-8 byte order mark")
     try:
-        text = data.decode("utf-8")
+        return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         lineno = exc.object.count(b"\n", 0, exc.start) + 1
         exc.reason = f"{exc.reason} (at {path}:{lineno})"
         raise
-    return split_lines(text)
+
+
+def read_lines(path: str | Path) -> list[str]:
+    """Read a file with read_text and split it with split_lines."""
+    return split_lines(read_text(path))
 
 
 def write_lines(lines: Iterable[str], path: str | Path) -> None:
@@ -99,6 +105,18 @@ def parse_token_corpus(text: str) -> Corpus:
 def read_token_corpus(path: str | Path) -> Corpus:
     """Read a corpus file (see read_lines) into one token list per line."""
     return [line.split() for line in read_lines(path)]
+
+
+def read_types(path: str | Path) -> set[str]:
+    """Read a corpus file (see read_text) into its set of distinct tokens.
+
+    Equal to set(build_vocabulary(read_token_corpus(path))), without the
+    per-line token lists or the counts: both line ends, line feed and
+    carriage return, are whitespace to str.split, so splitting the whole
+    text yields the tokens of every line in turn and no token spans two
+    lines.
+    """
+    return set(read_text(path).split())
 
 
 def write_token_corpus(corpus: Corpus, path: str | Path) -> None:

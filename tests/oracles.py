@@ -241,8 +241,9 @@ def compound_split_oracle(word, members, margin=5):
 
 def induce_oracle(vocab_words, margin=5):
     """Plain double loop over the vocabulary: v is a compound suffix when
-    some other word w satisfies w.endswith(v) and len(w) > len(v) + margin."""
-    words = sorted(set(vocab_words))
+    some other word w satisfies w.endswith(v) and len(w) > len(v) + margin.
+    The empty word is skipped, as induction skips it."""
+    words = sorted(set(vocab_words) - {""})
     induced = {}
     for v in words:
         trailing = sum(

@@ -11,7 +11,7 @@ import pytest
 
 from mtprep import cli
 from mtprep.cli import load_config, main
-from mtprep.compounds import induce_compound_suffixes
+from mtprep.compounds import induce_compound_suffixes, save_compound_suffixes
 from mtprep.corpus import (
     build_vocabulary,
     read_token_corpus,
@@ -267,7 +267,9 @@ def test_undecodable_gold_and_config_files_are_named(tmp_path, capsys):
     assert f"at {bad}:1" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("where", ["evaluate --ref", "preprocess -i", "--config"])
+@pytest.mark.parametrize(
+    "where", ["evaluate --ref", "preprocess -i", "--config", "induce-suffixes --mono"]
+)
 def test_byte_order_mark_is_a_data_error(
     where, corpus_file, suffix_file, tmp_path, capsys
 ):
@@ -283,6 +285,7 @@ def test_byte_order_mark_is_a_data_error(
         "evaluate --ref": ["evaluate", "--hyp", str(corpus_file), "--ref", str(bad)],
         "preprocess -i": preprocess + ["-i", str(bad)],
         "--config": ["--config", str(bad)] + preprocess + ["-i", str(corpus_file)],
+        "induce-suffixes --mono": ["induce-suffixes", "--mono", str(bad), "-o", str(out)],
     }[where]
     assert main(argv) == 1
     captured = capsys.readouterr()
@@ -389,6 +392,41 @@ def test_induce_min_count(tmp_path, capsys):
     ]) == 0
     assert out.read_text(encoding="utf-8") == "# margin=5\n"
     capsys.readouterr()
+
+
+def test_induce_reads_the_same_types_as_the_token_corpus(tmp_path, capsys):
+    # every line end and whitespace character separates tokens alike
+    mono = tmp_path / "mono.txt"
+    mono.write_text(
+        "kaDuuna daMtatajGYaaMkaDuuna\r\nhRdayatajGYaaMkaDuuna\rDaakTarakaDuuna"
+        "\x85tajGYaaM\u2028daMtatajGYaaM\xa0na\taaaaaana\t\r\n\naaaaaana kaDuuna",
+        encoding="utf-8",
+        newline="",
+    )
+    out = tmp_path / "got.tsv"
+    assert main([
+        "induce-suffixes", "--mono", str(mono), "--margin", "2", "-o", str(out),
+    ]) == 0
+    vocab = build_vocabulary(read_token_corpus(mono))
+    induced = induce_compound_suffixes(vocab, margin=2)
+    expected = tmp_path / "expected.tsv"
+    save_compound_suffixes(induced, expected)
+    assert out.read_bytes() == expected.read_bytes()
+    assert len(induced) == 3
+    assert capsys.readouterr().err == (
+        f"induced 3 compound suffixes from {len(vocab)} vocabulary types\n"
+    )
+
+
+def test_induce_names_the_line_of_an_undecodable_mono_byte(tmp_path, capsys):
+    mono = tmp_path / "mono.txt"
+    mono.write_bytes(b"kaDuuna\r\nna aaaaaana\nab \xff\n")
+    out = tmp_path / "suf.tsv"
+    assert main(["induce-suffixes", "--mono", str(mono), "-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"at {mono}:3" in err
+    assert "can't decode byte 0xff" in err
+    assert not out.exists()
 
 
 # --- evaluate ----------------------------------------------------------------

@@ -158,6 +158,22 @@ def test_induction_rejects_a_min_count_that_is_not_an_int(min_count):
     assert next(words) == "na"  # refused before reading the vocabulary
 
 
+class UnreadVocabulary:
+    def __iter__(self):
+        pytest.fail("the vocabulary was read")
+
+
+@pytest.mark.parametrize("margin", [2.5, True])
+def test_induction_rejects_a_margin_that_is_not_an_int(margin):
+    with pytest.raises(TypeError, match="margin must be an int"):
+        induce_compound_suffixes(UnreadVocabulary(), margin=margin)
+
+
+def test_induction_and_its_oracle_skip_the_empty_word():
+    assert induce_oracle(["", "a"], margin=0) == {}
+    assert induce_compound_suffixes(["", "a"], margin=0).counts == {}
+
+
 # --- splitting ---------------------------------------------------------------
 
 def test_split_worked_example():

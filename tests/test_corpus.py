@@ -4,7 +4,7 @@ import re
 import sys
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from mtprep.cli import _read_gold, load_config
 from mtprep.compounds import load_compound_suffixes
@@ -15,6 +15,7 @@ from mtprep.corpus import (
     parse_token_corpus,
     read_lines,
     read_token_corpus,
+    read_types,
     write_lines,
     write_token_corpus,
 )
@@ -223,3 +224,20 @@ def test_canonical_text_round_trips_byte_for_byte(body, tmp_path_factory):
 def test_vocabulary_total_is_token_count(body):
     vocab = build_vocabulary(body)
     assert sum(vocab.values()) == sum(len(s) for s in body)
+
+
+# line ends, other str.isspace() characters, two characters that are not
+# whitespace (U+200B, U+FEFF), and letters of two scripts
+mono_text = st.lists(st.sampled_from([
+    "\n", "\r\n", "\r", "\t", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f",
+    "\x85", "\xa0", " ", "\u2028", "\u3000", "\u200b", "\ufeff",
+    "a", "b", "\u0915", "\u093e",
+])).map("".join)
+
+
+@given(text=mono_text)
+def test_read_types_is_the_set_of_the_corpus_vocabulary(text, tmp_path_factory):
+    assume(not text.startswith("\ufeff"))  # both readers refuse the mark
+    path = tmp_path_factory.mktemp("types") / "mono.txt"
+    path.write_bytes(text.encode("utf-8"))
+    assert read_types(path) == set(build_vocabulary(read_token_corpus(path)))
