@@ -30,12 +30,14 @@ class CompoundSuffixSet:
     counts maps each member to the number of distinct vocabulary words it
     was observed trailing during induction (its provenance).  margin is the
     length margin the members were induced with; splitting uses it too.
-    longest is the longest member's length (0 when there is none).
+    longest and shortest are the longest and shortest member's lengths (0
+    and 1 when there is none: nothing to probe).
     """
 
     counts: Mapping[str, int] = field(default_factory=dict)
     margin: int = DEFAULT_MARGIN
     longest: int = field(init=False, repr=False, compare=False)
+    shortest: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         counts = dict(self.counts)  # a copy: later edits to the caller's skip no check
@@ -51,7 +53,9 @@ class CompoundSuffixSet:
             if count < 1:
                 raise ValueError(f"provenance count for {member!r} must be >= 1")
         object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "longest", max(map(len, counts), default=0))
+        lengths = set(map(len, counts))  # one pass over the members for both
+        object.__setattr__(self, "longest", max(lengths, default=0))
+        object.__setattr__(self, "shortest", min(lengths, default=1))
 
     @cached_property
     def ordered(self) -> tuple[str, ...]:
@@ -138,10 +142,9 @@ def split_compound(
     residue = word
     # no longer tail is a member
     longest = min(len(word) - margin - 1, compound_suffixes.longest)
+    members, shortest = compound_suffixes.counts, compound_suffixes.shortest
     while True:
-        length = longest_tail(
-            residue, compound_suffixes.counts, min(len(residue) - 1, longest)
-        )
+        length = longest_tail(residue, members, min(len(residue) - 1, longest), shortest)
         if not length:
             break
         stripped.append(residue[-length:])

@@ -13,7 +13,7 @@ from enum import Enum
 from .compounds import CompoundSuffixSet, split_compound
 from .corpus import Corpus
 from .markers import check_marker, join_marked, mark_pieces
-from .suffixes import SuffixList, separate_suffix
+from .suffixes import SuffixList, suffix_length
 
 # Tokens carrying this POS tag are exempt from splitting when tags are
 # supplied: proper nouns fragment badly and gain nothing from separation.
@@ -27,8 +27,11 @@ class Mode(Enum):
     CS_SS = "cs+ss"
 
 
-COMPOUND_MODES = frozenset({Mode.CS, Mode.CS_SS})
-SUFFIX_MODES = frozenset({Mode.SS, Mode.CS_SS})
+# Tuples, not sets: `in` on a tuple compares the members by identity in C,
+# while a set lookup first calls Enum.__hash__, a Python function, and
+# token_pieces asks both questions once per type.
+COMPOUND_MODES = (Mode.CS, Mode.CS_SS)
+SUFFIX_MODES = (Mode.SS, Mode.CS_SS)
 
 
 @dataclass(frozen=True)
@@ -54,13 +57,17 @@ def token_pieces(word: str, config: PipelineConfig) -> list[str]:
     The pieces always concatenate back to the word; markers are applied by
     the caller so the decomposition itself stays marker-free.
     """
-    pieces = [word]
-    if config.mode in COMPOUND_MODES:
-        pieces = split_compound(word, config.compound_set)
-    if config.mode in SUFFIX_MODES:
+    mode = config.mode
+    pieces = split_compound(word, config.compound_set) if mode in COMPOUND_MODES else [word]
+    if mode in SUFFIX_MODES:
+        suffixes = config.suffix_list
         constituents, pieces = pieces, []
         for constituent in constituents:
-            pieces.extend(separate_suffix(constituent, config.suffix_list).pieces())
+            length = suffix_length(constituent, suffixes)
+            if length:  # stem and suffix, as separate_suffix's Split.pieces()
+                pieces += (constituent[:-length], constituent[-length:])
+            else:
+                pieces.append(constituent)
     return pieces
 
 

@@ -6,6 +6,9 @@ The inventory itself is a hand-written list of source-language suffixes
 that correspond to free-standing postpositions in the target language.
 
 longest_tail is the matching primitive shared with compound splitting.
+It probes tails by length, only within the inventory's length window, so
+one strip costs at most longest - shortest + 1 set lookups, whatever the
+inventory size.
 """
 
 from __future__ import annotations
@@ -18,14 +21,20 @@ from typing import Container, Iterator
 from .corpus import is_token, read_lines, write_lines
 
 
-def longest_tail(residue: str, members: Container[str], cap: int) -> int:
+def longest_tail(
+    residue: str, members: Container[str], cap: int, shortest: int
+) -> int:
     """Length of the longest tail of residue that is in members, or 0.
 
-    Only tails of at most cap characters count.  Probing by length costs
-    O(len(residue)) lookups whatever the inventory size, and since exactly
-    one string of each length is a tail, the first hit is the longest match.
+    Only tails of at most cap characters count.  shortest is the length of
+    the shortest member: no shorter tail can match, so none is probed.  It
+    must be at least 1 (a precondition, not checked): residue[-0:] is the
+    whole residue, not an empty tail.  Probing by length therefore costs
+    at most cap - shortest + 1 lookups whatever the inventory size, and
+    since exactly one string of each length is a tail, the first hit is
+    the longest match.
     """
-    for length in range(min(cap, len(residue)), 0, -1):
+    for length in range(min(cap, len(residue)), shortest - 1, -1):
         if residue[-length:] in members:
             return length
     return 0
@@ -36,12 +45,14 @@ class SuffixList:
     """Suffix inventory, deduplicated and ordered longest first (ties
     lexicographic) so saved files and listings come out in a stable order.
 
-    members holds them as a set for matching, longest the first one's length.
+    members holds them as a set for matching, longest the first one's length
+    and shortest the last one's (0 and 1 for an empty list: nothing to probe).
     """
 
     suffixes: tuple[str, ...] = field(default=())
     members: frozenset[str] = field(init=False, repr=False, compare=False)
     longest: int = field(init=False, repr=False, compare=False)
+    shortest: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if isinstance(self.suffixes, str):  # would list its characters
@@ -54,6 +65,7 @@ class SuffixList:
         object.__setattr__(self, "suffixes", ordered)
         object.__setattr__(self, "members", members)
         object.__setattr__(self, "longest", len(ordered[0]) if ordered else 0)
+        object.__setattr__(self, "shortest", len(ordered[-1]) if ordered else 1)
 
     def __iter__(self) -> Iterator[str]:
         return iter(self.suffixes)
@@ -103,20 +115,46 @@ def load_suffix_list(path: str | Path) -> SuffixList:
 
 
 def save_suffix_list(suffixes: SuffixList, path: str | Path) -> None:
-    """Write one suffix per line in the list's longest-first order."""
-    write_lines(suffixes, path)
+    """Write one suffix per line in the list's longest-first order.
+
+    A list whose file load_suffix_list would refuse raises ValueError
+    before the file is opened: one whose first entry starts with U+FEFF
+    (read back as a byte order mark), or one with an entry that has no
+    UTF-8 form (a lone surrogate).
+    """
+    ordered = suffixes.suffixes
+    if ordered and ordered[0].startswith("\ufeff"):
+        raise ValueError(
+            f"suffix {ordered[0]!r} would start the file with a byte order mark"
+        )
+    for suffix in ordered:
+        try:
+            suffix.encode("utf-8")
+        except UnicodeEncodeError:
+            raise ValueError(f"suffix {suffix!r} has no UTF-8 form") from None
+    write_lines(ordered, path)
 
 
-def separate_suffix(word: str, suffixes: SuffixList) -> Split:
-    """Split off the longest listed suffix, if any.
+def suffix_length(word: str, suffixes: SuffixList) -> int:
+    """Length of the longest listed suffix to split off word, or 0.
 
     The match must be strict: the word has to be longer than the suffix so
-    the stem stays non-empty.  Words with no qualifying suffix come back
-    whole.  No tail longer than the list's longest suffix is probed.
+    the stem stays non-empty.  Only tails within the list's length window
+    are probed.
     """
     if not word:
         raise ValueError("cannot split an empty word")
-    length = longest_tail(word, suffixes.members, min(len(word) - 1, suffixes.longest))
+    return longest_tail(
+        word, suffixes.members, min(len(word) - 1, suffixes.longest), suffixes.shortest
+    )
+
+
+def separate_suffix(word: str, suffixes: SuffixList) -> Split:
+    """Split off the longest listed suffix, if any (see suffix_length).
+
+    Words with no qualifying suffix come back whole.
+    """
+    length = suffix_length(word, suffixes)
     if length:
         return Split(word[:-length], word[-length:])
     return Split(word)

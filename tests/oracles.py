@@ -239,6 +239,53 @@ def compound_split_oracle(word, members, margin=5):
     return [residue] + stripped[::-1]
 
 
+def _longest_tail_unwindowed(residue, members, cap):
+    """Longest tail of residue in members of at most cap characters, probing
+    every length from the cap down to 1; 0 when none is listed."""
+    for length in range(min(cap, len(residue)), 0, -1):
+        if residue[-length:] in members:
+            return length
+    return 0
+
+
+def token_pieces_oracle(word, config):
+    """One token's pieces as the per-type split composed them before the
+    length window: compound splitting (modes cs and cs+ss), then one
+    strict suffix separation per constituent (ss and cs+ss), each probing
+    every allowed tail length down to 1.  config is read by attribute
+    (mode.value, compound_set.counts and .margin, suffix_list.suffixes);
+    an empty word raises in every mode that splits."""
+    mode = config.mode.value
+    pieces = [word]
+    if mode in ("cs", "cs+ss"):
+        if not word:
+            raise ValueError("cannot split an empty word")
+        members = set(config.compound_set.counts)
+        stripped = []
+        residue = word
+        while True:
+            cap = min(len(residue) - 1, len(word) - config.compound_set.margin - 1)
+            length = _longest_tail_unwindowed(residue, members, cap)
+            if not length:
+                break
+            stripped.append(residue[-length:])
+            residue = residue[:-length]
+        pieces = [residue] + stripped[::-1]
+    if mode in ("ss", "cs+ss"):
+        members = set(config.suffix_list.suffixes)
+        separated = []
+        for constituent in pieces:
+            if not constituent:
+                raise ValueError("cannot split an empty word")
+            length = _longest_tail_unwindowed(constituent, members, len(constituent) - 1)
+            if length:
+                separated += [constituent[:-length], constituent[-length:]]
+            else:
+                separated.append(constituent)
+        pieces = separated
+    return pieces
+
+
 def induce_oracle(vocab_words, margin=5):
     """Plain double loop over the vocabulary: v is a compound suffix when
     some other word w satisfies w.endswith(v) and len(w) > len(v) + margin.

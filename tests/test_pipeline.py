@@ -9,7 +9,7 @@ from mtprep.markers import join_marked
 from mtprep.pipeline import Mode, PipelineConfig, preprocess, reconstruct, token_pieces
 from mtprep.suffixes import SuffixList
 
-from oracles import preprocess_oracle
+from oracles import preprocess_oracle, token_pieces_oracle
 
 SUFFIXES = SuffixList(["aaMnii", "nii", "ii"])
 COMPOUNDS = CompoundSuffixSet({"kaDuuna": 3, "tajGYaaM": 2})
@@ -318,3 +318,46 @@ def test_token_pieces_runs_once_per_non_nnp_type_per_call(monkeypatch):
     calls.clear()
     assert preprocess(corpus, cfg) == first
     assert calls == ["mahinyaaMnii", "dara", "kaDuuna"]
+
+
+# --- the per-type split ------------------------------------------------------
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_empty_word_is_refused_by_every_splitting_mode(mode):
+    # bl leaves every word whole, the empty one too; the other modes refuse it
+    cfg = config(mode)
+    if mode is Mode.BL:
+        assert token_pieces("", cfg) == [""]
+        assert preprocess([[""]], cfg) == [[""]]
+        return
+    with pytest.raises(ValueError, match="^cannot split an empty word$"):
+        token_pieces("", cfg)
+    with pytest.raises(ValueError, match="^cannot split an empty word$"):
+        preprocess([[""]], cfg)
+
+
+def pieces_or_error(split, word, cfg):
+    try:
+        return split(word, cfg), None
+    except ValueError as exc:
+        return None, str(exc)
+
+
+@st.composite
+def ab_inventory_st(draw, word):
+    """Members over "ab" with a drawn shortest length: 1, a few letters,
+    or longer than the word; the list may be empty."""
+    low = draw(st.sampled_from([1, 2, 4, len(word) + 1]))
+    return draw(st.lists(st.text(alphabet="ab", min_size=low, max_size=low + 5),
+                         max_size=12))
+
+
+@settings(max_examples=300)
+@given(st.data(), st.text(alphabet="ab", max_size=16), st.integers(min_value=0, max_value=3))
+def test_token_pieces_matches_the_unwindowed_composition(data, word, margin):
+    suffixes = SuffixList(data.draw(ab_inventory_st(word)))
+    compounds = CompoundSuffixSet(dict.fromkeys(data.draw(ab_inventory_st(word)), 1), margin)
+    for mode in Mode:
+        cfg = PipelineConfig(mode=mode, suffix_list=suffixes, compound_set=compounds)
+        got = pieces_or_error(token_pieces, word, cfg)
+        assert got == pieces_or_error(token_pieces_oracle, word, cfg)

@@ -90,6 +90,22 @@ def test_splitters_probe_no_tail_longer_than_their_longest_entry():
     assert CompoundSuffixSet({"na": 2, "kaDuuna": 1}).longest == len("kaDuuna")
 
 
+def test_splitters_probe_only_their_inventory_length_window():
+    # a word with no listed tail: one probe per length from longest to shortest
+    word = "x" * 50
+    sl = SuffixList(["aaMnii", "ii", "ne"])
+    members = CountingDict.fromkeys(sl.members)
+    object.__setattr__(sl, "members", members)
+    assert separate_suffix(word, sl) == Split(word)
+    assert members.probes == sl.longest - sl.shortest + 1 == 5
+    cset = CompoundSuffixSet({"kaDuuna": 3, "na": 1})
+    counts = CountingDict(cset.counts)
+    object.__setattr__(cset, "counts", counts)
+    assert split_compound(word, cset) == [word]
+    assert counts.probes == cset.longest - cset.shortest + 1 == 6
+    assert SuffixList().shortest == CompoundSuffixSet().shortest == 1
+
+
 def test_separation_prefers_longest_listed_suffix():
     sl = SuffixList(["ii", "iila"])
     assert separate_suffix("jarmaniitiila", sl) == Split("jarmaniit", "iila")
@@ -176,13 +192,29 @@ entry_st = st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_
 def test_every_buildable_list_saves_and_loads_back_equal(tmp_path_factory, entries):
     sl = SuffixList(entries)
     path = tmp_path_factory.mktemp("suf") / "suf.txt"
-    save_suffix_list(sl, path)
     if sl.suffixes[0].startswith("\ufeff"):
-        # the file starts with a byte order mark, which every reader refuses
+        # the file would start with a byte order mark, which every reader refuses
         with pytest.raises(ValueError, match="byte order mark"):
-            load_suffix_list(path)
+            save_suffix_list(sl, path)
+        assert not path.exists()
     else:
+        save_suffix_list(sl, path)
         assert load_suffix_list(path) == sl
+
+
+@pytest.mark.parametrize(
+    "entries, message",
+    [
+        (["ii", "\ufeffaaMnii"], "would start the file with a byte order mark"),
+        (["ii", "a\ud800"], "has no UTF-8 form"),  # lone surrogates
+        (["\udfff", "aaMnii"], "has no UTF-8 form"),
+    ],
+)
+def test_save_refuses_what_the_loader_refuses(tmp_path, entries, message):
+    path = tmp_path / "suf.txt"
+    with pytest.raises(ValueError, match=message):
+        save_suffix_list(SuffixList(entries), path)
+    assert not path.exists()
 
 
 @given(word_st, suffixes_st)
@@ -201,13 +233,18 @@ def test_separation_matches_exhaustive_scan_on_colliding_tails(word, suffixes):
     assert (got.stem, got.suffix) == longest_suffix_oracle(word, suffixes)
 
 
-@given(ab_word_st, ab_members_st, st.integers(min_value=-2, max_value=16))
-def test_longest_tail_is_longest_listed_tail_within_cap(residue, members, cap):
+@given(
+    ab_word_st,
+    ab_members_st,
+    st.integers(min_value=-2, max_value=16),
+    st.integers(min_value=1, max_value=8),
+)
+def test_longest_tail_is_longest_listed_tail_within_cap(residue, members, cap, shortest):
     fits = [
         length for length in range(1, len(residue) + 1)
-        if length <= cap and residue[-length:] in set(members)
+        if shortest <= length <= cap and residue[-length:] in set(members)
     ]
-    assert longest_tail(residue, frozenset(members), cap) == max(fits, default=0)
+    assert longest_tail(residue, frozenset(members), cap, shortest) == max(fits, default=0)
 
 
 @given(word_st, suffixes_st)
