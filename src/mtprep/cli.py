@@ -9,6 +9,8 @@ loads only what induce-suffixes and preprocess run (corpus, compounds,
 suffixes, markers, pipeline).  Commands read the names of metrics, the
 aligner and the demo as attributes of this module, which imports each on
 first use, so evaluate, align and demo-table2 load theirs when they run.
+induce-suffixes and preprocess load no dataclasses (nor the inspect module
+it imports), while evaluate and align load it with their modules.
 """
 
 from __future__ import annotations

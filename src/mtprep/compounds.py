@@ -11,20 +11,18 @@ which the inventory carries (and its file records).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import compress
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
 
 from .corpus import is_token, parse_digits, read_lines, write_lines
-from .suffixes import longest_tail
+from .suffixes import _check_utf8, _Frozen, longest_tail
 
 DEFAULT_MARGIN = 5
 
 
-@dataclass(frozen=True)
-class CompoundSuffixSet:
+class CompoundSuffixSet(_Frozen):
     """Induced constituent inventory.
 
     counts maps each member to the number of distinct vocabulary words it
@@ -34,16 +32,15 @@ class CompoundSuffixSet:
     and 1 when there is none: nothing to probe).
     """
 
-    counts: Mapping[str, int] = field(default_factory=dict)
-    margin: int = DEFAULT_MARGIN
-    longest: int = field(init=False, repr=False, compare=False)
-    shortest: int = field(init=False, repr=False, compare=False)
+    __match_args__ = ("counts", "margin")  # no __slots__: `ordered` needs a __dict__
 
-    def __post_init__(self) -> None:
-        counts = dict(self.counts)  # a copy: later edits to the caller's skip no check
-        if type(self.margin) is not int:  # saved as digits, only an int loads back equal
-            raise TypeError(f"margin must be an int, not {self.margin!r}")
-        if self.margin < 0:
+    def __init__(
+        self, counts: Mapping[str, int] = {}, margin: int = DEFAULT_MARGIN
+    ) -> None:
+        counts = dict(counts)  # a copy: later edits to the caller's skip no check
+        if type(margin) is not int:  # saved as digits, only an int loads back equal
+            raise TypeError(f"margin must be an int, not {margin!r}")
+        if margin < 0:
             raise ValueError("margin must be >= 0")
         for member, count in counts.items():
             if not is_token(member):
@@ -53,6 +50,7 @@ class CompoundSuffixSet:
             if count < 1:
                 raise ValueError(f"provenance count for {member!r} must be >= 1")
         object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "margin", margin)
         lengths = set(map(len, counts))  # one pass over the members for both
         object.__setattr__(self, "longest", max(lengths, default=0))
         object.__setattr__(self, "shortest", min(lengths, default=1))
@@ -158,11 +156,16 @@ def save_compound_suffixes(
     compound_suffixes: CompoundSuffixSet, path: str | Path
 ) -> None:
     """Write a "# margin=N" header, then one "suffix<TAB>count" line per
-    member, sorted for stable diffs."""
+    member, sorted for stable diffs.
+
+    A member with no UTF-8 form (a lone surrogate) raises ValueError before
+    the file is opened."""
     counts = compound_suffixes.counts
+    members = sorted(counts)
+    _check_utf8(members, "compound suffix")
     write_lines(
         [f"# margin={compound_suffixes.margin}"]
-        + [f"{member}\t{counts[member]}" for member in sorted(counts)],
+        + [f"{member}\t{counts[member]}" for member in members],
         path,
     )
 

@@ -7,13 +7,12 @@ first, then suffix separation on every resulting constituent).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 from .compounds import CompoundSuffixSet, split_compound
 from .corpus import Corpus
 from .markers import check_marker, join_marked, mark_pieces
-from .suffixes import SuffixList, suffix_length
+from .suffixes import SuffixList, _Frozen, suffix_length
 
 # Tokens carrying this POS tag are exempt from splitting when tags are
 # supplied: proper nouns fragment badly and gain nothing from separation.
@@ -34,21 +33,25 @@ COMPOUND_MODES = (Mode.CS, Mode.CS_SS)
 SUFFIX_MODES = (Mode.SS, Mode.CS_SS)
 
 
-@dataclass(frozen=True)
-class PipelineConfig:
-    mode: Mode
-    suffix_list: SuffixList | None = None
-    compound_set: CompoundSuffixSet | None = None
-    marker: str | None = None
-    nnp_tags: Corpus | None = None
+class PipelineConfig(_Frozen):
+    __slots__ = __match_args__ = (
+        "mode", "suffix_list", "compound_set", "marker", "nnp_tags"
+    )
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "mode", Mode(self.mode))  # "ss" -> Mode.SS
-        check_marker(self.marker)
-        if self.mode in SUFFIX_MODES and self.suffix_list is None:
-            raise ValueError(f"mode {self.mode.value} requires a suffix list")
-        if self.mode in COMPOUND_MODES and self.compound_set is None:
-            raise ValueError(f"mode {self.mode.value} requires a compound suffix set")
+    def __init__(
+        self, mode: Mode, suffix_list: SuffixList | None = None,
+        compound_set: CompoundSuffixSet | None = None, marker: str | None = None,
+        nnp_tags: Corpus | None = None,
+    ) -> None:
+        mode = Mode(mode)  # "ss" -> Mode.SS
+        check_marker(marker)
+        if mode in SUFFIX_MODES and suffix_list is None:
+            raise ValueError(f"mode {mode.value} requires a suffix list")
+        if mode in COMPOUND_MODES and compound_set is None:
+            raise ValueError(f"mode {mode.value} requires a compound suffix set")
+        values = (mode, suffix_list, compound_set, marker, nnp_tags)
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
 
 
 def token_pieces(word: str, config: PipelineConfig) -> list[str]:

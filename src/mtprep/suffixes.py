@@ -8,15 +8,15 @@ that correspond to free-standing postpositions in the target language.
 longest_tail is the matching primitive shared with compound splitting.
 It probes tails by length, only within the inventory's length window, so
 one strip costs at most longest - shortest + 1 set lookups, whatever the
-inventory size.
+inventory size.  _Frozen is the base of the value classes of the
+preprocessing path, here and in compounds and pipeline.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Container, Iterator
+from typing import Container, Iterable, Iterator
 
 from .corpus import is_token, read_lines, write_lines
 
@@ -40,8 +40,40 @@ def longest_tail(
     return 0
 
 
-@dataclass(frozen=True)
-class SuffixList:
+class _Frozen:
+    """An immutable value, as a frozen dataclass would make it, without the
+    cost of importing dataclasses: repr, equality (within one class) and hash
+    read the init fields, which subclasses name in __match_args__.  __init__
+    sets each attribute once, through object.__setattr__."""
+
+    __slots__ = ("__weakref__",)  # weakly referable, as a dataclass instance is
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__match_args__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = (f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{self.__class__.__qualname__}({', '.join(fields)})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:  # copy and pickle rebuild through __init__
+        return self.__class__, self._fields()
+
+
+class SuffixList(_Frozen):
     """Suffix inventory, deduplicated and ordered longest first (ties
     lexicographic) so saved files and listings come out in a stable order.
 
@@ -49,18 +81,16 @@ class SuffixList:
     and shortest the last one's (0 and 1 for an empty list: nothing to probe).
     """
 
-    suffixes: tuple[str, ...] = field(default=())
-    members: frozenset[str] = field(init=False, repr=False, compare=False)
-    longest: int = field(init=False, repr=False, compare=False)
-    shortest: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("suffixes", "members", "longest", "shortest")
+    __match_args__ = ("suffixes",)
 
-    def __post_init__(self) -> None:
-        if isinstance(self.suffixes, str):  # would list its characters
+    def __init__(self, suffixes: tuple[str, ...] = ()) -> None:
+        if isinstance(suffixes, str):  # would list its characters
             raise TypeError("suffixes must be a collection of strings, not a str")
-        for s in self.suffixes:
+        for s in suffixes:
             if not is_token(s) or s.startswith("#"):
                 raise ValueError(f"suffix {s!r} is not one token or starts with '#'")
-        members = frozenset(self.suffixes)
+        members = frozenset(suffixes)
         ordered = tuple(sorted(members, key=lambda s: (-len(s), s)))
         object.__setattr__(self, "suffixes", ordered)
         object.__setattr__(self, "members", members)
@@ -77,15 +107,17 @@ class SuffixList:
         return suffix in self.members
 
 
-@dataclass(frozen=True)
-class Split:
+class Split(_Frozen):
     """One word split into a stem and at most one suffix.
 
     An absent suffix means the word was left whole.
     """
 
-    stem: str
-    suffix: str | None = None
+    __slots__ = __match_args__ = ("stem", "suffix")
+
+    def __init__(self, stem: str, suffix: str | None = None) -> None:
+        object.__setattr__(self, "stem", stem)
+        object.__setattr__(self, "suffix", suffix)
 
     def pieces(self) -> list[str]:
         if self.suffix is None:
@@ -127,12 +159,19 @@ def save_suffix_list(suffixes: SuffixList, path: str | Path) -> None:
         raise ValueError(
             f"suffix {ordered[0]!r} would start the file with a byte order mark"
         )
-    for suffix in ordered:
-        try:
-            suffix.encode("utf-8")
-        except UnicodeEncodeError:
-            raise ValueError(f"suffix {suffix!r} has no UTF-8 form") from None
+    _check_utf8(ordered, "suffix")
     write_lines(ordered, path)
+
+
+def _check_utf8(entries: Iterable[str], kind: str) -> None:
+    """Raise ValueError naming the first entry that has no UTF-8 form (a
+    lone surrogate), so that an inventory saver refuses it before it opens
+    the file, rather than fail halfway through writing it."""
+    for entry in entries:
+        try:
+            entry.encode("utf-8")
+        except UnicodeEncodeError:
+            raise ValueError(f"{kind} {entry!r} has no UTF-8 form") from None
 
 
 def suffix_length(word: str, suffixes: SuffixList) -> int:

@@ -321,6 +321,19 @@ def test_every_buildable_inventory_saves_and_loads_back_equal(
     assert load_compound_suffixes(path) == cset
 
 
+@pytest.mark.parametrize(
+    "counts, member",
+    [({"ab": 1, "z\ud800": 2}, "z\ud800"), ({"\udfff": 1, "ab": 2}, "\udfff")],
+)
+def test_save_refuses_a_member_with_no_utf8_form_before_writing(tmp_path, counts, member):
+    # a lone surrogate is one token, so the inventory builds, but no file holds it
+    path = tmp_path / "comp.tsv"
+    with pytest.raises(ValueError) as raised:
+        save_compound_suffixes(CompoundSuffixSet(counts), path)
+    assert str(raised.value) == f"compound suffix {member!r} has no UTF-8 form"
+    assert not path.exists()
+
+
 def test_load_without_header_uses_default_margin(tmp_path):
     path = tmp_path / "comp.tsv"
     path.write_text("kaDuuna\t3\n", encoding="utf-8")

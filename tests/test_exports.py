@@ -63,7 +63,28 @@ def test_importing_the_cli_loads_only_what_preprocess_runs():
         "mtprep", "mtprep.cli", "mtprep.corpus", "mtprep.compounds",
         "mtprep.suffixes", "mtprep.markers", "mtprep.pipeline",
     }
-    assert not loaded & {"json", "random"}
+    # dataclasses alone pulls in inspect, ast, dis and tokenize
+    assert not loaded & {"json", "random", "dataclasses", "inspect"}
+
+
+def test_the_prep_commands_load_neither_dataclasses_nor_inspect(tmp_path):
+    mono, suffixes, corpus = (tmp_path / name for name in ("mono", "suffixes", "corpus"))
+    mono.write_text("sarakaara kaDuuna sarakaarakaDuuna\n", encoding="utf-8")
+    suffixes.write_text("uuna\n", encoding="utf-8")
+    corpus.write_text("sarakaarakaDuuna kaDuuna\n", encoding="utf-8")
+    compounds, out = tmp_path / "compounds.tsv", tmp_path / "out"
+    runs = [
+        ["induce-suffixes", "--mono", str(mono), "-o", str(compounds)],
+        ["preprocess", "--mode", "cs+ss", "--marker", "@@", "--suffixes", str(suffixes),
+         "--compounds", str(compounds), "-i", str(corpus), "-o", str(out)],
+    ]
+    printed = fresh(
+        "import sys, mtprep.cli; "
+        f"codes = [mtprep.cli.main(argv) for argv in {runs!r}]; "
+        "print(*codes, *{'dataclasses', 'inspect'} & set(sys.modules))"
+    )
+    assert printed == {"0"}
+    assert out.read_text(encoding="utf-8") == "sarakaara@@ kaD@@ uuna kaD@@ uuna\n"
 
 
 def test_importing_the_package_loads_no_submodule():
