@@ -78,6 +78,8 @@ def train_em(
     ids from one array.  Every sum runs in the order of the dict-per-source
     EM it replaces, so each value is bit-identical to it.
     """
+    if type(iterations) is not int:  # True would train once, 2.5 fail in range
+        raise TypeError(f"iterations must be an int, not {iterations!r}")
     _validate_parallel(src_corpus, tgt_corpus)
     if not src_corpus:
         raise ValueError("cannot train on an empty corpus")

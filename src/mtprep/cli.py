@@ -6,9 +6,10 @@ Optional flags can take their defaults from a shared key=value config file
 data errors, 2 usage errors.  Machine-readable output goes to files or
 standard output; diagnostics go to standard error.  Importing this module
 loads only what induce-suffixes and preprocess run (corpus, compounds,
-suffixes, markers, pipeline).  Commands read the names of metrics, the
-aligner and the demo as attributes of this module, which imports each on
-first use, so evaluate, align and demo-table2 load theirs when they run.
+suffixes, markers, pipeline).  Commands read the package's exported names
+of metrics and the aligner as attributes of this module, which gets each
+from the package on first use, so evaluate and align load theirs when they
+run; evaluate and demo-table2 import TSV_HEADER and run_demo themselves.
 induce-suffixes and preprocess load no dataclasses (nor the inspect module
 it imports), while evaluate and align load it with their modules.
 """
@@ -18,7 +19,6 @@ from __future__ import annotations
 import argparse
 import sys
 import warnings
-from importlib import import_module
 from pathlib import Path
 from typing import Callable
 
@@ -42,27 +42,19 @@ from .pipeline import COMPOUND_MODES, SUFFIX_MODES, Mode, PipelineConfig, prepro
 from .suffixes import load_suffix_list
 
 
-# Module -> the names it gives this namespace.  __getattr__ imports a name
-# when a command first reads it through _self; a value already set here (say,
-# a wrapper set from outside) is found first, so it is what runs.
+# Commands read the package's exported names through _self.  __getattr__
+# gets one from the package, which imports its submodule on first use, and
+# keeps it here; a value already set here (say, a wrapper set from outside)
+# is found first, so it is what runs.
 _self = sys.modules[__name__]
-_DEFERRED = {
-    "aligner": (
-        "align_corpus", "corpus_alignment_f1", "format_alignment", "parse_alignment",
-        "train_em",
-    ),
-    "metrics": ("TSV_HEADER", "evaluate"),
-    "demo": ("run_demo",),
-}
 
 
 def __getattr__(name: str):
-    for module, names in _DEFERRED.items():
-        if name in names:
-            value = getattr(import_module(f".{module}", __package__), name)
-            globals()[name] = value
-            return value
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    package = sys.modules[__package__]
+    if name not in package.__all__:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(package, name)
+    return value
 
 
 class UsageError(Exception):
@@ -250,11 +242,13 @@ def _cmd_preprocess(args: argparse.Namespace) -> int:
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
+    from .metrics import TSV_HEADER
+
     report = _self.evaluate(read_token_corpus(args.hyp), read_token_corpus(args.ref))
     if args.report == "json":
         print(report.to_json())
     else:
-        print(_self.TSV_HEADER)
+        print(TSV_HEADER)
         print(report.tsv_row())
     return 0
 
@@ -305,7 +299,9 @@ def _cmd_align(args: argparse.Namespace) -> int:
 
 
 def _cmd_demo(args: argparse.Namespace) -> int:
-    _self.run_demo()
+    from .demo import run_demo
+
+    run_demo()
     return 0
 
 

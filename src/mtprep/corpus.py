@@ -103,8 +103,8 @@ def parse_token_corpus(text: str) -> Corpus:
 
 
 def read_token_corpus(path: str | Path) -> Corpus:
-    """Read a corpus file (see read_lines) into one token list per line."""
-    return [line.split() for line in read_lines(path)]
+    """Read a corpus file (see read_text) with parse_token_corpus."""
+    return parse_token_corpus(read_text(path))
 
 
 def read_types(path: str | Path) -> set[str]:

@@ -39,17 +39,14 @@ def join_marked(tokens: list[str], marker: str) -> list[str]:
     if marker is None:
         raise ValueError("join_marked needs a marker")
     check_marker(marker)
+    if tokens and tokens[-1].endswith(marker):
+        raise ValueError(f"dangling marker {marker!r} at end of sentence")
     joined: list[str] = []
     pending = ""
-    open_join = False
     for token in tokens:
         if token.endswith(marker):
             pending += token[: -len(marker)]
-            open_join = True
         else:
             joined.append(pending + token)
             pending = ""
-            open_join = False
-    if open_join:
-        raise ValueError(f"dangling marker {marker!r} at end of sentence")
     return joined

@@ -84,9 +84,10 @@ class SuffixList(_Frozen):
     __slots__ = ("suffixes", "members", "longest", "shortest")
     __match_args__ = ("suffixes",)
 
-    def __init__(self, suffixes: tuple[str, ...] = ()) -> None:
+    def __init__(self, suffixes: Iterable[str] = ()) -> None:
         if isinstance(suffixes, str):  # would list its characters
             raise TypeError("suffixes must be a collection of strings, not a str")
+        suffixes = tuple(suffixes)  # taken once: a generator is used up by the checks
         for s in suffixes:
             if not is_token(s) or s.startswith("#"):
                 raise ValueError(f"suffix {s!r} is not one token or starts with '#'")

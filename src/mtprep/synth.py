@@ -47,7 +47,6 @@ class SyntheticBenchmark:
     tgt: Corpus
     gold_fused: tuple[frozenset[Link], ...]
     gold_split: tuple[frozenset[Link], ...]
-    suffix_list: SuffixList
     stems: tuple[str, ...]
     suffixes: tuple[str, ...]
 
@@ -59,21 +58,16 @@ class SyntheticBenchmark:
             raise ValueError("benchmark sides have different sentence counts")
 
 
-def _make_suffixes(rng: random.Random, count: int) -> list[str]:
+def _draw_words(
+    rng: random.Random, count: int, lengths: tuple[int, int],
+    avoid: tuple[str, ...] = (),
+) -> list[str]:
+    """count random words of lengths[0] to lengths[1] letters, none ending
+    with a tail in avoid and none a suffix of another (rejection sampling)."""
     out: list[str] = []
     while len(out) < count:
-        cand = "".join(rng.choice(ALPHABET) for _ in range(rng.randint(2, 3)))
-        if any(cand.endswith(s) or s.endswith(cand) for s in out):
-            continue
-        out.append(cand)
-    return out
-
-
-def _make_stems(rng: random.Random, count: int, suffixes: list[str]) -> list[str]:
-    out: list[str] = []
-    while len(out) < count:
-        cand = "".join(rng.choice(ALPHABET) for _ in range(rng.randint(6, 8)))
-        if any(cand.endswith(x) for x in suffixes):
+        cand = "".join(rng.choice(ALPHABET) for _ in range(rng.randint(*lengths)))
+        if cand.endswith(avoid):
             continue
         if any(cand.endswith(s) or s.endswith(cand) for s in out):
             continue
@@ -189,8 +183,8 @@ def _assemble(sentence_units: list[list[Unit]]):
 
 
 def _build_once(rng: random.Random, sentences: int) -> SyntheticBenchmark | None:
-    suffixes = _make_suffixes(rng, 8)
-    stems = _make_stems(rng, 48, suffixes)
+    suffixes = _draw_words(rng, 8, (2, 3))
+    stems = _draw_words(rng, 48, (6, 8), avoid=tuple(suffixes))
     gen = _Generator(rng, stems, suffixes)
 
     sentence_units: list[list[Unit]] = []
@@ -209,13 +203,12 @@ def _build_once(rng: random.Random, sentences: int) -> SyntheticBenchmark | None
         )
 
     src_fused, src_split, tgt, gold_fused, gold_split = _assemble(sentence_units)
-    suffix_list = SuffixList(tuple(suffixes))
     compound_set = induce_compound_suffixes(
         build_vocabulary(src_fused), margin=DEFAULT_MARGIN
     )
     config = PipelineConfig(
         mode=Mode.CS_SS,
-        suffix_list=suffix_list,
+        suffix_list=SuffixList(suffixes),
         compound_set=compound_set,
     )
     if preprocess(src_fused, config) != src_split:
@@ -226,7 +219,6 @@ def _build_once(rng: random.Random, sentences: int) -> SyntheticBenchmark | None
         tgt=tgt,
         gold_fused=gold_fused,
         gold_split=gold_split,
-        suffix_list=suffix_list,
         stems=tuple(stems),
         suffixes=tuple(suffixes),
     )

@@ -103,6 +103,23 @@ def test_rejects_zero_iterations():
         train_em(SRC, TGT, iterations=0)
 
 
+class Untouchable:
+    """A corpus that fails the test if training reads it."""
+
+    def __iter__(self):
+        raise AssertionError("iterated")
+
+    def __len__(self):
+        raise AssertionError("measured")
+
+
+@pytest.mark.parametrize("iterations", [True, 2.5, "5", None])
+def test_rejects_iterations_that_are_not_an_int_before_any_work(iterations):
+    message = f"iterations must be an int, not {iterations!r}"
+    with pytest.raises(TypeError, match=message):
+        train_em(Untouchable(), Untouchable(), iterations=iterations)
+
+
 def test_rejects_reserved_null_token_in_data():
     with pytest.raises(ValueError):
         train_em([[NULL_TOKEN]], [["x"]], null_word=True)

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import mtprep
 from mtprep import cli
 from mtprep.cli import load_config, main
 from mtprep.compounds import induce_compound_suffixes, save_compound_suffixes
@@ -835,6 +836,40 @@ def test_commands_call_the_wrapper_set_on_the_module(corpus_file, monkeypatch, c
     assert main(["evaluate", "--hyp", str(corpus_file), "--ref", str(corpus_file)]) == 0
     assert calls == ["train_em", "evaluate"]
     capsys.readouterr()
+
+
+def test_align_calls_the_aligner_wrappers_set_on_the_module(
+    corpus_file, tmp_path, monkeypatch, capsys
+):
+    names = (
+        "align_corpus", "format_alignment", "parse_alignment", "corpus_alignment_f1",
+    )
+    calls = []
+    for name in names:
+        def counting(*args, _name=name, _inner=getattr(cli, name), **kwargs):
+            calls.append(_name)
+            return _inner(*args, **kwargs)
+        monkeypatch.setattr(cli, name, counting)
+    gold = tmp_path / "gold.txt"
+    gold.write_text("0-0\n0-0\n", encoding="utf-8")
+    assert main([
+        "align", "--src", str(corpus_file), "--tgt", str(corpus_file),
+        "--gold", str(gold),
+    ]) == 0
+    assert set(calls) == set(names)
+    assert calls.count("parse_alignment") == 2
+    assert calls.count("format_alignment") == 2
+    capsys.readouterr()
+
+
+def test_the_cli_resolves_only_the_package_exports(monkeypatch):
+    monkeypatch.delitem(vars(cli), "viterbi_align", raising=False)
+    assert cli.viterbi_align is mtprep.viterbi_align
+    assert "viterbi_align" in vars(cli)  # kept: later reads skip __getattr__
+    with pytest.raises(AttributeError, match="'mtprep.cli' has no attribute 'no_such"):
+        cli.no_such_name
+    with pytest.raises(AttributeError, match="mtprep.cli"):
+        cli.TSV_HEADER  # the package does not export it; evaluate imports it itself
 
 
 # --- console entry point -----------------------------------------------------

@@ -361,3 +361,17 @@ def test_token_pieces_matches_the_unwindowed_composition(data, word, margin):
         cfg = PipelineConfig(mode=mode, suffix_list=suffixes, compound_set=compounds)
         got = pieces_or_error(token_pieces, word, cfg)
         assert got == pieces_or_error(token_pieces_oracle, word, cfg)
+
+
+@pytest.mark.parametrize("sentence", [["mahiny@@"], ["a", "b@@"], ["@@"], ["a", "@@"]])
+def test_a_dangling_marker_is_an_error(sentence):
+    message = "dangling marker '@@' at end of sentence"
+    with pytest.raises(ValueError, match=message):
+        join_marked(sentence, "@@")
+    with pytest.raises(ValueError, match=message):
+        reconstruct([["a"], sentence], "@@")
+
+
+def test_a_bare_marker_joins_nothing_onto_its_successor():
+    assert join_marked(["@@", "x"], "@@") == ["x"]
+    assert join_marked([], "@@") == []

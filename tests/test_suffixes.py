@@ -50,6 +50,15 @@ def test_list_rejects_a_bare_string():
         SuffixList("aaMnii")
 
 
+@pytest.mark.parametrize(
+    "entries",
+    [(s for s in ["ii", "aaMnii"]), iter(["ii", "aaMnii"])],
+    ids=["generator", "iterator"],
+)
+def test_list_takes_a_one_shot_iterable(entries):
+    assert SuffixList(entries) == SuffixList(["aaMnii", "ii"])
+
+
 def test_list_rejects_empty_suffix():
     with pytest.raises(ValueError):
         SuffixList(["aa", ""])
