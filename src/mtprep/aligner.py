@@ -17,7 +17,7 @@ from array import array
 from dataclasses import dataclass
 from typing import Iterable
 
-from .corpus import Corpus, Sentence, parse_digits
+from .corpus import Corpus, Sentence, check_int, parse_digits
 
 # Pseudo source word that absorbs target words with no good real source.
 # It sits in slot 0 of every source sentence when the null word is on.
@@ -78,13 +78,12 @@ def train_em(
     ids from one array.  Every sum runs in the order of the dict-per-source
     EM it replaces, so each value is bit-identical to it.
     """
-    if type(iterations) is not int:  # True would train once, 2.5 fail in range
-        raise TypeError(f"iterations must be an int, not {iterations!r}")
+    check_int("iterations", iterations, 1)  # True would train once, 2.5 fail in range
+    if type(null_word) is not bool:  # "no" would turn the null word on
+        raise TypeError(f"null_word must be a bool, not {null_word!r}")
     _validate_parallel(src_corpus, tgt_corpus)
     if not src_corpus:
         raise ValueError("cannot train on an empty corpus")
-    if iterations < 1:
-        raise ValueError("iterations must be >= 1")
     if null_word and any(NULL_TOKEN in s for s in src_corpus):
         raise ValueError(f"source corpus already contains {NULL_TOKEN!r}")
 

@@ -30,7 +30,6 @@ from .compounds import (
 )
 from .corpus import (
     Corpus,
-    build_vocabulary,  # not called here; perfbench/tracing.py's CLI_CALLS wraps it
     is_token,
     parse_digits,
     read_lines,

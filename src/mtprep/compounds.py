@@ -16,7 +16,7 @@ from itertools import compress
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
 
-from .corpus import is_token, parse_digits, read_lines, write_lines
+from .corpus import check_int, is_token, parse_digits, read_lines, write_lines
 from .suffixes import _check_utf8, _Frozen, longest_tail
 
 DEFAULT_MARGIN = 5
@@ -38,10 +38,7 @@ class CompoundSuffixSet(_Frozen):
         self, counts: Mapping[str, int] = {}, margin: int = DEFAULT_MARGIN
     ) -> None:
         counts = dict(counts)  # a copy: later edits to the caller's skip no check
-        if type(margin) is not int:  # saved as digits, only an int loads back equal
-            raise TypeError(f"margin must be an int, not {margin!r}")
-        if margin < 0:
-            raise ValueError("margin must be >= 0")
+        check_int("margin", margin, 0)  # saved as digits, only an int loads back equal
         for member, count in counts.items():
             if not is_token(member):
                 raise ValueError(f"compound suffix {member!r} is not one token")
@@ -90,14 +87,8 @@ def induce_compound_suffixes(
     v[::-1], and each candidate's run is walked once.  The cost is one sort
     plus one step per pair (v, w) with w.endswith(v).
     """
-    if type(margin) is not int:  # CompoundSuffixSet would refuse it after the pass
-        raise TypeError(f"margin must be an int, not {margin!r}")
-    if margin < 0:
-        raise ValueError("margin must be >= 0")
-    if type(min_count) is not int:  # 2.5 or True would filter like an int
-        raise TypeError(f"min_count must be an int, not {min_count!r}")
-    if min_count < 1:
-        raise ValueError("min_count must be >= 1")
+    check_int("margin", margin, 0)  # CompoundSuffixSet would refuse it after the pass
+    check_int("min_count", min_count, 1)  # 2.5 or True would filter like an int
     # deduplicated before reversing: a word caches its hash, its reverse does not
     distinct = set(vocab)
     distinct.discard("")

@@ -4,7 +4,9 @@ Every file mtprep reads (corpora, tags, suffix lists, compound
 inventories, config, gold alignments, monolingual text) goes through
 read_text, the one reader: read_lines splits its text into lines, and
 read_types into the set of distinct tokens.  Every file mtprep writes goes
-through write_lines, so "a line" means the same everywhere.
+through write_lines, so "a line" means the same everywhere.  Integers read
+from text go through parse_digits, and integer arguments of the library
+through check_int.
 A corpus has one sentence per line and tokens separated by whitespace.
 Empty lines are kept as empty sentences so that line-parallel
 source/target files stay aligned through preprocessing.
@@ -86,6 +88,15 @@ def parse_digits(text: str) -> int | None:
         return int(text) if text.isascii() and text.isdigit() else None
     except ValueError:  # more digits than int() converts
         return None
+
+
+def check_int(name: str, value: object, minimum: int) -> None:
+    """Refuse an integer argument that is not exactly an int (a bool, float
+    or str is refused with TypeError) or is below minimum (ValueError)."""
+    if type(value) is not int:
+        raise TypeError(f"{name} must be an int, not {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}")
 
 
 def parse_token_corpus(text: str) -> Corpus:

@@ -19,8 +19,6 @@ from .corpus import Corpus, read_token_corpus
 from .pipeline import Mode, PipelineConfig, preprocess
 from .suffixes import SuffixList, load_suffix_list
 
-EM_ITERATIONS = 5
-
 
 def _load_fixture(name: str, reader: Callable):
     """Load a bundled data file with a path-taking reader."""
@@ -53,8 +51,8 @@ def run_demo() -> None:
     )
     split_src = preprocess(src, config)
 
-    fused_table = train_em(src, tgt, iterations=EM_ITERATIONS)
-    split_table = train_em(split_src, tgt, iterations=EM_ITERATIONS)
+    fused_table = train_em(src, tgt)  # train_em's default iterations
+    split_table = train_em(split_src, tgt)
     fused_links = viterbi_align(src[0], tgt[0], fused_table)
     split_links = viterbi_align(split_src[0], tgt[0], split_table)
 

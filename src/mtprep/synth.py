@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 from .aligner import Link, align_corpus, corpus_alignment_f1, train_em
 from .compounds import DEFAULT_MARGIN, induce_compound_suffixes
-from .corpus import Corpus, build_vocabulary
+from .corpus import Corpus, build_vocabulary, check_int
 from .pipeline import Mode, PipelineConfig, preprocess
 from .suffixes import SuffixList
 
@@ -233,8 +233,7 @@ def build_benchmark(
     fused corpus and comparing with the intended segmentation; on the rare
     constraint-evading coincidence it retries with a derived seed.
     """
-    if sentences < 1:
-        raise ValueError("sentences must be >= 1")
+    check_int("sentences", sentences, 1)
     for salt in range(32):
         bench = _build_once(random.Random(seed * 1000003 + salt), sentences)
         if bench is not None:

@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -118,6 +119,13 @@ def test_rejects_iterations_that_are_not_an_int_before_any_work(iterations):
     message = f"iterations must be an int, not {iterations!r}"
     with pytest.raises(TypeError, match=message):
         train_em(Untouchable(), Untouchable(), iterations=iterations)
+
+
+@pytest.mark.parametrize("null_word", ["no", 1, None])
+def test_rejects_a_null_word_that_is_not_a_bool_before_any_work(null_word):
+    message = re.escape(f"null_word must be a bool, not {null_word!r}")
+    with pytest.raises(TypeError, match=f"^{message}$"):
+        train_em(Untouchable(), Untouchable(), null_word=null_word)
 
 
 def test_rejects_reserved_null_token_in_data():

@@ -1,6 +1,7 @@
 """Command-line behavior: arguments, config merging, exit codes, file I/O."""
 
 import importlib.util
+import inspect
 import os
 import subprocess
 import sys
@@ -11,6 +12,7 @@ import pytest
 
 import mtprep
 from mtprep import cli
+from mtprep.aligner import train_em
 from mtprep.cli import load_config, main
 from mtprep.compounds import induce_compound_suffixes, save_compound_suffixes
 from mtprep.corpus import (
@@ -781,6 +783,12 @@ def test_help_reads_its_defaults_from_the_option_table(monkeypatch, capsys):
     caster, _ = cli._OPTIONAL["align"]["iters"]
     monkeypatch.setitem(cli._OPTIONAL["align"], "iters", (caster, 9))
     assert "--iters N EM iterations (default 9)" in help_text("align", capsys)
+
+
+def test_the_iters_default_is_train_ems():
+    # cli may not import the aligner at start-up, so it restates the default
+    _, default = cli._OPTIONAL["align"]["iters"]
+    assert default == inspect.signature(train_em).parameters["iterations"].default
 
 
 # --- names the benchmark's tracer wraps -------------------------------------

@@ -1,5 +1,6 @@
 """Compound suffix induction and recursive compound splitting."""
 
+import re
 from collections import Counter
 
 import pytest
@@ -344,6 +345,14 @@ def test_load_reports_bad_line_number(tmp_path):
     path = tmp_path / "comp.tsv"
     path.write_text("kaDuuna\t3\nbroken line\n", encoding="utf-8")
     with pytest.raises(ValueError, match=":2:"):
+        load_compound_suffixes(path)
+
+
+@pytest.mark.parametrize("line", ["kaDuuna\t0", "\t3"])
+def test_load_rejects_a_zero_count_and_an_empty_member(line, tmp_path):
+    path = tmp_path / "comp.tsv"
+    path.write_text(f"na\t7\n{line}\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(f"{path}:2: bad entry {line!r}")):
         load_compound_suffixes(path)
 
 

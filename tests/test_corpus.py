@@ -6,8 +6,14 @@ import sys
 import pytest
 from hypothesis import assume, given, strategies as st
 
+from mtprep import synth
+from mtprep.aligner import train_em
 from mtprep.cli import _read_gold, load_config
-from mtprep.compounds import load_compound_suffixes
+from mtprep.compounds import (
+    CompoundSuffixSet,
+    induce_compound_suffixes,
+    load_compound_suffixes,
+)
 from mtprep.corpus import (
     build_vocabulary,
     is_token,
@@ -146,6 +152,55 @@ needs_digit_limit = pytest.mark.skipif(not DIGIT_LIMIT, reason="no int() digit l
 ])
 def test_parse_digits(text, value):
     assert parse_digits(text) == value
+
+
+class Unread:
+    """An input that fails the test if it is iterated or measured."""
+
+    def __iter__(self):
+        pytest.fail("iterated")
+
+    def __len__(self):
+        pytest.fail("measured")
+
+
+def _never_built(*args):
+    pytest.fail("a benchmark was built")
+
+
+# Every integer argument of the library: (call with the value, name, minimum).
+# Each call's other inputs fail the test if read, so a refusal comes first.
+INT_ARGUMENTS = {
+    "CompoundSuffixSet-margin": (lambda v: CompoundSuffixSet({}, v), "margin", 0),
+    "induce_compound_suffixes-margin": (
+        lambda v: induce_compound_suffixes(Unread(), margin=v), "margin", 0
+    ),
+    "induce_compound_suffixes-min_count": (
+        lambda v: induce_compound_suffixes(Unread(), min_count=v), "min_count", 1
+    ),
+    "train_em-iterations": (
+        lambda v: train_em(Unread(), Unread(), iterations=v), "iterations", 1
+    ),
+    "build_benchmark-sentences": (
+        lambda v: synth.build_benchmark(sentences=v), "sentences", 1
+    ),
+}
+
+
+@pytest.mark.parametrize("value", [True, 2.5, "3", "below"])
+@pytest.mark.parametrize("argument", sorted(INT_ARGUMENTS))
+def test_integer_arguments_are_exactly_ints_at_their_minimum(
+    argument, value, monkeypatch
+):
+    monkeypatch.setattr(synth, "_build_once", _never_built)
+    call, name, minimum = INT_ARGUMENTS[argument]
+    if value == "below":
+        with pytest.raises(ValueError, match=f"^{name} must be >= {minimum}$"):
+            call(minimum - 1)
+    else:
+        message = re.escape(f"{name} must be an int, not {value!r}")
+        with pytest.raises(TypeError, match=f"^{message}$"):
+            call(value)
 
 
 GOLD_SRC = [["a", "b"], [], ["c"]]

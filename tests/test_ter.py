@@ -128,6 +128,11 @@ def test_empty_hypothesis_costs_full_insertion():
     assert result.rate == 1.0
 
 
+def test_empty_reference_is_refused():
+    with pytest.raises(ValueError, match="^reference sentence is empty$"):
+        sentence_ter(["a"], [])
+
+
 def test_rate_can_exceed_one():
     result = sentence_ter(["x", "y", "z", "w"], ["a"])
     assert result.rate > 1.0
