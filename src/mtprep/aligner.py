@@ -14,10 +14,9 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass
 from typing import Iterable
 
-from .corpus import Corpus, Sentence, check_int, parse_digits
+from .corpus import Corpus, Sentence, _Frozen, check_int, parse_digits
 
 # Pseudo source word that absorbs target words with no good real source.
 # It sits in slot 0 of every source sentence when the null word is on.
@@ -29,17 +28,22 @@ PROB_FLOOR = 1e-12
 Link = tuple[int, int]
 
 
-@dataclass(frozen=True)
-class TranslationTable:
-    """t(target | source) plus the log-likelihood after each iteration.
+class TranslationTable(_Frozen):
+    """t(target | source) plus the log-likelihood of each iteration,
+    measured with the table that iteration starts from (so entry 0 is that
+    of the uniform start, and the final table's own is not recorded).
 
     has_null records whether training put the null word in slot 0 of every
     source sentence (a source corpus may contain the literal NULL_TOKEN).
     """
 
-    probs: dict[str, dict[str, float]]
-    log_likelihoods: tuple[float, ...] = ()
-    has_null: bool = False
+    __slots__ = __match_args__ = ("probs", "log_likelihoods", "has_null")
+
+    def __init__(
+        self, probs: dict[str, dict[str, float]],
+        log_likelihoods: tuple[float, ...] = (), has_null: bool = False,
+    ) -> None:
+        super().__init__(probs, log_likelihoods, has_null)
 
     def prob(self, source: str, target: str) -> float:
         return self.probs.get(source, {}).get(target, 0.0)
@@ -184,11 +188,8 @@ def align_corpus(
     return [viterbi_align(s, t, table) for s, t in zip(src_corpus, tgt_corpus)]
 
 
-@dataclass(frozen=True)
-class F1Score:
-    precision: float
-    recall: float
-    f1: float
+class F1Score(_Frozen):
+    __slots__ = __match_args__ = ("precision", "recall", "f1")
 
 
 def _prf(intersection: int, predicted: int, gold: int) -> F1Score:

@@ -10,8 +10,9 @@ suffixes, markers, pipeline).  Commands read the package's exported names
 of metrics and the aligner as attributes of this module, which gets each
 from the package on first use, so evaluate and align load theirs when they
 run; evaluate and demo-table2 import TSV_HEADER and run_demo themselves.
-induce-suffixes and preprocess load no dataclasses (nor the inspect module
-it imports), while evaluate and align load it with their modules.
+No command loads dataclasses (nor the inspect module it imports): the
+value classes are built on corpus._Frozen.  Only evaluate --report json
+loads json.
 """
 
 from __future__ import annotations

@@ -16,8 +16,10 @@ from itertools import compress
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
 
-from .corpus import check_int, is_token, parse_digits, read_lines, write_lines
-from .suffixes import _check_utf8, _Frozen, longest_tail
+from .corpus import (
+    _Frozen, check_int, is_token, parse_digits, read_lines, write_lines,
+)
+from .suffixes import _check_utf8, longest_tail
 
 DEFAULT_MARGIN = 5
 

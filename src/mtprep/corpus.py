@@ -6,7 +6,8 @@ read_text, the one reader: read_lines splits its text into lines, and
 read_types into the set of distinct tokens.  Every file mtprep writes goes
 through write_lines, so "a line" means the same everywhere.  Integers read
 from text go through parse_digits, and integer arguments of the library
-through check_int.
+through check_int.  _Frozen is the one base of the package's value
+classes, here because every module that defines one imports this one.
 A corpus has one sentence per line and tokens separated by whitespace.
 Empty lines are kept as empty sentences so that line-parallel
 source/target files stay aligned through preprocessing.
@@ -97,6 +98,62 @@ def check_int(name: str, value: object, minimum: int) -> None:
         raise TypeError(f"{name} must be an int, not {value!r}")
     if value < minimum:
         raise ValueError(f"{name} must be >= {minimum}")
+
+
+class _Frozen:
+    """An immutable value, as a frozen dataclass would make it, without the
+    cost of importing dataclasses: the base of every mtprep value class.  A
+    subclass names its fields once, in __match_args__; repr, equality
+    (within one class) and hash read them.  __init__ binds its arguments to
+    the fields as a dataclass __init__ does, positional ones first, and sets
+    each attribute once, through object.__setattr__."""
+
+    __slots__ = ("__weakref__",)  # weakly referable, as a dataclass instance is
+
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        names = self.__match_args__
+        if len(args) > len(names):
+            raise TypeError(
+                f"{self.__class__.__qualname__}() takes {len(names)} arguments "
+                f"but {len(args)} were given"
+            )
+        for name, value in zip(names, args):
+            object.__setattr__(self, name, value)
+        for name in names[len(args) :]:
+            if name not in kwargs:
+                raise TypeError(
+                    f"{self.__class__.__qualname__}() missing argument {name!r}"
+                )
+            object.__setattr__(self, name, kwargs.pop(name))
+        for name in kwargs:  # left over: unknown, or given twice
+            problem = "multiple values for" if name in names else "an unexpected keyword"
+            raise TypeError(
+                f"{self.__class__.__qualname__}() got {problem} argument {name!r}"
+            )
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__match_args__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = (f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{self.__class__.__qualname__}({', '.join(fields)})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:  # copy and pickle rebuild through __init__
+        return self.__class__, self._fields()
 
 
 def parse_token_corpus(text: str) -> Corpus:

@@ -2,11 +2,8 @@
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
-
 from .. import _EXPORTS
-from ..corpus import Corpus
+from ..corpus import Corpus, _Frozen
 from .bleu import BleuScore, bleu, bleu_from_statistics
 from .common import ngram_statistics
 from .nist import NistScore, nist, nist_from_statistics
@@ -18,8 +15,7 @@ del _EXPORTS  # dir() lists this module's own names only
 TSV_HEADER = "BLEU\tNIST\tTER"
 
 
-@dataclass(frozen=True)
-class EvalReport:
+class EvalReport(_Frozen):
     """The three metric results; bleu, nist and ter read their headline
     scores, so a report cannot disagree with its components.
 
@@ -28,9 +24,7 @@ class EvalReport:
     quoted scaled by 100.  nist has no percent form.
     """
 
-    bleu_detail: BleuScore
-    nist_detail: NistScore
-    ter_detail: TerScore
+    __slots__ = __match_args__ = ("bleu_detail", "nist_detail", "ter_detail")
 
     @property
     def bleu(self) -> float:
@@ -77,6 +71,8 @@ class EvalReport:
         }
 
     def to_json(self) -> str:
+        import json  # here, so that a TSV report does not load it
+
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 

@@ -4,25 +4,20 @@ brevity penalty, single reference per segment."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from ..corpus import Corpus
+from ..corpus import Corpus, _Frozen
 from .common import NgramStatistics, ngram_statistics
 
 BLEU_ORDER = 4  # orders 1 to 4, as in Papineni et al. 2002
 
 
-@dataclass(frozen=True)
-class BleuScore:
+class BleuScore(_Frozen):
     """Headline score in [0,1] plus the components that produce it."""
 
-    score: float
-    precisions: tuple[float, ...]
-    matches: tuple[int, ...]
-    totals: tuple[int, ...]
-    brevity_penalty: float
-    hyp_length: int
-    ref_length: int
+    __slots__ = __match_args__ = (
+        "score", "precisions", "matches", "totals", "brevity_penalty", "hyp_length",
+        "ref_length",
+    )
 
     @property
     def percent(self) -> float:

@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from typing import Sequence
+
+from ..corpus import _Frozen
 
 Ngram = tuple[str, ...]
 
@@ -30,8 +31,7 @@ def validate_corpora(hyps: Sequence[Sequence[str]], refs: Sequence[Sequence[str]
             raise ValueError(f"reference sentence {k + 1} is empty")
 
 
-@dataclass(frozen=True)
-class NgramStatistics:
+class NgramStatistics(_Frozen):
     """What BLEU and NIST read from one hypothesis/reference corpus pair.
 
     Orders run from 1 to NIST_ORDER.  clipped[n - 1][k] is segment k's
@@ -41,11 +41,9 @@ class NgramStatistics:
     counts every reference n-gram of those orders over the whole corpus.
     """
 
-    clipped: tuple[tuple[Counter[Ngram], ...], ...]
-    totals: tuple[int, ...]
-    ref_counts: Counter[Ngram]
-    hyp_length: int
-    ref_length: int
+    __slots__ = __match_args__ = (
+        "clipped", "totals", "ref_counts", "hyp_length", "ref_length"
+    )
 
 
 def ngram_statistics(

@@ -10,22 +10,18 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 
-from ..corpus import Corpus
+from ..corpus import Corpus, _Frozen
 from .common import Ngram, NgramStatistics, ngram_statistics
 
 # exp(BETA * ln(2/3)^2) == 0.5
 BETA = math.log(0.5) / math.log(2.0 / 3.0) ** 2
 
 
-@dataclass(frozen=True)
-class NistScore:
-    score: float
-    per_order: tuple[float, ...]
-    brevity: float
-    hyp_length: int
-    ref_length: int
+class NistScore(_Frozen):
+    __slots__ = __match_args__ = (
+        "score", "per_order", "brevity", "hyp_length", "ref_length"
+    )
 
 
 def information(gram: Ngram, ref_counts: Counter[Ngram], ref_length: int) -> float:

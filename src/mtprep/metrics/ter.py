@@ -30,9 +30,8 @@ those of the plain O(n*m) dynamic program, which the tests keep as the oracle.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass
 
-from ..corpus import Corpus, Sentence
+from ..corpus import Corpus, Sentence, _Frozen
 from .common import validate_corpora
 
 # Exact search is exponential in the worst case; beyond this many tokens on
@@ -102,13 +101,10 @@ def edit_distance(a: Sentence, b: Sentence) -> int:
     return _distance(a, _match_masks(b), len(b))
 
 
-@dataclass(frozen=True)
-class SentenceTer:
+class SentenceTer(_Frozen):
     """Edit breakdown for one segment."""
 
-    shifts: int
-    edits_after_shifts: int
-    ref_length: int
+    __slots__ = __match_args__ = ("shifts", "edits_after_shifts", "ref_length")
 
     @property
     def total_edits(self) -> int:
@@ -119,13 +115,10 @@ class SentenceTer:
         return self.total_edits / self.ref_length
 
 
-@dataclass(frozen=True)
-class TerScore:
-    score: float
-    total_edits: int
-    total_shifts: int
-    ref_length: int
-    sentences: tuple[SentenceTer, ...]
+class TerScore(_Frozen):
+    __slots__ = __match_args__ = (
+        "score", "total_edits", "total_shifts", "ref_length", "sentences"
+    )
 
 
 def _positions(ref: Sentence) -> dict[str, list[int]]:
@@ -309,7 +302,7 @@ def _greedy_ter(hyp: Sentence, ref: Sentence) -> SentenceTer:
         )
         edits = best_edits
         shifts += 1
-    return SentenceTer(shifts=shifts, edits_after_shifts=edits, ref_length=ref_length)
+    return SentenceTer(shifts, edits, ref_length)  # positional: the cheapest to bind
 
 
 def sentence_ter(hyp: Sentence, ref: Sentence) -> SentenceTer:

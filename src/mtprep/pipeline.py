@@ -10,9 +10,9 @@ from __future__ import annotations
 from enum import Enum
 
 from .compounds import CompoundSuffixSet, split_compound
-from .corpus import Corpus
+from .corpus import Corpus, _Frozen
 from .markers import check_marker, join_marked, mark_pieces
-from .suffixes import SuffixList, _Frozen, suffix_length
+from .suffixes import SuffixList, suffix_length
 
 # Tokens carrying this POS tag are exempt from splitting when tags are
 # supplied: proper nouns fragment badly and gain nothing from separation.
@@ -49,9 +49,7 @@ class PipelineConfig(_Frozen):
             raise ValueError(f"mode {mode.value} requires a suffix list")
         if mode in COMPOUND_MODES and compound_set is None:
             raise ValueError(f"mode {mode.value} requires a compound suffix set")
-        values = (mode, suffix_list, compound_set, marker, nnp_tags)
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
+        super().__init__(mode, suffix_list, compound_set, marker, nnp_tags)
 
 
 def token_pieces(word: str, config: PipelineConfig) -> list[str]:

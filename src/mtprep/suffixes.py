@@ -8,8 +8,7 @@ that correspond to free-standing postpositions in the target language.
 longest_tail is the matching primitive shared with compound splitting.
 It probes tails by length, only within the inventory's length window, so
 one strip costs at most longest - shortest + 1 set lookups, whatever the
-inventory size.  _Frozen is the base of the value classes of the
-preprocessing path, here and in compounds and pipeline.
+inventory size.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ import warnings
 from pathlib import Path
 from typing import Container, Iterable, Iterator
 
-from .corpus import is_token, read_lines, write_lines
+from .corpus import _Frozen, is_token, read_lines, write_lines
 
 
 def longest_tail(
@@ -38,39 +37,6 @@ def longest_tail(
         if residue[-length:] in members:
             return length
     return 0
-
-
-class _Frozen:
-    """An immutable value, as a frozen dataclass would make it, without the
-    cost of importing dataclasses: repr, equality (within one class) and hash
-    read the init fields, which subclasses name in __match_args__.  __init__
-    sets each attribute once, through object.__setattr__."""
-
-    __slots__ = ("__weakref__",)  # weakly referable, as a dataclass instance is
-
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__match_args__)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return self._fields() == other._fields()
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
-
-    def __repr__(self) -> str:
-        fields = (f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
-        return f"{self.__class__.__qualname__}({', '.join(fields)})"
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self) -> tuple:  # copy and pickle rebuild through __init__
-        return self.__class__, self._fields()
 
 
 class SuffixList(_Frozen):
@@ -117,8 +83,7 @@ class Split(_Frozen):
     __slots__ = __match_args__ = ("stem", "suffix")
 
     def __init__(self, stem: str, suffix: str | None = None) -> None:
-        object.__setattr__(self, "stem", stem)
-        object.__setattr__(self, "suffix", suffix)
+        super().__init__(stem, suffix)
 
     def pieces(self) -> list[str]:
         if self.suffix is None:

@@ -23,11 +23,10 @@ a fresh derived seed if a coincidence slips through.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from .aligner import Link, align_corpus, corpus_alignment_f1, train_em
 from .compounds import DEFAULT_MARGIN, induce_compound_suffixes
-from .corpus import Corpus, build_vocabulary, check_int
+from .corpus import Corpus, _Frozen, build_vocabulary, check_int
 from .pipeline import Mode, PipelineConfig, preprocess
 from .suffixes import SuffixList
 
@@ -38,19 +37,15 @@ DEFAULT_SEED = 1729
 Unit = tuple[str, tuple[str, ...], tuple[str, ...]]
 
 
-@dataclass(frozen=True)
-class SyntheticBenchmark:
+class SyntheticBenchmark(_Frozen):
     """Parallel corpus in two source tokenizations plus gold links."""
 
-    src_fused: Corpus
-    src_split: Corpus
-    tgt: Corpus
-    gold_fused: tuple[frozenset[Link], ...]
-    gold_split: tuple[frozenset[Link], ...]
-    stems: tuple[str, ...]
-    suffixes: tuple[str, ...]
+    __slots__ = __match_args__ = (
+        "src_fused", "src_split", "tgt", "gold_fused", "gold_split", "stems", "suffixes"
+    )
 
-    def __post_init__(self) -> None:
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        super().__init__(*args, **kwargs)
         if not (
             len(self.src_fused) == len(self.src_split) == len(self.tgt)
             == len(self.gold_fused) == len(self.gold_split)

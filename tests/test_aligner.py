@@ -59,6 +59,18 @@ def test_log_likelihood_recorded_per_iteration():
     assert len(table.log_likelihoods) == 4
 
 
+def test_log_likelihood_is_measured_before_each_m_step():
+    # the uniform start gives each of the three target words probability
+    # 1/2; the first M-step then moves t(x|a) to 3/4 (see above)
+    table = train_em(SRC, TGT, iterations=2)
+    first, second = table.log_likelihoods
+    assert first == pytest.approx(3 * math.log(0.5))
+    assert second == pytest.approx(
+        math.log((0.75 + 0.5) / 2) + math.log((0.25 + 0.5) / 2) + math.log(0.75)
+    )
+    assert train_em(SRC, TGT, iterations=1).log_likelihoods == (first,)
+
+
 def test_log_likelihood_never_decreases():
     table = train_em(SRC, TGT, iterations=8)
     lls = table.log_likelihoods

@@ -87,6 +87,24 @@ def test_the_prep_commands_load_neither_dataclasses_nor_inspect(tmp_path):
     assert out.read_text(encoding="utf-8") == "sarakaara@@ kaD@@ uuna kaD@@ uuna\n"
 
 
+def test_evaluate_and_align_load_neither_dataclasses_nor_inspect(tmp_path):
+    hyp, ref = tmp_path / "hyp", tmp_path / "ref"
+    hyp.write_text("a b c\n", encoding="utf-8")
+    ref.write_text("a c b\n", encoding="utf-8")
+    evaluate = ["evaluate", "--hyp", str(hyp), "--ref", str(ref), "--report"]
+    align = ["align", "--src", str(hyp), "--tgt", str(ref)]
+    watched = "{'dataclasses', 'inspect', 'json'}"
+    for argv, also in [(evaluate + ["tsv"], set()), (evaluate + ["json"], {"json"}),
+                       (align, set())]:
+        printed = fresh(
+            "import contextlib, io, sys, mtprep.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    code = mtprep.cli.main({argv!r})\n"
+            f"print(code, *{watched} & set(sys.modules))"
+        )
+        assert printed == {"0"} | also, argv
+
+
 def test_importing_the_package_loads_no_submodule():
     loaded = loaded_after("import mtprep")
     assert {m for m in loaded if m.startswith("mtprep")} == {"mtprep"}
