@@ -6,7 +6,7 @@ inventory when some other, sufficiently longer vocabulary word ends with it
 reversed words once, so that the words ending with v follow v[::-1] as one
 run, and walks only those runs.  Splitting then recursively strips
 inventory members off the right edge of a word, under the same margin,
-which the inventory carries (and its file records).
+which the inventory carries (and its file records): suffixes.make_splitter.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from typing import Iterable, Iterator, Mapping
 from .corpus import (
     _Frozen, check_int, is_token, parse_digits, read_lines, write_lines,
 )
-from .suffixes import _check_utf8, longest_tail
+from .suffixes import _check_utf8, make_splitter
 
 DEFAULT_MARGIN = 5
 
@@ -116,33 +116,9 @@ def induce_compound_suffixes(
 def split_compound(
     word: str, compound_suffixes: CompoundSuffixSet, margin: int | None = None
 ) -> list[str]:
-    """Repeatedly strip the longest fitting inventory member off the right
-    edge of the word.
-
-    A strip needs residue.endswith(member), a strictly shorter member than
-    the current residue (constituents stay non-empty), and the original
-    word longer than member length + margin.  margin defaults to the one
-    the inventory was induced with.  Returned constituents are in surface
-    order and always concatenate back to the input.
-    """
-    if not word:
-        raise ValueError("cannot split an empty word")
-    if margin is None:
-        margin = compound_suffixes.margin
-    stripped: list[str] = []
-    residue = word
-    # no longer tail is a member
-    longest = min(len(word) - margin - 1, compound_suffixes.longest)
-    members, shortest = compound_suffixes.counts, compound_suffixes.shortest
-    while True:
-        length = longest_tail(residue, members, min(len(residue) - 1, longest), shortest)
-        if not length:
-            break
-        stripped.append(residue[-length:])
-        residue = residue[:-length]
-    stripped.append(residue)
-    stripped.reverse()
-    return stripped
+    """The word's constituents, in surface order, by make_splitter's compound
+    stage under margin (by default the one the inventory was induced with)."""
+    return make_splitter(compound_suffixes, None, None, margin)(word)
 
 
 def save_compound_suffixes(

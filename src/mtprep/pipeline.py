@@ -2,17 +2,19 @@
 
 Four modes mirror the submitted system configurations: bl (identity),
 ss (suffix separation), cs (compound splitting), cs+ss (compound splitting
-first, then suffix separation on every resulting constituent).
+first, then suffix separation on every resulting constituent): the stages
+of suffixes.make_splitter, of which preprocess builds one per call.
 """
 
 from __future__ import annotations
 
 from enum import Enum
+from typing import Callable
 
-from .compounds import CompoundSuffixSet, split_compound
+from .compounds import CompoundSuffixSet
 from .corpus import Corpus, _Frozen
-from .markers import check_marker, join_marked, mark_pieces
-from .suffixes import SuffixList, suffix_length
+from .markers import check_marker, join_marked
+from .suffixes import SuffixList, make_splitter
 
 # Tokens carrying this POS tag are exempt from splitting when tags are
 # supplied: proper nouns fragment badly and gain nothing from separation.
@@ -27,8 +29,7 @@ class Mode(Enum):
 
 
 # Tuples, not sets: `in` on a tuple compares the members by identity in C,
-# while a set lookup first calls Enum.__hash__, a Python function, and
-# token_pieces asks both questions once per type.
+# while a set lookup first calls Enum.__hash__, a Python function.
 COMPOUND_MODES = (Mode.CS, Mode.CS_SS)
 SUFFIX_MODES = (Mode.SS, Mode.CS_SS)
 
@@ -52,24 +53,17 @@ class PipelineConfig(_Frozen):
         super().__init__(mode, suffix_list, compound_set, marker, nnp_tags)
 
 
-def token_pieces(word: str, config: PipelineConfig) -> list[str]:
-    """Decompose one token per the configured mode, pieces in surface order.
-
-    The pieces always concatenate back to the word; markers are applied by
-    the caller so the decomposition itself stays marker-free.
-    """
+def _splitter(config: PipelineConfig, marker: str | None) -> Callable[[str], list[str]]:
+    """make_splitter with the configured mode's stages, marking with marker."""
     mode = config.mode
-    pieces = split_compound(word, config.compound_set) if mode in COMPOUND_MODES else [word]
-    if mode in SUFFIX_MODES:
-        suffixes = config.suffix_list
-        constituents, pieces = pieces, []
-        for constituent in constituents:
-            length = suffix_length(constituent, suffixes)
-            if length:  # stem and suffix, as separate_suffix's Split.pieces()
-                pieces += (constituent[:-length], constituent[-length:])
-            else:
-                pieces.append(constituent)
-    return pieces
+    compound_set = config.compound_set if mode in COMPOUND_MODES else None
+    return make_splitter(compound_set, config.suffix_list if mode in SUFFIX_MODES else None, marker)
+
+
+def token_pieces(word: str, config: PipelineConfig) -> list[str]:
+    """One token's unmarked pieces under the configured mode, in surface
+    order; they always concatenate back to the word."""
+    return _splitter(config, None)(word)
 
 
 def preprocess(corpus: Corpus, config: PipelineConfig) -> Corpus:
@@ -88,6 +82,7 @@ def preprocess(corpus: Corpus, config: PipelineConfig) -> Corpus:
         raise ValueError(
             f"tag file has {len(tags)} sentences, corpus has {len(corpus)}"
         )
+    split = _splitter(config, marker)
     cache: dict[str, list[str]] = {}
     result: Corpus = []
     for k, sentence in enumerate(corpus):
@@ -109,7 +104,7 @@ def preprocess(corpus: Corpus, config: PipelineConfig) -> Corpus:
                 continue
             pieces = cache.get(word)
             if pieces is None:
-                pieces = cache[word] = mark_pieces(token_pieces(word, config), marker)
+                pieces = cache[word] = split(word)
             tokens.extend(pieces)
         result.append(tokens)
     return result

@@ -5,38 +5,21 @@ strict suffix of the word (the stem must keep at least one character).
 The inventory itself is a hand-written list of source-language suffixes
 that correspond to free-standing postpositions in the target language.
 
-longest_tail is the matching primitive shared with compound splitting.
-It probes tails by length, only within the inventory's length window, so
-one strip costs at most longest - shortest + 1 set lookups, whatever the
-inventory size.
+make_splitter states the compound, suffix and marker rules once: every
+splitter in the package calls the function it builds.
 """
 
 from __future__ import annotations
 
 import warnings
 from pathlib import Path
-from typing import Container, Iterable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 from .corpus import _Frozen, is_token, read_lines, write_lines
+from .markers import mark_pieces
 
-
-def longest_tail(
-    residue: str, members: Container[str], cap: int, shortest: int
-) -> int:
-    """Length of the longest tail of residue that is in members, or 0.
-
-    Only tails of at most cap characters count.  shortest is the length of
-    the shortest member: no shorter tail can match, so none is probed.  It
-    must be at least 1 (a precondition, not checked): residue[-0:] is the
-    whole residue, not an empty tail.  Probing by length therefore costs
-    at most cap - shortest + 1 lookups whatever the inventory size, and
-    since exactly one string of each length is a tail, the first hit is
-    the longest match.
-    """
-    for length in range(min(cap, len(residue)), shortest - 1, -1):
-        if residue[-length:] in members:
-            return length
-    return 0
+if TYPE_CHECKING:  # read for annotations only: compounds imports this module
+    from .compounds import CompoundSuffixSet
 
 
 class SuffixList(_Frozen):
@@ -141,25 +124,70 @@ def _check_utf8(entries: Iterable[str], kind: str) -> None:
 
 
 def suffix_length(word: str, suffixes: SuffixList) -> int:
-    """Length of the longest listed suffix to split off word, or 0.
-
-    The match must be strict: the word has to be longer than the suffix so
-    the stem stays non-empty.  Only tails within the list's length window
-    are probed.
-    """
-    if not word:
-        raise ValueError("cannot split an empty word")
-    return longest_tail(
-        word, suffixes.members, min(len(word) - 1, suffixes.longest), suffixes.shortest
-    )
+    """Length of the suffix separate_suffix splits off word, or 0."""
+    return len(separate_suffix(word, suffixes).suffix or "")
 
 
 def separate_suffix(word: str, suffixes: SuffixList) -> Split:
-    """Split off the longest listed suffix, if any (see suffix_length).
+    """Split off the longest listed suffix that leaves a non-empty stem, if
+    any (make_splitter's suffix stage); an empty word raises ValueError."""
+    return Split(*make_splitter(None, suffixes)(word))
 
-    Words with no qualifying suffix come back whole.
+
+def make_splitter(
+    compound_set: CompoundSuffixSet | None, suffix_list: SuffixList | None,
+    marker: str | None = None, margin: int | None = None,
+) -> Callable[[str], list[str]]:
+    """Build the function from a word to its marked pieces: the one
+    statement of the splitting rules, which every splitter here calls.
+
+    With a compound inventory it strips the longest member off the residue's
+    right edge while one is strictly shorter than the residue and the word
+    is longer than member length + margin (the inventory's own by default).
+    With a suffix list it then splits each constituent once, on the longest
+    listed strict tail.  None skips a stage.  mark_pieces marks the pieces,
+    which concatenate back to the word.  An empty word raises ValueError
+    unless both stages are skipped.  Tails are probed by length, longest
+    first, only within the inventory's length window: a strip costs at most
+    longest - shortest + 1 set lookups, and the first hit is the longest.
     """
-    length = suffix_length(word, suffixes)
-    if length:
-        return Split(word[:-length], word[-length:])
-    return Split(word)
+    compounds = suffixes = None
+    if compound_set is not None:
+        compounds, c_top, c_low = compound_set.counts, compound_set.longest, compound_set.shortest
+        margin = compound_set.margin if margin is None else margin
+    if suffix_list is not None:
+        suffixes, s_top, s_low = suffix_list.members, suffix_list.longest, suffix_list.shortest
+
+    def split(word: str) -> list[str]:
+        if not word and (compounds is not None or suffixes is not None):
+            raise ValueError("cannot split an empty word")
+        pieces = [word]
+        if compounds is not None:
+            top = len(word) - margin - 1  # longer members fail the margin or are unlisted
+            if top > c_top:
+                top = c_top
+            residue, pieces = word, []  # pieces: the stripped members, right to left
+            while True:
+                cap = len(residue) - 1  # a strip leaves a non-empty residue
+                for length in range(top if top < cap else cap, c_low - 1, -1):
+                    if residue[-length:] in compounds:
+                        pieces.append(residue[-length:])
+                        residue = residue[:-length]
+                        break
+                else:
+                    break
+            pieces.append(residue)
+            pieces.reverse()
+        if suffixes is not None:
+            constituents, pieces = pieces, []
+            for constituent in constituents:
+                cap = len(constituent) - 1  # the stem keeps a character
+                for length in range(s_top if s_top < cap else cap, s_low - 1, -1):
+                    if constituent[-length:] in suffixes:
+                        pieces += (constituent[:-length], constituent[-length:])
+                        break
+                else:
+                    pieces.append(constituent)
+        return mark_pieces(pieces, marker)
+
+    return split

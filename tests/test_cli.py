@@ -14,7 +14,9 @@ import mtprep
 from mtprep import cli
 from mtprep.aligner import train_em
 from mtprep.cli import load_config, main
-from mtprep.compounds import induce_compound_suffixes, save_compound_suffixes
+from mtprep.compounds import (
+    induce_compound_suffixes, load_compound_suffixes, save_compound_suffixes,
+)
 from mtprep.corpus import (
     build_vocabulary,
     read_token_corpus,
@@ -22,7 +24,10 @@ from mtprep.corpus import (
     write_token_corpus,
 )
 from mtprep.pipeline import Mode, PipelineConfig, preprocess
+from mtprep.suffixes import load_suffix_list
 from mtprep.synth import build_benchmark
+
+from oracles import preprocess_oracle, token_pieces_oracle
 
 # int()'s digit limit, and a digit string one past it; the limit is 0 (none)
 # where sys has no get_int_max_str_digits, and then such strings are valid.
@@ -370,6 +375,44 @@ def test_failed_in_place_preprocess_leaves_the_file_untouched(
     assert code == 1
     assert "tag file has 1 sentences, corpus has 2" in capsys.readouterr().err
     assert corpus_file.read_bytes() == before
+
+
+@pytest.fixture(scope="module")
+def synthetic_inputs(tmp_path_factory):
+    """A synthetic benchmark's fused source, its suffix list and the compound
+    inventory induce-suffixes builds from that source, as files."""
+    work = tmp_path_factory.mktemp("synthetic")
+    bench = build_benchmark(60)
+    src, suffixes, compounds = work / "src.txt", work / "suf.txt", work / "comp.tsv"
+    write_token_corpus(bench.src_fused, src)
+    write_lines(bench.suffixes, suffixes)
+    assert main(["induce-suffixes", "--mono", str(src), "-o", str(compounds)]) == 0
+    return src, suffixes, compounds
+
+
+@pytest.mark.parametrize("marker", [None, "@@"])
+@pytest.mark.parametrize("mode", list(Mode))
+def test_preprocess_matches_the_per_token_oracle_on_synthetic_text(
+    synthetic_inputs, mode, marker, tmp_path, capsys
+):
+    src, suffixes, compounds = synthetic_inputs
+    out = tmp_path / "out.txt"
+    argv = [
+        "preprocess", "--mode", mode.value, "--suffixes", str(suffixes),
+        "--compounds", str(compounds), "-i", str(src), "-o", str(out),
+    ]
+    assert main(argv + (["--marker", marker] if marker else [])) == 0
+    assert capsys.readouterr() == ("", "")
+    config = PipelineConfig(
+        mode, load_suffix_list(suffixes), load_compound_suffixes(compounds), marker
+    )
+    corpus = read_token_corpus(src)
+    expected = preprocess_oracle(
+        corpus, lambda word: token_pieces_oracle(word, config), marker, None
+    )
+    assert read_token_corpus(out) == expected
+    # every mode but bl splits some words of this text
+    assert (expected == corpus) == (mode is Mode.BL)
 
 
 # --- induce-suffixes ---------------------------------------------------------

@@ -6,8 +6,10 @@ from hypothesis import given, settings, strategies as st
 import mtprep.pipeline as pipeline
 from mtprep.compounds import CompoundSuffixSet, induce_compound_suffixes
 from mtprep.markers import join_marked
-from mtprep.pipeline import Mode, PipelineConfig, preprocess, reconstruct, token_pieces
-from mtprep.suffixes import SuffixList
+from mtprep.pipeline import (
+    COMPOUND_MODES, SUFFIX_MODES, Mode, PipelineConfig, preprocess, reconstruct, token_pieces,
+)
+from mtprep.suffixes import SuffixList, make_splitter
 
 from oracles import preprocess_oracle, token_pieces_oracle
 
@@ -117,9 +119,27 @@ def test_first_faulty_sentence_raises(corpus, tags, error):
         preprocess(corpus, config(Mode.SS, marker="@@", nnp_tags=tags))
 
 
-def test_tag_sentence_count_is_checked_before_any_split(monkeypatch):
+def count_splits(monkeypatch):
+    """Make every splitter the pipeline builds append each word it splits to
+    the returned list."""
     calls = []
-    monkeypatch.setattr(pipeline, "token_pieces", lambda w, cfg: calls.append(w))
+    real = pipeline.make_splitter
+
+    def factory(*args):
+        split = real(*args)
+
+        def counting(word):
+            calls.append(word)
+            return split(word)
+
+        return counting
+
+    monkeypatch.setattr(pipeline, "make_splitter", factory)
+    return calls
+
+
+def test_tag_sentence_count_is_checked_before_any_split(monkeypatch):
+    calls = count_splits(monkeypatch)
     cfg = config(Mode.SS, marker="@@", nnp_tags=[["NN"]])
     with pytest.raises(ValueError, match="^tag file has 1 sentences, corpus has 2$"):
         preprocess([["x@@"], ["a"]], cfg)
@@ -239,7 +259,7 @@ def run_both(corpus, cfg):
     for run in (
         lambda: preprocess(corpus, cfg),
         lambda: preprocess_oracle(
-            corpus, lambda w: token_pieces(w, cfg), cfg.marker, cfg.nnp_tags
+            corpus, lambda w: token_pieces_oracle(w, cfg), cfg.marker, cfg.nnp_tags
         ),
     ):
         try:
@@ -298,14 +318,7 @@ def test_marker_collision_after_cached_tokens():
 
 
 def test_token_pieces_runs_once_per_non_nnp_type_per_call(monkeypatch):
-    calls = []
-    real = pipeline.token_pieces
-
-    def counting(word, cfg):
-        calls.append(word)
-        return real(word, cfg)
-
-    monkeypatch.setattr(pipeline, "token_pieces", counting)
+    calls = count_splits(monkeypatch)
     corpus = [
         ["mahinyaaMnii", "dara", "mahinyaaMnii", "kaDuuna"],
         ["kaDuuna", "mahinyaaMnii", "dara", "Raama"],
@@ -353,14 +366,26 @@ def ab_inventory_st(draw, word):
 
 
 @settings(max_examples=300)
-@given(st.data(), st.text(alphabet="ab", max_size=16), st.integers(min_value=0, max_value=3))
-def test_token_pieces_matches_the_unwindowed_composition(data, word, margin):
+@given(
+    st.data(), st.text(alphabet="ab", max_size=16), st.integers(min_value=0, max_value=3),
+    st.sampled_from([None, "@@"]),
+)
+def test_token_pieces_matches_the_unwindowed_composition(data, word, margin, marker):
     suffixes = SuffixList(data.draw(ab_inventory_st(word)))
     compounds = CompoundSuffixSet(dict.fromkeys(data.draw(ab_inventory_st(word)), 1), margin)
     for mode in Mode:
         cfg = PipelineConfig(mode=mode, suffix_list=suffixes, compound_set=compounds)
-        got = pieces_or_error(token_pieces, word, cfg)
-        assert got == pieces_or_error(token_pieces_oracle, word, cfg)
+        expected, error = pieces_or_error(token_pieces_oracle, word, cfg)
+        assert pieces_or_error(token_pieces, word, cfg) == (expected, error)
+        # the factory itself, marking every piece but the last
+        split = make_splitter(
+            compounds if mode in COMPOUND_MODES else None,
+            suffixes if mode in SUFFIX_MODES else None,
+            marker,
+        )
+        if expected is not None and marker is not None:
+            expected = [piece + marker for piece in expected[:-1]] + expected[-1:]
+        assert pieces_or_error(lambda w, _: split(w), word, cfg) == (expected, error)
 
 
 @pytest.mark.parametrize("sentence", [["mahiny@@"], ["a", "b@@"], ["@@"], ["a", "@@"]])

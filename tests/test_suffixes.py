@@ -9,7 +9,6 @@ from mtprep.suffixes import (
     Split,
     SuffixList,
     load_suffix_list,
-    longest_tail,
     save_suffix_list,
     separate_suffix,
 )
@@ -24,8 +23,8 @@ ab_members_st = st.lists(st.text(alphabet="ab", min_size=1, max_size=6), max_siz
 
 
 class CountingDict(dict):
-    """A dict that counts the membership probes made in it (a Container
-    longest_tail accepts)."""
+    """A dict that counts the membership probes made in it (an inventory's
+    member set, as the splitters probe it)."""
 
     probes = 0
 
@@ -113,6 +112,20 @@ def test_splitters_probe_only_their_inventory_length_window():
     assert split_compound(word, cset) == [word]
     assert counts.probes == cset.longest - cset.shortest + 1 == 6
     assert SuffixList().shortest == CompoundSuffixSet().shortest == 1
+
+
+def test_preprocess_probes_each_stage_only_in_its_length_window():
+    # the splitter preprocess builds probes the inventories' own member sets
+    word = "x" * 50
+    sl = SuffixList(["aaMnii", "ii", "ne"])
+    cset = CompoundSuffixSet({"kaDuuna": 3, "na": 1})
+    members, counts = CountingDict.fromkeys(sl.members), CountingDict(cset.counts)
+    object.__setattr__(sl, "members", members)
+    object.__setattr__(cset, "counts", counts)
+    cfg = PipelineConfig(Mode.CS_SS, suffix_list=sl, compound_set=cset, marker="@@")
+    assert preprocess([[word, word]], cfg) == [[word, word]]
+    assert counts.probes == cset.longest - cset.shortest + 1 == 6
+    assert members.probes == sl.longest - sl.shortest + 1 == 5
 
 
 def test_separation_prefers_longest_listed_suffix():
@@ -240,20 +253,6 @@ def test_separation_matches_exhaustive_scan(word, suffixes):
 def test_separation_matches_exhaustive_scan_on_colliding_tails(word, suffixes):
     got = separate_suffix(word, SuffixList(suffixes))
     assert (got.stem, got.suffix) == longest_suffix_oracle(word, suffixes)
-
-
-@given(
-    ab_word_st,
-    ab_members_st,
-    st.integers(min_value=-2, max_value=16),
-    st.integers(min_value=1, max_value=8),
-)
-def test_longest_tail_is_longest_listed_tail_within_cap(residue, members, cap, shortest):
-    fits = [
-        length for length in range(1, len(residue) + 1)
-        if shortest <= length <= cap and residue[-length:] in set(members)
-    ]
-    assert longest_tail(residue, frozenset(members), cap, shortest) == max(fits, default=0)
 
 
 @given(word_st, suffixes_st)
