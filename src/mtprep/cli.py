@@ -25,7 +25,7 @@ from typing import Callable
 
 from .compounds import (
     DEFAULT_MARGIN,
-    induce_compound_suffixes,
+    _induce_reversed,
     load_compound_suffixes,
     save_compound_suffixes,
 )
@@ -34,8 +34,8 @@ from .corpus import (
     is_token,
     parse_digits,
     read_lines,
+    read_reversed_types,
     read_token_corpus,
-    read_types,
     write_token_corpus,
 )
 from .pipeline import COMPOUND_MODES, SUFFIX_MODES, Mode, PipelineConfig, preprocess
@@ -207,10 +207,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_induce(args: argparse.Namespace) -> int:
-    vocab = read_types(args.mono)
-    induced = induce_compound_suffixes(
-        vocab, margin=args.margin, min_count=args.min_count
-    )
+    vocab = read_reversed_types(args.mono)
+    induced = _induce_reversed(vocab, args.margin, args.min_count)
     save_compound_suffixes(induced, args.output)
     print(
         f"induced {len(induced)} compound suffixes "

@@ -3,10 +3,11 @@
 Induction scans a monolingual vocabulary: a word joins the compound-suffix
 inventory when some other, sufficiently longer vocabulary word ends with it
 (the length margin keeps short accidental tails out).  It sorts the
-reversed words once, so that the words ending with v follow v[::-1] as one
-run, and walks only those runs.  Splitting then recursively strips
-inventory members off the right edge of a word, under the same margin,
-which the inventory carries (and its file records): suffixes.make_splitter.
+reversed words once (induce-suffixes reads them reversed from the file),
+so that the words ending with v follow v[::-1] as one run, and walks only
+those runs.  Splitting then recursively strips inventory members off the
+right edge of a word, under the same margin, which the inventory carries
+(and its file records): suffixes.make_splitter.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Iterable, Iterator, Mapping
 from .corpus import (
     _Frozen, check_int, is_token, parse_digits, read_lines, write_lines,
 )
-from .suffixes import _check_utf8, make_splitter
+from .suffixes import _check_utf8, _tail_lengths, make_splitter
 
 DEFAULT_MARGIN = 5
 
@@ -34,7 +35,7 @@ class CompoundSuffixSet(_Frozen):
     and 1 when there is none: nothing to probe).
     """
 
-    __match_args__ = ("counts", "margin")  # no __slots__: `ordered` needs a __dict__
+    __match_args__ = ("counts", "margin")  # no __slots__: cached properties need a __dict__
 
     def __init__(
         self, counts: Mapping[str, int] = {}, margin: int = DEFAULT_MARGIN
@@ -59,6 +60,11 @@ class CompoundSuffixSet(_Frozen):
         """Members sorted longest first (ties lexicographic): a stable
         display order, also the iteration order."""
         return tuple(sorted(self.counts, key=lambda s: (-len(s), s)))
+
+    @cached_property
+    def ends(self) -> dict[str, tuple[int, ...]]:
+        """make_splitter's index, built on first use: loading does not pay."""
+        return _tail_lengths(self.counts, self.shortest)
 
     def __contains__(self, member: object) -> bool:
         return member in self.counts
@@ -94,7 +100,15 @@ def induce_compound_suffixes(
     # deduplicated before reversing: a word caches its hash, its reverse does not
     distinct = set(vocab)
     distinct.discard("")
-    words = sorted([word[::-1] for word in distinct])
+    return _induce_reversed([word[::-1] for word in distinct], margin, min_count)
+
+
+def _induce_reversed(
+    reversed_words: Iterable[str], margin: int, min_count: int
+) -> CompoundSuffixSet:
+    """induce_compound_suffixes on distinct, non-empty words given reversed
+    (as corpus.read_reversed_types reads them), with checked arguments."""
+    words = sorted(reversed_words)
     end = len(words)
     counts: dict[str, int] = {}
     for k in compress(range(end), map(str.startswith, words[1:], words)):

@@ -3,11 +3,12 @@
 Every file mtprep reads (corpora, tags, suffix lists, compound
 inventories, config, gold alignments, monolingual text) goes through
 read_text, the one reader: read_lines splits its text into lines, and
-read_types into the set of distinct tokens.  Every file mtprep writes goes
-through write_lines, so "a line" means the same everywhere.  Integers read
-from text go through parse_digits, and integer arguments of the library
-through check_int.  _Frozen is the one base of the package's value
-classes, here because every module that defines one imports this one.
+read_reversed_types into the set of distinct tokens, each reversed.  Every
+file mtprep writes goes through write_lines, so "a line" means the same
+everywhere.  Integers read from text go through parse_digits, and integer
+arguments of the library through check_int.  _Frozen is the one base of
+the package's value classes, here because every module that defines one
+imports this one.
 A corpus has one sentence per line and tokens separated by whitespace.
 Empty lines are kept as empty sentences so that line-parallel
 source/target files stay aligned through preprocessing.
@@ -175,16 +176,14 @@ def read_token_corpus(path: str | Path) -> Corpus:
     return parse_token_corpus(read_text(path))
 
 
-def read_types(path: str | Path) -> set[str]:
-    """Read a corpus file (see read_text) into its set of distinct tokens.
-
-    Equal to set(build_vocabulary(read_token_corpus(path))), without the
-    per-line token lists or the counts: both line ends, line feed and
-    carriage return, are whitespace to str.split, so splitting the whole
-    text yields the tokens of every line in turn and no token spans two
-    lines.
-    """
-    return set(read_text(path).split())
+def read_reversed_types(path: str | Path) -> set[str]:
+    """Read a corpus file (see read_text) into its set of distinct tokens,
+    each reversed: {w[::-1] for w in build_vocabulary(read_token_corpus(path))}
+    without the per-line token lists, the counts or a slice per token.  Every
+    whitespace character is one code point, so reversing the text reverses
+    every token and keeps every separator, and both line ends are whitespace
+    to str.split, so no token spans two lines."""
+    return set(read_text(path)[::-1].split())
 
 
 def write_token_corpus(corpus: Corpus, path: str | Path) -> None:

@@ -12,6 +12,7 @@ splitter in the package calls the function it builds.
 from __future__ import annotations
 
 import warnings
+from functools import cached_property
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
@@ -30,8 +31,7 @@ class SuffixList(_Frozen):
     and shortest the last one's (0 and 1 for an empty list: nothing to probe).
     """
 
-    __slots__ = ("suffixes", "members", "longest", "shortest")
-    __match_args__ = ("suffixes",)
+    __match_args__ = ("suffixes",)  # no __slots__: `ends` is a cached property
 
     def __init__(self, suffixes: Iterable[str] = ()) -> None:
         if isinstance(suffixes, str):  # would list its characters
@@ -46,6 +46,11 @@ class SuffixList(_Frozen):
         object.__setattr__(self, "members", members)
         object.__setattr__(self, "longest", len(ordered[0]) if ordered else 0)
         object.__setattr__(self, "shortest", len(ordered[-1]) if ordered else 1)
+
+    @cached_property
+    def ends(self) -> dict[str, tuple[int, ...]]:
+        """make_splitter's index, built on first use: loading does not pay."""
+        return _tail_lengths(self.members, self.shortest)
 
     def __iter__(self) -> Iterator[str]:
         return iter(self.suffixes)
@@ -123,9 +128,14 @@ def _check_utf8(entries: Iterable[str], kind: str) -> None:
             raise ValueError(f"{kind} {entry!r} has no UTF-8 form") from None
 
 
-def suffix_length(word: str, suffixes: SuffixList) -> int:
-    """Length of the suffix separate_suffix splits off word, or 0."""
-    return len(separate_suffix(word, suffixes).suffix or "")
+def _tail_lengths(members: Iterable[str], shortest: int) -> dict[str, tuple[int, ...]]:
+    """Map the last shortest characters of each member (shortest being the
+    shortest member's length) to the distinct lengths of the members that
+    end with them, longest first: the only lengths a tail can be listed at."""
+    lengths: dict[str, set[int]] = {}
+    for member in members:
+        lengths.setdefault(member[-shortest:], set()).add(len(member))
+    return {end: tuple(sorted(found, reverse=True)) for end, found in lengths.items()}
 
 
 def separate_suffix(word: str, suffixes: SuffixList) -> Split:
@@ -147,30 +157,31 @@ def make_splitter(
     With a suffix list it then splits each constituent once, on the longest
     listed strict tail.  None skips a stage.  mark_pieces marks the pieces,
     which concatenate back to the word.  An empty word raises ValueError
-    unless both stages are skipped.  Tails are probed by length, longest
-    first, only within the inventory's length window: a strip costs at most
-    longest - shortest + 1 set lookups, and the first hit is the longest.
+    unless both stages are skipped.  A strip reads the lengths the
+    inventory's ends index lists for the residue's last shortest characters
+    and probes only those that fit, longest first: one dict lookup and at
+    most longest - shortest + 1 set lookups, and the first hit is the longest.
     """
     compounds = suffixes = None
     if compound_set is not None:
-        compounds, c_top, c_low = compound_set.counts, compound_set.longest, compound_set.shortest
+        compounds, c_ends, c_low = compound_set.counts, compound_set.ends, compound_set.shortest
         margin = compound_set.margin if margin is None else margin
     if suffix_list is not None:
-        suffixes, s_top, s_low = suffix_list.members, suffix_list.longest, suffix_list.shortest
+        suffixes, s_ends, s_low = suffix_list.members, suffix_list.ends, suffix_list.shortest
 
     def split(word: str) -> list[str]:
         if not word and (compounds is not None or suffixes is not None):
             raise ValueError("cannot split an empty word")
         pieces = [word]
         if compounds is not None:
-            top = len(word) - margin - 1  # longer members fail the margin or are unlisted
-            if top > c_top:
-                top = c_top
+            top = len(word) - margin - 1  # longer members fail the margin
             residue, pieces = word, []  # pieces: the stripped members, right to left
             while True:
                 cap = len(residue) - 1  # a strip leaves a non-empty residue
-                for length in range(top if top < cap else cap, c_low - 1, -1):
-                    if residue[-length:] in compounds:
+                if cap > top:
+                    cap = top
+                for length in c_ends.get(residue[-c_low:], ()):
+                    if length <= cap and residue[-length:] in compounds:
                         pieces.append(residue[-length:])
                         residue = residue[:-length]
                         break
@@ -182,8 +193,8 @@ def make_splitter(
             constituents, pieces = pieces, []
             for constituent in constituents:
                 cap = len(constituent) - 1  # the stem keeps a character
-                for length in range(s_top if s_top < cap else cap, s_low - 1, -1):
-                    if constituent[-length:] in suffixes:
+                for length in s_ends.get(constituent[-s_low:], ()):
+                    if length <= cap and constituent[-length:] in suffixes:
                         pieces += (constituent[:-length], constituent[-length:])
                         break
                 else:

@@ -1,18 +1,21 @@
 """Corpus file round-trips and vocabulary counting."""
 
+import io
 import re
 import sys
+from contextlib import redirect_stderr
 
 import pytest
 from hypothesis import assume, given, strategies as st
 
 from mtprep import synth
 from mtprep.aligner import train_em
-from mtprep.cli import _read_gold, load_config
+from mtprep.cli import _read_gold, load_config, main
 from mtprep.compounds import (
     CompoundSuffixSet,
     induce_compound_suffixes,
     load_compound_suffixes,
+    save_compound_suffixes,
 )
 from mtprep.corpus import (
     build_vocabulary,
@@ -20,8 +23,8 @@ from mtprep.corpus import (
     parse_digits,
     parse_token_corpus,
     read_lines,
+    read_reversed_types,
     read_token_corpus,
-    read_types,
     write_lines,
     write_token_corpus,
 )
@@ -291,8 +294,32 @@ mono_text = st.lists(st.sampled_from([
 
 
 @given(text=mono_text)
-def test_read_types_is_the_set_of_the_corpus_vocabulary(text, tmp_path_factory):
+def test_read_reversed_types_is_the_reversed_corpus_vocabulary(text, tmp_path_factory):
     assume(not text.startswith("\ufeff"))  # both readers refuse the mark
     path = tmp_path_factory.mktemp("types") / "mono.txt"
     path.write_bytes(text.encode("utf-8"))
-    assert read_types(path) == set(build_vocabulary(read_token_corpus(path)))
+    vocab = build_vocabulary(read_token_corpus(path))
+    assert read_reversed_types(path) == {word[::-1] for word in vocab}
+
+
+@given(text=mono_text, margin=st.integers(min_value=0, max_value=3))
+def test_induce_command_matches_induction_on_the_corpus_vocabulary(
+    text, margin, tmp_path_factory
+):
+    assume(not text.startswith("\ufeff"))
+    folder = tmp_path_factory.mktemp("induce")
+    mono, got, expected = folder / "mono.txt", folder / "got.tsv", folder / "expected.tsv"
+    mono.write_bytes(text.encode("utf-8"))
+    err = io.StringIO()
+    with redirect_stderr(err):
+        status = main([
+            "induce-suffixes", "--mono", str(mono), "--margin", str(margin), "-o", str(got),
+        ])
+    assert status == 0
+    vocab = build_vocabulary(read_token_corpus(mono))
+    induced = induce_compound_suffixes(vocab, margin=margin)
+    save_compound_suffixes(induced, expected)
+    assert got.read_bytes() == expected.read_bytes()
+    assert err.getvalue() == (
+        f"induced {len(induced)} compound suffixes from {len(vocab)} vocabulary types\n"
+    )

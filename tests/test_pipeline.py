@@ -388,6 +388,41 @@ def test_token_pieces_matches_the_unwindowed_composition(data, word, margin, mar
         assert pieces_or_error(lambda w, _: split(w), word, cfg) == (expected, error)
 
 
+# "a", "b", a Devanagari letter and an astral (non-BMP) character
+TAIL_ALPHABET = "ab\u0915\U00010348"
+
+
+@st.composite
+def shared_tails_st(draw, bases):
+    """Tails of the base words at least a drawn shortest length (1 to 4)
+    long: members that share their endings widely; the list may be empty."""
+    low = draw(st.integers(min_value=1, max_value=4))
+    tails = [base[-k:] for base in bases for k in range(low, len(base) + 1)]
+    return draw(st.lists(st.sampled_from(tails), max_size=12)) if tails else []
+
+
+@settings(max_examples=200)
+@given(
+    st.data(),
+    st.lists(st.text(alphabet=TAIL_ALPHABET, min_size=1, max_size=8), min_size=2, max_size=3),
+    st.integers(min_value=0, max_value=4),
+    st.sampled_from([None, "@@"]),
+)
+def test_splitters_match_the_oracle_on_members_sharing_endings(data, bases, margin, marker):
+    suffixes = SuffixList(data.draw(shared_tails_st(bases)))
+    compounds = CompoundSuffixSet(dict.fromkeys(data.draw(shared_tails_st(bases)), 1), margin)
+    # words built from the bases end with many members at once
+    word_st = st.lists(st.sampled_from(bases + list(TAIL_ALPHABET)), min_size=1, max_size=4)
+    words = data.draw(st.lists(word_st.map("".join), min_size=1, max_size=6))
+    for mode in Mode:
+        cfg = PipelineConfig(mode, suffixes, compounds, marker)
+        for word in words:
+            expected = pieces_or_error(token_pieces_oracle, word, cfg)
+            assert pieces_or_error(token_pieces, word, cfg) == expected
+        got, expected = run_both([words], cfg)
+        assert got == expected
+
+
 @pytest.mark.parametrize("sentence", [["mahiny@@"], ["a", "b@@"], ["@@"], ["a", "@@"]])
 def test_a_dangling_marker_is_an_error(sentence):
     message = "dangling marker '@@' at end of sentence"

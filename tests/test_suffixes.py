@@ -99,23 +99,37 @@ def test_splitters_probe_no_tail_longer_than_their_longest_entry():
 
 
 def test_splitters_probe_only_their_inventory_length_window():
-    # a word with no listed tail: one probe per length from longest to shortest
+    # no member ends with the word's last shortest characters: the ends index
+    # lists no length, so no tail is probed at all
     word = "x" * 50
     sl = SuffixList(["aaMnii", "ii", "ne"])
     members = CountingDict.fromkeys(sl.members)
     object.__setattr__(sl, "members", members)
     assert separate_suffix(word, sl) == Split(word)
-    assert members.probes == sl.longest - sl.shortest + 1 == 5
+    assert members.probes == 0
     cset = CompoundSuffixSet({"kaDuuna": 3, "na": 1})
     counts = CountingDict(cset.counts)
     object.__setattr__(cset, "counts", counts)
     assert split_compound(word, cset) == [word]
-    assert counts.probes == cset.longest - cset.shortest + 1 == 6
+    assert counts.probes == 0
     assert SuffixList().shortest == CompoundSuffixSet().shortest == 1
+    # worst case: a member of every length of the window ends like the word,
+    # and only the shortest is its tail, so the strip probes every length once
+    sl = SuffixList(["a" * k + "ii" for k in range(5)])
+    members = CountingDict.fromkeys(sl.members)
+    object.__setattr__(sl, "members", members)
+    assert separate_suffix(word + "ii", sl) == Split(word, "ii")
+    assert members.probes == sl.longest - sl.shortest + 1 == 5
+    cset = CompoundSuffixSet(dict.fromkeys(["a" * k + "na" for k in range(6)], 1))
+    counts = CountingDict(cset.counts)
+    object.__setattr__(cset, "counts", counts)
+    assert split_compound(word + "na", cset) == [word, "na"]
+    assert counts.probes == cset.longest - cset.shortest + 1 == 6
 
 
 def test_preprocess_probes_each_stage_only_in_its_length_window():
-    # the splitter preprocess builds probes the inventories' own member sets
+    # the splitter preprocess builds probes the inventories' own member sets,
+    # and only at the lengths their ends indexes list
     word = "x" * 50
     sl = SuffixList(["aaMnii", "ii", "ne"])
     cset = CompoundSuffixSet({"kaDuuna": 3, "na": 1})
@@ -124,6 +138,17 @@ def test_preprocess_probes_each_stage_only_in_its_length_window():
     object.__setattr__(cset, "counts", counts)
     cfg = PipelineConfig(Mode.CS_SS, suffix_list=sl, compound_set=cset, marker="@@")
     assert preprocess([[word, word]], cfg) == [[word, word]]
+    assert counts.probes == members.probes == 0
+    # worst case in each stage: "na" is stripped after 6 probes, then "ii"
+    # is separated from the first constituent after 5
+    sl = SuffixList(["a" * k + "ii" for k in range(5)])
+    cset = CompoundSuffixSet(dict.fromkeys(["a" * k + "na" for k in range(6)], 1))
+    members, counts = CountingDict.fromkeys(sl.members), CountingDict(cset.counts)
+    object.__setattr__(sl, "members", members)
+    object.__setattr__(cset, "counts", counts)
+    cfg = PipelineConfig(Mode.CS_SS, suffix_list=sl, compound_set=cset, marker="@@")
+    word += "iina"
+    assert preprocess([[word, word]], cfg) == [["x" * 50 + "@@", "ii@@", "na"] * 2]
     assert counts.probes == cset.longest - cset.shortest + 1 == 6
     assert members.probes == sl.longest - sl.shortest + 1 == 5
 

@@ -138,6 +138,14 @@ def test_derived_attributes():
     assert (CompoundSuffixSet().longest, CompoundSuffixSet().shortest) == (0, 1)
     assert compounds.ordered == ("ccc", "bb", "a")
     assert compounds.ordered is compounds.ordered  # computed once
+    assert compounds.ends == {"c": (3,), "b": (2,), "a": (1,)}
+    assert compounds.ends is compounds.ends  # computed once
+    assert CompoundSuffixSet({"na": 1, "aana": 2, "ana": 3, "ii": 4}).ends == {
+        "na": (4, 3, 2), "ii": (2,)
+    }
+    assert suffixes.ends == {"c": (3,), "a": (2,), "b": (1,)}
+    assert suffixes.ends is suffixes.ends
+    assert SuffixList().ends == CompoundSuffixSet().ends == {}
     assert PipelineConfig("cs+ss", SUFFIXES, COMPOUNDS).mode is Mode.CS_SS
     assert (SENTENCE.total_edits, SENTENCE.rate) == (3, 0.75)
     assert (REPORT.bleu, REPORT.nist, REPORT.ter) == (0.25, 1.5, 0.75)
@@ -321,7 +329,7 @@ def test_match_args_are_the_init_fields():
 
 @pytest.mark.parametrize("value", every_value(), ids=lambda v: type(v).__name__)
 @pytest.mark.parametrize("name", ["suffixes", "stem", "counts", "mode", "members",
-                                  "longest", "ordered", "other"])
+                                  "longest", "ordered", "ends", "other"])
 def test_attributes_cannot_be_assigned_or_deleted(value, name):
     before = repr(value)
     with pytest.raises(AttributeError, match=f"^cannot assign to field '{name}'$"):
