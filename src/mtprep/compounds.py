@@ -7,35 +7,32 @@ reversed words once (induce-suffixes reads them reversed from the file),
 so that the words ending with v follow v[::-1] as one run, and walks only
 those runs.  Splitting then recursively strips inventory members off the
 right edge of a word, under the same margin, which the inventory carries
-(and its file records): suffixes.make_splitter.
+(and its file records): suffixes.make_splitter.  The inventory shares its
+base, suffixes._Tails (lengths, order, the ends index), with SuffixList.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
 from itertools import compress
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
-from .corpus import (
-    _Frozen, check_int, is_token, parse_digits, read_lines, write_lines,
-)
-from .suffixes import _check_utf8, _tail_lengths, make_splitter
+from .corpus import check_int, is_token, parse_digits, read_lines, write_lines
+from .suffixes import _Tails, _check_utf8, make_splitter
 
 DEFAULT_MARGIN = 5
 
 
-class CompoundSuffixSet(_Frozen):
+class CompoundSuffixSet(_Tails):
     """Induced constituent inventory.
 
     counts maps each member to the number of distinct vocabulary words it
-    was observed trailing during induction (its provenance).  margin is the
-    length margin the members were induced with; splitting uses it too.
-    longest and shortest are the longest and shortest member's lengths (0
-    and 1 when there is none: nothing to probe).
+    was observed trailing during induction (its provenance); members is the
+    same mapping.  margin is the length margin the members were induced
+    with; splitting uses it too.
     """
 
-    __match_args__ = ("counts", "margin")  # no __slots__: cached properties need a __dict__
+    __match_args__ = ("counts", "margin")
 
     def __init__(
         self, counts: Mapping[str, int] = {}, margin: int = DEFAULT_MARGIN
@@ -51,29 +48,11 @@ class CompoundSuffixSet(_Frozen):
                 raise ValueError(f"provenance count for {member!r} must be >= 1")
         object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "margin", margin)
-        lengths = set(map(len, counts))  # one pass over the members for both
-        object.__setattr__(self, "longest", max(lengths, default=0))
-        object.__setattr__(self, "shortest", min(lengths, default=1))
+        self._measure()
 
-    @cached_property
-    def ordered(self) -> tuple[str, ...]:
-        """Members sorted longest first (ties lexicographic): a stable
-        display order, also the iteration order."""
-        return tuple(sorted(self.counts, key=lambda s: (-len(s), s)))
-
-    @cached_property
-    def ends(self) -> dict[str, tuple[int, ...]]:
-        """make_splitter's index, built on first use: loading does not pay."""
-        return _tail_lengths(self.counts, self.shortest)
-
-    def __contains__(self, member: object) -> bool:
-        return member in self.counts
-
-    def __len__(self) -> int:
-        return len(self.counts)
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.ordered)
+    @property
+    def members(self) -> dict[str, int]:
+        return self.counts
 
 
 def induce_compound_suffixes(
@@ -132,6 +111,8 @@ def split_compound(
 ) -> list[str]:
     """The word's constituents, in surface order, by make_splitter's compound
     stage under margin (by default the one the inventory was induced with)."""
+    if margin is not None:
+        check_int("margin", margin, 0)
     return make_splitter(compound_suffixes, None, None, margin)(word)
 
 

@@ -75,10 +75,12 @@ def write_lines(lines: Iterable[str], path: str | Path) -> None:
             fh.write("\n")
 
 
-def is_token(text: str) -> bool:
-    """True when text is one token: non-empty and free of the characters
-    that separate tokens (those for which str.isspace() holds)."""
-    return text.split() == [text]
+def is_token(text: object) -> bool:
+    """True when text is one token: a str, non-empty and free of the
+    characters that separate tokens (those for which str.isspace() holds).
+    Anything else, bytes included, is not one, so each caller's ValueError
+    names it."""
+    return isinstance(text, str) and text.split() == [text]
 
 
 def parse_digits(text: str) -> int | None:

@@ -4,6 +4,8 @@ A word is split at most once, on the longest inventory entry that is a
 strict suffix of the word (the stem must keep at least one character).
 The inventory itself is a hand-written list of source-language suffixes
 that correspond to free-standing postpositions in the target language.
+It and compounds.CompoundSuffixSet derive from _Tails, which states once
+what both tail inventories hold: lengths, order and the ends index.
 
 make_splitter states the compound, suffix and marker rules once: every
 splitter in the package calls the function it builds.
@@ -14,7 +16,7 @@ from __future__ import annotations
 import warnings
 from functools import cached_property
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator
+from typing import TYPE_CHECKING, Callable, Collection, Iterable, Iterator
 
 from .corpus import _Frozen, is_token, read_lines, write_lines
 from .markers import mark_pieces
@@ -23,15 +25,52 @@ if TYPE_CHECKING:  # read for annotations only: compounds imports this module
     from .compounds import CompoundSuffixSet
 
 
-class SuffixList(_Frozen):
-    """Suffix inventory, deduplicated and ordered longest first (ties
-    lexicographic) so saved files and listings come out in a stable order.
+class _Tails(_Frozen):
+    """The base of both tail inventories, SuffixList and CompoundSuffixSet,
+    stated once over each one's members: longest and shortest are the
+    longest and shortest member's lengths (0 and 1 when there is none:
+    nothing to probe), and ordered lists the members longest first, ties
+    lexicographic (a stable order for listings, and the iteration order)."""
 
-    members holds them as a set for matching, longest the first one's length
-    and shortest the last one's (0 and 1 for an empty list: nothing to probe).
-    """
+    members: Collection[str]  # no __slots__: the cached properties need a __dict__
 
-    __match_args__ = ("suffixes",)  # no __slots__: `ends` is a cached property
+    def _measure(self) -> None:
+        """Set longest and shortest, in one pass over the members' lengths."""
+        lengths = set(map(len, self.members))
+        object.__setattr__(self, "longest", max(lengths, default=0))
+        object.__setattr__(self, "shortest", min(lengths, default=1))
+
+    @cached_property
+    def ordered(self) -> tuple[str, ...]:
+        return tuple(sorted(self.members, key=lambda s: (-len(s), s)))
+
+    @cached_property
+    def ends(self) -> dict[str, tuple[int, ...]]:
+        """make_splitter's index, built on first use, so loading does not
+        pay: the last shortest characters of each member, mapped to the
+        distinct lengths of the members that end with them, longest first
+        (the only lengths a tail can be listed at)."""
+        lengths: dict[str, set[int]] = {}
+        shortest = self.shortest
+        for member in self.members:
+            lengths.setdefault(member[-shortest:], set()).add(len(member))
+        return {end: tuple(sorted(found, reverse=True)) for end, found in lengths.items()}
+
+    def __contains__(self, member: object) -> bool:
+        return member in self.members
+
+    def __len__(self) -> int:
+        return len(self.members)
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.ordered)
+
+
+class SuffixList(_Tails):
+    """Suffix inventory: members is its set of suffixes, and suffixes (the
+    field) is ordered, so saved files come out in a stable order."""
+
+    __match_args__ = ("suffixes",)
 
     def __init__(self, suffixes: Iterable[str] = ()) -> None:
         if isinstance(suffixes, str):  # would list its characters
@@ -40,26 +79,9 @@ class SuffixList(_Frozen):
         for s in suffixes:
             if not is_token(s) or s.startswith("#"):
                 raise ValueError(f"suffix {s!r} is not one token or starts with '#'")
-        members = frozenset(suffixes)
-        ordered = tuple(sorted(members, key=lambda s: (-len(s), s)))
-        object.__setattr__(self, "suffixes", ordered)
-        object.__setattr__(self, "members", members)
-        object.__setattr__(self, "longest", len(ordered[0]) if ordered else 0)
-        object.__setattr__(self, "shortest", len(ordered[-1]) if ordered else 1)
-
-    @cached_property
-    def ends(self) -> dict[str, tuple[int, ...]]:
-        """make_splitter's index, built on first use: loading does not pay."""
-        return _tail_lengths(self.members, self.shortest)
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.suffixes)
-
-    def __len__(self) -> int:
-        return len(self.suffixes)
-
-    def __contains__(self, suffix: object) -> bool:
-        return suffix in self.members
+        object.__setattr__(self, "members", frozenset(suffixes))
+        object.__setattr__(self, "suffixes", self.ordered)  # sorted once, here
+        self._measure()
 
 
 class Split(_Frozen):
@@ -128,16 +150,6 @@ def _check_utf8(entries: Iterable[str], kind: str) -> None:
             raise ValueError(f"{kind} {entry!r} has no UTF-8 form") from None
 
 
-def _tail_lengths(members: Iterable[str], shortest: int) -> dict[str, tuple[int, ...]]:
-    """Map the last shortest characters of each member (shortest being the
-    shortest member's length) to the distinct lengths of the members that
-    end with them, longest first: the only lengths a tail can be listed at."""
-    lengths: dict[str, set[int]] = {}
-    for member in members:
-        lengths.setdefault(member[-shortest:], set()).add(len(member))
-    return {end: tuple(sorted(found, reverse=True)) for end, found in lengths.items()}
-
-
 def separate_suffix(word: str, suffixes: SuffixList) -> Split:
     """Split off the longest listed suffix that leaves a non-empty stem, if
     any (make_splitter's suffix stage); an empty word raises ValueError."""
@@ -164,7 +176,7 @@ def make_splitter(
     """
     compounds = suffixes = None
     if compound_set is not None:
-        compounds, c_ends, c_low = compound_set.counts, compound_set.ends, compound_set.shortest
+        compounds, c_ends, c_low = compound_set.members, compound_set.ends, compound_set.shortest
         margin = compound_set.margin if margin is None else margin
     if suffix_list is not None:
         suffixes, s_ends, s_low = suffix_list.members, suffix_list.ends, suffix_list.shortest

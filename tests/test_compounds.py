@@ -267,7 +267,7 @@ def test_save_load_round_trip(tmp_path):
 
 def test_inventory_rejects_what_a_saved_file_cannot_hold():
     # "ka\t9\nzz" would load back as two members with their own counts
-    for member in ("", "ka\t9\nzz", "a b"):
+    for member in ("", "ka\t9\nzz", "a b", b"na", 1):
         with pytest.raises(ValueError, match="is not one token"):
             CompoundSuffixSet({"na": 2, member: 1})
 

@@ -16,6 +16,7 @@ from mtprep.compounds import (
     induce_compound_suffixes,
     load_compound_suffixes,
     save_compound_suffixes,
+    split_compound,
 )
 from mtprep.corpus import (
     build_vocabulary,
@@ -177,6 +178,9 @@ INT_ARGUMENTS = {
     "CompoundSuffixSet-margin": (lambda v: CompoundSuffixSet({}, v), "margin", 0),
     "induce_compound_suffixes-margin": (
         lambda v: induce_compound_suffixes(Unread(), margin=v), "margin", 0
+    ),
+    "split_compound-margin": (
+        lambda v: split_compound(Unread(), CompoundSuffixSet(), v), "margin", 0
     ),
     "induce_compound_suffixes-min_count": (
         lambda v: induce_compound_suffixes(Unread(), min_count=v), "min_count", 1

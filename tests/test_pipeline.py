@@ -75,7 +75,7 @@ def test_reconstruct_round_trip():
     assert reconstruct(marked, marker="@@") == corpus
 
 
-@pytest.mark.parametrize("marker", [None, "", "@ @", "@@\n"])
+@pytest.mark.parametrize("marker", [None, "", "@ @", "@@\n", b"@@", 1])
 @pytest.mark.parametrize("corpus", [[], [["a"]]])
 def test_reconstruct_rejects_a_marker_that_is_not_one_token(corpus, marker):
     with pytest.raises(ValueError):
@@ -152,7 +152,7 @@ def test_marker_collision_is_an_error():
 
 
 def test_config_rejects_marker_with_whitespace():
-    for marker in ("", "@ @", "@@\n", "\u2028"):
+    for marker in ("", "@ @", "@@\n", "\u2028", b"@@", 1):
         with pytest.raises(ValueError, match="without whitespace"):
             config(Mode.SS, marker=marker)
 

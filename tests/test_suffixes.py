@@ -214,7 +214,7 @@ def test_save_load_round_trip(tmp_path):
     assert list(load_suffix_list(path)) == list(sl)
 
 
-@pytest.mark.parametrize("entry", ["x\ny", "a b", "#aa"])
+@pytest.mark.parametrize("entry", ["x\ny", "a b", "#aa", b"aa", 1])
 def test_list_rejects_what_a_saved_file_cannot_hold(entry):
     # a line feed or space would load back as two suffixes, and a leading
     # '#' as a comment
@@ -283,3 +283,26 @@ def test_separation_matches_exhaustive_scan_on_colliding_tails(word, suffixes):
 @given(word_st, suffixes_st)
 def test_separation_concatenates_to_word(word, suffixes):
     assert "".join(separate_suffix(word, SuffixList(suffixes)).pieces()) == word
+
+
+# ASCII, Devanagari and an astral character; '#' only inside an entry
+tails_st = st.sets(
+    st.text(alphabet="ab#\u0915\u093e\U00010348", min_size=1, max_size=6).filter(
+        lambda tail: not tail.startswith("#")
+    ),
+    max_size=12,
+)
+
+
+@given(tails_st)
+def test_the_two_inventories_agree_on_the_same_members(members):
+    sl, cset = SuffixList(members), CompoundSuffixSet(dict.fromkeys(members, 1))
+    assert (sl.longest, sl.shortest, sl.ordered, sl.ends, len(sl), list(iter(sl))) == (
+        cset.longest, cset.shortest, cset.ordered, cset.ends, len(cset), list(iter(cset))
+    )
+    for member in members:
+        assert member in sl and member in cset
+    other = "a" * (sl.longest + 1)  # longer than every member
+    assert other not in sl and other not in cset
+    assert cset.members is cset.counts
+    assert sl.ordered is sl.suffixes
