@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import math
 from array import array
-from typing import Iterable
+from collections.abc import Iterable
 
-from .corpus import Corpus, Sentence, _Frozen, check_int, parse_digits
+from .corpus import Corpus, Sentence, _Frozen, check_int, check_sentences, parse_digits
 
 # Pseudo source word that absorbs target words with no good real source.
 # It sits in slot 0 of every source sentence when the null word is on.
@@ -55,6 +55,8 @@ def _validate_parallel(src_corpus: Corpus, tgt_corpus: Corpus) -> None:
             f"source corpus has {len(src_corpus)} sentences, "
             f"target has {len(tgt_corpus)}"
         )
+    check_sentences("source", src_corpus)
+    check_sentences("target", tgt_corpus)
 
 
 def _with_null(src: Sentence, null_word: bool) -> Sentence:

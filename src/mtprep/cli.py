@@ -12,7 +12,9 @@ from the package on first use, so evaluate and align load theirs when they
 run; evaluate and demo-table2 import TSV_HEADER and run_demo themselves.
 No command loads dataclasses (nor the inspect module it imports): the
 value classes are built on corpus._Frozen.  Only evaluate --report json
-loads json.
+loads json.  Only demo-table2 loads typing and pathlib (importlib.resources
+imports them): annotations use builtins and collections.abc, and a name only
+a type checker reads is imported under TYPE_CHECKING, which is False.
 """
 
 from __future__ import annotations
@@ -20,8 +22,7 @@ from __future__ import annotations
 import argparse
 import sys
 import warnings
-from pathlib import Path
-from typing import Callable
+from collections.abc import Callable
 
 from .compounds import (
     DEFAULT_MARGIN,
@@ -40,6 +41,10 @@ from .corpus import (
 )
 from .pipeline import COMPOUND_MODES, SUFFIX_MODES, Mode, PipelineConfig, preprocess
 from .suffixes import load_suffix_list
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:  # read for annotations only
+    import os
 
 
 # Commands read the package's exported names through _self.  __getattr__
@@ -110,7 +115,7 @@ _OPTIONAL: dict[str, dict[str, tuple[Callable, object]]] = {
 }
 
 
-def load_config(path: str | Path) -> dict[str, str]:
+def load_config(path: str | os.PathLike[str]) -> dict[str, str]:
     """Parse the shared key=value config file ('#' comments, blank lines).
     A key may appear once."""
     entries: dict[str, str] = {}

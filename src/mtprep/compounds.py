@@ -13,12 +13,15 @@ base, suffixes._Tails (lengths, order, the ends index), with SuffixList.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from itertools import compress
-from pathlib import Path
-from typing import Iterable, Mapping
 
 from .corpus import check_int, is_token, parse_digits, read_lines, write_lines
 from .suffixes import _Tails, _check_utf8, make_splitter
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:  # read for annotations only
+    import os
 
 DEFAULT_MARGIN = 5
 
@@ -61,10 +64,11 @@ def induce_compound_suffixes(
     """Collect vocabulary words that appear as long-margin suffixes of other
     vocabulary words.
 
-    vocab is any iterable of words; repeats and "" are ignored, and so are
-    the counts when it is a Mapping from word to frequency.  A word v is
-    kept when some other word w satisfies w.endswith(v) and
-    len(w) > len(v) + margin; provenance counts the distinct w per v.
+    vocab is any iterable of words but a str (TypeError); repeats and ""
+    are ignored, and so are the counts when it is a Mapping from word to
+    frequency.  A word v is kept when some other word w satisfies
+    w.endswith(v) and len(w) > len(v) + margin; provenance counts the
+    distinct w per v.
     margin and min_count must be ints; min_count filters rare members (1
     keeps everything observed).
 
@@ -74,6 +78,8 @@ def induce_compound_suffixes(
     v[::-1], and each candidate's run is walked once.  The cost is one sort
     plus one step per pair (v, w) with w.endswith(v).
     """
+    if isinstance(vocab, str):  # would be read as its characters
+        raise TypeError("vocab must be a collection of words, not a str")
     check_int("margin", margin, 0)  # CompoundSuffixSet would refuse it after the pass
     check_int("min_count", min_count, 1)  # 2.5 or True would filter like an int
     # deduplicated before reversing: a word caches its hash, its reverse does not
@@ -117,7 +123,7 @@ def split_compound(
 
 
 def save_compound_suffixes(
-    compound_suffixes: CompoundSuffixSet, path: str | Path
+    compound_suffixes: CompoundSuffixSet, path: str | os.PathLike[str]
 ) -> None:
     """Write a "# margin=N" header, then one "suffix<TAB>count" line per
     member, sorted for stable diffs.
@@ -134,7 +140,7 @@ def save_compound_suffixes(
     )
 
 
-def load_compound_suffixes(path: str | Path) -> CompoundSuffixSet:
+def load_compound_suffixes(path: str | os.PathLike[str]) -> CompoundSuffixSet:
     """Read the format written by save_compound_suffixes.
 
     The "# margin=N" header is optional and only allowed on line 1 (member

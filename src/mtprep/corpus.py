@@ -2,13 +2,14 @@
 
 Every file mtprep reads (corpora, tags, suffix lists, compound
 inventories, config, gold alignments, monolingual text) goes through
-read_text, the one reader: read_lines splits its text into lines, and
-read_reversed_types into the set of distinct tokens, each reversed.  Every
-file mtprep writes goes through write_lines, so "a line" means the same
-everywhere.  Integers read from text go through parse_digits, and integer
-arguments of the library through check_int.  _Frozen is the one base of
-the package's value classes, here because every module that defines one
-imports this one.
+read_text, the one reader, which passes its str or os.PathLike path to
+open(): read_lines splits its text into lines, and read_reversed_types into
+the set of distinct tokens, each reversed.  Every file mtprep writes goes
+through write_lines, so "a line" means the same everywhere.  Integers read
+from text go through parse_digits, integer arguments of the library through
+check_int, and corpora through check_sentences, which refuses a sentence
+given as a str.  _Frozen is the one base of the package's value classes,
+here because every module that defines one imports this one.
 A corpus has one sentence per line and tokens separated by whitespace.
 Empty lines are kept as empty sentences so that line-parallel
 source/target files stay aligned through preprocessing.
@@ -18,9 +19,12 @@ from __future__ import annotations
 
 import codecs
 from collections import Counter
+from collections.abc import Iterable
 from itertools import chain
-from pathlib import Path
-from typing import Iterable
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:  # read for annotations only
+    import os
 
 Sentence = list[str]
 Corpus = list[Sentence]
@@ -41,15 +45,19 @@ def split_lines(text: str) -> list[str]:
     return lines
 
 
-def read_text(path: str | Path) -> str:
+def read_text(path: str | os.PathLike[str]) -> str:
     """Read a UTF-8 file into one string.
 
     Invalid UTF-8 raises UnicodeDecodeError (a ValueError) whose message
     gives the byte offset and names the file and line of the bad byte.  A
     file that starts with a UTF-8 byte order mark raises ValueError: the
-    mark would otherwise become part of the first token or key.
+    mark would otherwise become part of the first token or key.  An int
+    raises TypeError: open() would read, then close, that file descriptor.
     """
-    data = Path(path).read_bytes()
+    if isinstance(path, int):
+        raise TypeError(f"expected str, bytes or os.PathLike object, not {type(path).__name__}")
+    with open(path, "rb") as fh:
+        data = fh.read()
     if data.startswith(codecs.BOM_UTF8):
         raise ValueError(f"{path}:1: starts with a UTF-8 byte order mark")
     try:
@@ -60,12 +68,12 @@ def read_text(path: str | Path) -> str:
         raise
 
 
-def read_lines(path: str | Path) -> list[str]:
+def read_lines(path: str | os.PathLike[str]) -> list[str]:
     """Read a file with read_text and split it with split_lines."""
     return split_lines(read_text(path))
 
 
-def write_lines(lines: Iterable[str], path: str | Path) -> None:
+def write_lines(lines: Iterable[str], path: str | os.PathLike[str]) -> None:
     """Write UTF-8 text, each line ended by a line feed: the inverse of
     read_lines for lines without a line feed or a final carriage return,
     the first of them not starting with U+FEFF."""
@@ -101,6 +109,15 @@ def check_int(name: str, value: object, minimum: int) -> None:
         raise TypeError(f"{name} must be an int, not {value!r}")
     if value < minimum:
         raise ValueError(f"{name} must be >= {minimum}")
+
+
+def check_sentences(side: str, corpus: Iterable[object]) -> None:
+    """Refuse a corpus with a sentence that is a str, not a list of tokens
+    (every layer would read its characters as tokens): TypeError names the
+    side and the sentence's number."""
+    for k, sentence in enumerate(corpus, start=1):
+        if isinstance(sentence, str):
+            raise TypeError(f"{side} sentence {k} is a str, not a list of tokens")
 
 
 class _Frozen:
@@ -173,12 +190,12 @@ def parse_token_corpus(text: str) -> Corpus:
     return [line.split() for line in split_lines(text)]
 
 
-def read_token_corpus(path: str | Path) -> Corpus:
+def read_token_corpus(path: str | os.PathLike[str]) -> Corpus:
     """Read a corpus file (see read_text) with parse_token_corpus."""
     return parse_token_corpus(read_text(path))
 
 
-def read_reversed_types(path: str | Path) -> set[str]:
+def read_reversed_types(path: str | os.PathLike[str]) -> set[str]:
     """Read a corpus file (see read_text) into its set of distinct tokens,
     each reversed: {w[::-1] for w in build_vocabulary(read_token_corpus(path))}
     without the per-line token lists, the counts or a slice per token.  Every
@@ -188,7 +205,7 @@ def read_reversed_types(path: str | Path) -> set[str]:
     return set(read_text(path)[::-1].split())
 
 
-def write_token_corpus(corpus: Corpus, path: str | Path) -> None:
+def write_token_corpus(corpus: Corpus, path: str | os.PathLike[str]) -> None:
     """Write one line per sentence, tokens joined by single spaces.
 
     Inverse of read_token_corpus for corpora whose tokens are non-empty and

@@ -10,8 +10,8 @@ how many target words receive a clean one-to-one link each way.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Callable
 from importlib import resources
-from typing import Callable
 
 from .aligner import Link, train_em, viterbi_align
 from .compounds import CompoundSuffixSet, load_compound_suffixes

@@ -8,8 +8,8 @@ of suffixes.make_splitter, of which preprocess builds one per call.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from enum import Enum
-from typing import Callable
 
 from .compounds import CompoundSuffixSet
 from .corpus import Corpus, _Frozen
@@ -75,7 +75,8 @@ def preprocess(corpus: Corpus, config: PipelineConfig) -> Corpus:
     line-parallel corpus), tokens tagged NNP pass through whole.  Each
     distinct word not tagged NNP is split once per call: its marked pieces
     are kept in a dict that lives as long as the call.  Sentences are
-    checked in order, tag count before tokens, so the first faulty one raises.
+    checked in order, tag count before tokens, so the first faulty one raises;
+    a sentence or tag row that is a str, not a list, raises TypeError.
     """
     tags, marker = config.nnp_tags, config.marker
     if tags is not None and len(tags) != len(corpus):
@@ -86,7 +87,11 @@ def preprocess(corpus: Corpus, config: PipelineConfig) -> Corpus:
     cache: dict[str, list[str]] = {}
     result: Corpus = []
     for k, sentence in enumerate(corpus):
+        if isinstance(sentence, str):  # would be split as its characters
+            raise TypeError(f"corpus sentence {k + 1} is a str, not a list of tokens")
         sentence_tags = None if tags is None else tags[k]
+        if isinstance(sentence_tags, str):
+            raise TypeError(f"tag sentence {k + 1} is a str, not a list of tags")
         if sentence_tags is not None and len(sentence_tags) != len(sentence):
             raise ValueError(
                 f"sentence {k + 1}: {len(sentence_tags)} tags "

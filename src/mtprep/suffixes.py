@@ -14,14 +14,16 @@ splitter in the package calls the function it builds.
 from __future__ import annotations
 
 import warnings
+from collections.abc import Callable, Collection, Iterable, Iterator
 from functools import cached_property
-from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Collection, Iterable, Iterator
 
 from .corpus import _Frozen, is_token, read_lines, write_lines
 from .markers import mark_pieces
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:  # read for annotations only: compounds imports this module
+    import os
+
     from .compounds import CompoundSuffixSet
 
 
@@ -101,7 +103,7 @@ class Split(_Frozen):
         return [self.stem, self.suffix]
 
 
-def load_suffix_list(path: str | Path) -> SuffixList:
+def load_suffix_list(path: str | os.PathLike[str]) -> SuffixList:
     """Load a one-suffix-per-line file (lines as in corpus.read_lines).
 
     Blank lines and lines starting with '#' are ignored, surrounding
@@ -122,7 +124,7 @@ def load_suffix_list(path: str | Path) -> SuffixList:
     return SuffixList(tuple(entries))
 
 
-def save_suffix_list(suffixes: SuffixList, path: str | Path) -> None:
+def save_suffix_list(suffixes: SuffixList, path: str | os.PathLike[str]) -> None:
     """Write one suffix per line in the list's longest-first order.
 
     A list whose file load_suffix_list would refuse raises ValueError

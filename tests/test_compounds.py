@@ -170,6 +170,12 @@ def test_induction_rejects_a_margin_that_is_not_an_int(margin):
         induce_compound_suffixes(UnreadVocabulary(), margin=margin)
 
 
+def test_induction_refuses_a_str_vocabulary():
+    # a str is an iterable of its characters, which would induce nothing
+    with pytest.raises(TypeError, match="^vocab must be a collection of words, not a str$"):
+        induce_compound_suffixes("sarakaarakaDuuna")
+
+
 def test_induction_and_its_oracle_skip_the_empty_word():
     assert induce_oracle(["", "a"], margin=0) == {}
     assert induce_compound_suffixes(["", "a"], margin=0).counts == {}

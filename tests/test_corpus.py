@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from mtprep import synth
-from mtprep.aligner import train_em
+from mtprep.aligner import TranslationTable, align_corpus, train_em
 from mtprep.cli import _read_gold, load_config, main
 from mtprep.compounds import (
     CompoundSuffixSet,
@@ -29,7 +29,9 @@ from mtprep.corpus import (
     write_lines,
     write_token_corpus,
 )
-from mtprep.suffixes import load_suffix_list
+from mtprep.metrics import ngram_statistics, ter
+from mtprep.pipeline import PipelineConfig, preprocess
+from mtprep.suffixes import SuffixList, load_suffix_list
 
 token = st.text(
     alphabet=st.characters(blacklist_categories=("Cs", "Zs", "Zl", "Zp", "Cc")),
@@ -96,6 +98,13 @@ def test_read_lines_rejects_a_byte_order_mark(tmp_path):
     with pytest.raises(ValueError) as info:
         read_lines(path)
     assert str(info.value) == f"{path}:1: starts with a UTF-8 byte order mark"
+
+
+@pytest.mark.parametrize("path", [0, True])
+def test_read_lines_refuses_a_file_descriptor(path):
+    # open() would take it for a descriptor, and read and close it
+    with pytest.raises(TypeError, match=f"not {type(path).__name__}$"):
+        read_lines(path)
 
 
 def test_a_byte_order_mark_after_the_start_stays_in_its_token(tmp_path):
@@ -208,6 +217,31 @@ def test_integer_arguments_are_exactly_ints_at_their_minimum(
         message = re.escape(f"{name} must be an int, not {value!r}")
         with pytest.raises(TypeError, match=f"^{message}$"):
             call(value)
+
+
+def ss_config(tags=None):
+    return PipelineConfig("ss", suffix_list=SuffixList(["c"]), nnp_tags=tags)
+
+
+# Every corpus-taking layer, with one sentence given as a str: (call, the
+# side and number its TypeError names).  A str would be read as its characters.
+STR_SENTENCES = {
+    "ngram_statistics": (
+        lambda: ngram_statistics([["a"], "a b"], [["a"], ["a", "c"]]), "hypothesis", 2
+    ),
+    "ter": (lambda: ter([["a"], ["a", "b"]], [["a"], "a c"]), "reference", 2),
+    "train_em": (lambda: train_em([["ab"]], ["xy"]), "target", 1),
+    "align_corpus": (lambda: align_corpus(["ab"], [["x"]], TranslationTable({})), "source", 1),
+    "preprocess": (lambda: preprocess([["c"], "ab c"], ss_config()), "corpus", 2),
+    "preprocess-tags": (lambda: preprocess([["ab"]], ss_config(["NN"])), "tag", 1),
+}
+
+
+@pytest.mark.parametrize("layer", sorted(STR_SENTENCES))
+def test_a_sentence_that_is_a_str_is_refused_by_side_and_number(layer):
+    call, side, number = STR_SENTENCES[layer]
+    with pytest.raises(TypeError, match=f"^{side} sentence {number} is a str, not a list of t"):
+        call()
 
 
 GOLD_SRC = [["a", "b"], [], ["c"]]

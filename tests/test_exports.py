@@ -53,6 +53,11 @@ def loaded_after(statement):
     )
 
 
+# Modules no command runs: dataclasses alone pulls in inspect, ast, dis and
+# tokenize; typing and pathlib would be loaded for annotations alone.
+UNUSED = {"dataclasses", "inspect", "typing", "pathlib"}
+
+
 def test_dir_lists_every_exported_name_before_any_is_loaded():
     assert set(mtprep.__all__) <= fresh("import mtprep; print(*dir(mtprep))")
 
@@ -63,11 +68,15 @@ def test_importing_the_cli_loads_only_what_preprocess_runs():
         "mtprep", "mtprep.cli", "mtprep.corpus", "mtprep.compounds",
         "mtprep.suffixes", "mtprep.markers", "mtprep.pipeline",
     }
-    # dataclasses alone pulls in inspect, ast, dis and tokenize
-    assert not loaded & {"json", "random", "dataclasses", "inspect"}
+    assert not loaded & {"json", "random", *UNUSED}
 
 
-def test_the_prep_commands_load_neither_dataclasses_nor_inspect(tmp_path):
+@pytest.mark.parametrize("module", ["mtprep.metrics", "mtprep.aligner"])
+def test_importing_the_metrics_or_the_aligner_loads_no_unused_module(module):
+    assert not loaded_after(f"import {module}") & {"json", "random", *UNUSED}
+
+
+def test_the_prep_commands_load_no_dataclasses_inspect_typing_or_pathlib(tmp_path):
     mono, suffixes, corpus = (tmp_path / name for name in ("mono", "suffixes", "corpus"))
     mono.write_text("sarakaara kaDuuna sarakaarakaDuuna\n", encoding="utf-8")
     suffixes.write_text("uuna\n", encoding="utf-8")
@@ -81,26 +90,26 @@ def test_the_prep_commands_load_neither_dataclasses_nor_inspect(tmp_path):
     printed = fresh(
         "import sys, mtprep.cli; "
         f"codes = [mtprep.cli.main(argv) for argv in {runs!r}]; "
-        "print(*codes, *{'dataclasses', 'inspect'} & set(sys.modules))"
+        f"print(*codes, *{UNUSED!r} & set(sys.modules))"
     )
     assert printed == {"0"}
     assert out.read_text(encoding="utf-8") == "sarakaara@@ kaD@@ uuna kaD@@ uuna\n"
 
 
-def test_evaluate_and_align_load_neither_dataclasses_nor_inspect(tmp_path):
+def test_evaluate_and_align_load_no_dataclasses_inspect_typing_or_pathlib(tmp_path):
     hyp, ref = tmp_path / "hyp", tmp_path / "ref"
     hyp.write_text("a b c\n", encoding="utf-8")
     ref.write_text("a c b\n", encoding="utf-8")
     evaluate = ["evaluate", "--hyp", str(hyp), "--ref", str(ref), "--report"]
     align = ["align", "--src", str(hyp), "--tgt", str(ref)]
-    watched = "{'dataclasses', 'inspect', 'json'}"
+    watched = UNUSED | {"json"}
     for argv, also in [(evaluate + ["tsv"], set()), (evaluate + ["json"], {"json"}),
                        (align, set())]:
         printed = fresh(
             "import contextlib, io, sys, mtprep.cli\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             f"    code = mtprep.cli.main({argv!r})\n"
-            f"print(code, *{watched} & set(sys.modules))"
+            f"print(code, *{watched!r} & set(sys.modules))"
         )
         assert printed == {"0"} | also, argv
 
