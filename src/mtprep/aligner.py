@@ -16,7 +16,7 @@ import math
 from array import array
 from collections.abc import Iterable
 
-from .corpus import Corpus, Sentence, _Frozen, check_int, check_sentences, parse_digits
+from .corpus import Corpus, Sentence, _Frozen, check_int, check_parallel, parse_digits
 
 # Pseudo source word that absorbs target words with no good real source.
 # It sits in slot 0 of every source sentence when the null word is on.
@@ -49,16 +49,6 @@ class TranslationTable(_Frozen):
         return self.probs.get(source, {}).get(target, 0.0)
 
 
-def _validate_parallel(src_corpus: Corpus, tgt_corpus: Corpus) -> None:
-    if len(src_corpus) != len(tgt_corpus):
-        raise ValueError(
-            f"source corpus has {len(src_corpus)} sentences, "
-            f"target has {len(tgt_corpus)}"
-        )
-    check_sentences("source", src_corpus)
-    check_sentences("target", tgt_corpus)
-
-
 def _with_null(src: Sentence, null_word: bool) -> Sentence:
     """The source side as the model sees it: NULL_TOKEN in slot 0 if on."""
     return [NULL_TOKEN, *src] if null_word else src
@@ -87,7 +77,7 @@ def train_em(
     check_int("iterations", iterations, 1)  # True would train once, 2.5 fail in range
     if type(null_word) is not bool:  # "no" would turn the null word on
         raise TypeError(f"null_word must be a bool, not {null_word!r}")
-    _validate_parallel(src_corpus, tgt_corpus)
+    check_parallel("source", src_corpus, "target", tgt_corpus)
     if not src_corpus:
         raise ValueError("cannot train on an empty corpus")
     if null_word and any(NULL_TOKEN in s for s in src_corpus):
@@ -186,7 +176,7 @@ def viterbi_align(src: Sentence, tgt: Sentence, table: TranslationTable) -> set[
 def align_corpus(
     src_corpus: Corpus, tgt_corpus: Corpus, table: TranslationTable
 ) -> list[set[Link]]:
-    _validate_parallel(src_corpus, tgt_corpus)
+    check_parallel("source", src_corpus, "target", tgt_corpus)
     return [viterbi_align(s, t, table) for s, t in zip(src_corpus, tgt_corpus)]
 
 

@@ -17,7 +17,7 @@ from collections.abc import Iterable, Mapping
 from itertools import compress
 
 from .corpus import check_int, is_token, parse_digits, read_lines, write_lines
-from .suffixes import _Tails, _check_utf8, make_splitter
+from .suffixes import _Tails, make_splitter
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:  # read for annotations only
@@ -126,16 +126,12 @@ def save_compound_suffixes(
     compound_suffixes: CompoundSuffixSet, path: str | os.PathLike[str]
 ) -> None:
     """Write a "# margin=N" header, then one "suffix<TAB>count" line per
-    member, sorted for stable diffs.
-
-    A member with no UTF-8 form (a lone surrogate) raises ValueError before
-    the file is opened."""
+    member, sorted for stable diffs, with corpus.write_lines, which refuses
+    a member with no UTF-8 form (a lone surrogate) before it opens the file."""
     counts = compound_suffixes.counts
-    members = sorted(counts)
-    _check_utf8(members, "compound suffix")
     write_lines(
         [f"# margin={compound_suffixes.margin}"]
-        + [f"{member}\t{counts[member]}" for member in members],
+        + [f"{member}\t{counts[member]}" for member in sorted(counts)],
         path,
     )
 

@@ -5,11 +5,14 @@ inventories, config, gold alignments, monolingual text) goes through
 read_text, the one reader, which passes its str or os.PathLike path to
 open(): read_lines splits its text into lines, and read_reversed_types into
 the set of distinct tokens, each reversed.  Every file mtprep writes goes
-through write_lines, so "a line" means the same everywhere.  Integers read
-from text go through parse_digits, integer arguments of the library through
-check_int, and corpora through check_sentences, which refuses a sentence
-given as a str.  _Frozen is the one base of the package's value classes,
-here because every module that defines one imports this one.
+through write_lines, so "a line" means the same everywhere, and a written
+file always reads back: write_lines refuses, before it opens the file, any
+text read_text would refuse.  Integers read from text go through
+parse_digits, integer arguments of the library through check_int, and
+corpora through check_sentences, which refuses a sentence given as a str
+(check_parallel adds the sentence counts of two parallel sides).  _Frozen
+is the one base of the package's value classes, here because every module
+that defines one imports this one.
 A corpus has one sentence per line and tokens separated by whitespace.
 Empty lines are kept as empty sentences so that line-parallel
 source/target files stay aligned through preprocessing.
@@ -19,11 +22,12 @@ from __future__ import annotations
 
 import codecs
 from collections import Counter
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from itertools import chain
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:  # read for annotations only
+    import io
     import os
 
 Sentence = list[str]
@@ -54,9 +58,7 @@ def read_text(path: str | os.PathLike[str]) -> str:
     mark would otherwise become part of the first token or key.  An int
     raises TypeError: open() would read, then close, that file descriptor.
     """
-    if isinstance(path, int):
-        raise TypeError(f"expected str, bytes or os.PathLike object, not {type(path).__name__}")
-    with open(path, "rb") as fh:
+    with _open(path, "rb") as fh:
         data = fh.read()
     if data.startswith(codecs.BOM_UTF8):
         raise ValueError(f"{path}:1: starts with a UTF-8 byte order mark")
@@ -75,12 +77,34 @@ def read_lines(path: str | os.PathLike[str]) -> list[str]:
 
 def write_lines(lines: Iterable[str], path: str | os.PathLike[str]) -> None:
     """Write UTF-8 text, each line ended by a line feed: the inverse of
-    read_lines for lines without a line feed or a final carriage return,
-    the first of them not starting with U+FEFF."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for line in lines:
-            fh.write(line)
-            fh.write("\n")
+    read_lines for lines without a line feed or a final carriage return.
+
+    The text is composed whole before the file is opened, so a refusal
+    leaves an existing file as it was and creates none: text that starts
+    with U+FEFF or has no UTF-8 form (a lone surrogate), which read_text
+    could not read back, raises ValueError naming path:line, and an int
+    path raises TypeError, as in read_text.
+    """
+    text = "".join(line + "\n" for line in lines)
+    if text.startswith("\ufeff"):
+        raise ValueError(f"{path}:1: would start the file with a byte order mark")
+    try:
+        data = text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        lineno = text.count("\n", 0, exc.start) + 1
+        raise ValueError(
+            f"{path}:{lineno}: {text[exc.start]!r} has no UTF-8 form"
+        ) from None
+    with _open(path, "wb") as fh:
+        fh.write(data)
+
+
+def _open(path: str | os.PathLike[str], mode: str) -> io.BufferedIOBase:
+    """open(path, mode), refusing an int with TypeError: open() would take
+    it for a file descriptor and close the caller's descriptor."""
+    if isinstance(path, int):
+        raise TypeError(f"expected str, bytes or os.PathLike object, not {type(path).__name__}")
+    return open(path, mode)
 
 
 def is_token(text: object) -> bool:
@@ -118,6 +142,17 @@ def check_sentences(side: str, corpus: Iterable[object]) -> None:
     for k, sentence in enumerate(corpus, start=1):
         if isinstance(sentence, str):
             raise TypeError(f"{side} sentence {k} is a str, not a list of tokens")
+
+
+def check_parallel(
+    first: str, a: Sequence[object], second: str, b: Sequence[object]
+) -> None:
+    """Refuse two line-parallel corpora (side names first and second) whose
+    sentence counts differ, with ValueError, then each with check_sentences."""
+    if len(a) != len(b):
+        raise ValueError(f"{first} corpus has {len(a)} sentences, {second} has {len(b)}")
+    check_sentences(first, a)
+    check_sentences(second, b)
 
 
 class _Frozen:
@@ -206,10 +241,11 @@ def read_reversed_types(path: str | os.PathLike[str]) -> set[str]:
 
 
 def write_token_corpus(corpus: Corpus, path: str | os.PathLike[str]) -> None:
-    """Write one line per sentence, tokens joined by single spaces.
+    """Write one line per sentence, tokens joined by single spaces, with
+    write_lines, which refuses what read_token_corpus could not read back.
 
     Inverse of read_token_corpus for corpora whose tokens are non-empty and
-    whitespace-free, the first not starting with U+FEFF.
+    whitespace-free.
     """
     write_lines((" ".join(sentence) for sentence in corpus), path)
 

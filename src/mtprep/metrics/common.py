@@ -5,7 +5,7 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Sequence
 
-from ..corpus import _Frozen, check_sentences
+from ..corpus import _Frozen, check_parallel
 
 Ngram = tuple[str, ...]
 
@@ -19,16 +19,11 @@ def ngram_counts(tokens: Sequence[str], n: int) -> Counter[Ngram]:
 
 
 def validate_corpora(hyps: Sequence[Sequence[str]], refs: Sequence[Sequence[str]]) -> None:
-    """Common preconditions: parallel, non-empty, every sentence a list of
-    tokens (corpus.check_sentences), no empty reference."""
-    if len(hyps) != len(refs):
-        raise ValueError(
-            f"hypothesis corpus has {len(hyps)} sentences, reference has {len(refs)}"
-        )
+    """Common preconditions: parallel, every sentence a list of tokens
+    (corpus.check_parallel), non-empty, no empty reference."""
+    check_parallel("hypothesis", hyps, "reference", refs)
     if not hyps:
         raise ValueError("cannot score an empty corpus")
-    check_sentences("hypothesis", hyps)
-    check_sentences("reference", refs)
     for k, ref in enumerate(refs):
         if not ref:
             raise ValueError(f"reference sentence {k + 1} is empty")

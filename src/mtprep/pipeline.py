@@ -28,8 +28,6 @@ class Mode(Enum):
     CS_SS = "cs+ss"
 
 
-# Tuples, not sets: `in` on a tuple compares the members by identity in C,
-# while a set lookup first calls Enum.__hash__, a Python function.
 COMPOUND_MODES = (Mode.CS, Mode.CS_SS)
 SUFFIX_MODES = (Mode.SS, Mode.CS_SS)
 

@@ -125,31 +125,10 @@ def load_suffix_list(path: str | os.PathLike[str]) -> SuffixList:
 
 
 def save_suffix_list(suffixes: SuffixList, path: str | os.PathLike[str]) -> None:
-    """Write one suffix per line in the list's longest-first order.
-
-    A list whose file load_suffix_list would refuse raises ValueError
-    before the file is opened: one whose first entry starts with U+FEFF
-    (read back as a byte order mark), or one with an entry that has no
-    UTF-8 form (a lone surrogate).
-    """
-    ordered = suffixes.suffixes
-    if ordered and ordered[0].startswith("\ufeff"):
-        raise ValueError(
-            f"suffix {ordered[0]!r} would start the file with a byte order mark"
-        )
-    _check_utf8(ordered, "suffix")
-    write_lines(ordered, path)
-
-
-def _check_utf8(entries: Iterable[str], kind: str) -> None:
-    """Raise ValueError naming the first entry that has no UTF-8 form (a
-    lone surrogate), so that an inventory saver refuses it before it opens
-    the file, rather than fail halfway through writing it."""
-    for entry in entries:
-        try:
-            entry.encode("utf-8")
-        except UnicodeEncodeError:
-            raise ValueError(f"{kind} {entry!r} has no UTF-8 form") from None
+    """Write one suffix per line in the list's longest-first order, with
+    corpus.write_lines, which refuses, before it opens the file, a list
+    load_suffix_list could not read back."""
+    write_lines(suffixes.suffixes, path)
 
 
 def separate_suffix(word: str, suffixes: SuffixList) -> Split:

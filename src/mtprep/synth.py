@@ -23,10 +23,11 @@ a fresh derived seed if a coincidence slips through.
 from __future__ import annotations
 
 import random
+from itertools import chain
 
 from .aligner import Link, align_corpus, corpus_alignment_f1, train_em
 from .compounds import DEFAULT_MARGIN, induce_compound_suffixes
-from .corpus import Corpus, _Frozen, build_vocabulary, check_int
+from .corpus import Corpus, _Frozen, check_int
 from .pipeline import Mode, PipelineConfig, preprocess
 from .suffixes import SuffixList
 
@@ -199,7 +200,7 @@ def _build_once(rng: random.Random, sentences: int) -> SyntheticBenchmark | None
 
     src_fused, src_split, tgt, gold_fused, gold_split = _assemble(sentence_units)
     compound_set = induce_compound_suffixes(
-        build_vocabulary(src_fused), margin=DEFAULT_MARGIN
+        chain.from_iterable(src_fused), margin=DEFAULT_MARGIN
     )
     config = PipelineConfig(
         mode=Mode.CS_SS,

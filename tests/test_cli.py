@@ -302,6 +302,26 @@ def test_byte_order_mark_is_a_data_error(
     assert not out.exists()
 
 
+def test_output_that_would_start_with_a_byte_order_mark_is_a_data_error(
+    tmp_path, capsys
+):
+    # the mark follows a space in the input, so it reads as a token's first
+    # character; bl drops the space, and the output could not be read back
+    src = tmp_path / "in.txt"
+    src.write_bytes(b" \xef\xbb\xbfabc de\n")
+    out = tmp_path / "out.txt"
+    assert main(["preprocess", "--mode", "bl", "-i", str(src), "-o", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {out}:1: would start the file with a byte order mark\n"
+    assert not out.exists()
+
+
+def test_preprocess_writes_to_a_device(corpus_file):
+    # the output is opened where it is, not replaced by a renamed file
+    assert main(["preprocess", "--mode", "bl", "-i", str(corpus_file), "-o", os.devnull]) == 0
+
+
 def test_preprocess_suffix_with_whitespace_is_a_data_error(
     corpus_file, tmp_path, capsys
 ):

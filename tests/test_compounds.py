@@ -333,11 +333,12 @@ def test_every_buildable_inventory_saves_and_loads_back_equal(
     [({"ab": 1, "z\ud800": 2}, "z\ud800"), ({"\udfff": 1, "ab": 2}, "\udfff")],
 )
 def test_save_refuses_a_member_with_no_utf8_form_before_writing(tmp_path, counts, member):
-    # a lone surrogate is one token, so the inventory builds, but no file holds it
+    # a lone surrogate is one token, so the inventory builds, but no file
+    # holds it; the member sorts after "ab", so it is on line 3, after the header
     path = tmp_path / "comp.tsv"
     with pytest.raises(ValueError) as raised:
         save_compound_suffixes(CompoundSuffixSet(counts), path)
-    assert str(raised.value) == f"compound suffix {member!r} has no UTF-8 form"
+    assert str(raised.value) == f"{path}:3: {member[-1]!r} has no UTF-8 form"
     assert not path.exists()
 
 

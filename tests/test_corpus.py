@@ -1,6 +1,7 @@
 """Corpus file round-trips and vocabulary counting."""
 
 import io
+import os
 import re
 import sys
 from contextlib import redirect_stderr
@@ -132,6 +133,65 @@ def test_write_lines_ends_every_line_with_line_feed(tmp_path):
     write_lines(["a", "", "b c"], path)
     assert path.read_bytes() == b"a\n\nb c\n"
     assert read_lines(path) == ["a", "", "b c"]
+
+
+# lines as write_lines takes them (no line feed, no final carriage return),
+# from any character but the line feed, lone surrogates (category Cs) among
+# them, with U+FEFF and a surrogate drawn often
+written_line = st.text(
+    st.characters(blacklist_categories=(), blacklist_characters="\n")
+    | st.sampled_from("\ufeff\ud800\r"),
+    max_size=6,
+).filter(lambda line: not line.endswith("\r"))
+
+
+@given(lines=st.lists(written_line, max_size=5))
+def test_a_written_file_reads_back_or_is_refused_untouched(lines, tmp_path_factory):
+    path = tmp_path_factory.mktemp("wl") / "l.txt"
+    old = b"old \xff contents\n"
+    path.write_bytes(old)
+    starts_with_mark = bool(lines) and lines[0].startswith("\ufeff")
+    has_surrogate = any("\ud800" <= char <= "\udfff" for char in "".join(lines))
+    unreadable = starts_with_mark or has_surrogate
+    try:
+        write_lines(lines, path)
+    except ValueError:
+        assert unreadable
+        assert path.read_bytes() == old
+    else:
+        assert not unreadable
+        assert read_lines(path) == lines
+
+
+def test_lines_that_raise_midway_leave_the_target_untouched(tmp_path):
+    path = tmp_path / "l.txt"
+    path.write_bytes(b"old\n")
+
+    def lines():
+        yield "a"
+        yield "b"
+        raise RuntimeError("midway")
+
+    with pytest.raises(RuntimeError, match="midway"):
+        write_lines(lines(), path)
+    assert path.read_bytes() == b"old\n"
+
+
+@pytest.mark.parametrize(
+    "write",
+    [lambda fd: write_lines(["a"], fd), lambda fd: write_token_corpus([["a"]], fd)],
+    ids=["write_lines", "write_token_corpus"],
+)
+def test_writers_refuse_a_file_descriptor(write):
+    # open() would take it for a descriptor, write into it and close it
+    r, w = os.pipe()
+    try:
+        with pytest.raises(TypeError, match="not int$"):
+            write(w)
+        os.fstat(w)  # still the caller's, and open
+    finally:
+        os.close(r)
+        os.close(w)
 
 
 def test_is_token():
@@ -289,7 +349,7 @@ def test_vocabulary_of_empty_corpus():
     assert build_vocabulary([]) == {}
 
 
-# read_lines rejects a file that starts with U+FEFF (tested below), so the
+# the writer refuses a file that starts with U+FEFF (tested below), so the
 # first token of the first line must not start with it
 @given(body=corpus.filter(lambda b: not (b and b[0] and b[0][0][0] == "\ufeff")))
 def test_write_read_round_trip_property(body, tmp_path_factory):
@@ -299,11 +359,12 @@ def test_write_read_round_trip_property(body, tmp_path_factory):
 
 
 def test_a_written_first_token_starting_with_a_byte_order_mark_is_rejected(tmp_path):
+    # read_token_corpus would refuse the file, so the writer refuses to make it
     path = tmp_path / "c.txt"
-    write_token_corpus([["\ufeffa"]], path)
     with pytest.raises(ValueError) as info:
-        read_token_corpus(path)
-    assert str(info.value) == f"{path}:1: starts with a UTF-8 byte order mark"
+        write_token_corpus([["\ufeffa"]], path)
+    assert str(info.value) == f"{path}:1: would start the file with a byte order mark"
+    assert not path.exists()
 
 
 @given(body=corpus)
