@@ -37,9 +37,9 @@ from .corpus import (
     read_lines,
     read_reversed_types,
     read_token_corpus,
-    write_token_corpus,
+    write_lines,
 )
-from .pipeline import COMPOUND_MODES, SUFFIX_MODES, Mode, PipelineConfig, preprocess
+from .pipeline import COMPOUND_MODES, SUFFIX_MODES, Mode, PipelineConfig, preprocess_lines
 from .suffixes import load_suffix_list
 
 TYPE_CHECKING = False
@@ -238,9 +238,7 @@ def _cmd_preprocess(args: argparse.Namespace) -> int:
             read_token_corpus(args.pos_tags) if args.pos_tags is not None else None
         ),
     )
-    corpus = read_token_corpus(args.input)
-    result = preprocess(corpus, config)
-    write_token_corpus(result, args.output)
+    write_lines(preprocess_lines(read_lines(args.input), config), args.output)
     return 0
 
 

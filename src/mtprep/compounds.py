@@ -119,7 +119,7 @@ def split_compound(
     stage under margin (by default the one the inventory was induced with)."""
     if margin is not None:
         check_int("margin", margin, 0)
-    return make_splitter(compound_suffixes, None, None, margin)(word)
+    return make_splitter(compound_suffixes, None, margin)(word)
 
 
 def save_compound_suffixes(

@@ -232,8 +232,8 @@ def read_token_corpus(path: str | os.PathLike[str]) -> Corpus:
 
 def read_reversed_types(path: str | os.PathLike[str]) -> set[str]:
     """Read a corpus file (see read_text) into its set of distinct tokens,
-    each reversed: {w[::-1] for w in build_vocabulary(read_token_corpus(path))}
-    without the per-line token lists, the counts or a slice per token.  Every
+    each reversed: {w[::-1] for line in read_lines(path) for w in line.split()}
+    without a list per line or a slice per token.  Every
     whitespace character is one code point, so reversing the text reverses
     every token and keeps every separator, and both line ends are whitespace
     to str.split, so no token spans two lines."""

@@ -3,17 +3,19 @@
 Four modes mirror the submitted system configurations: bl (identity),
 ss (suffix separation), cs (compound splitting), cs+ss (compound splitting
 first, then suffix separation on every resulting constituent): the stages
-of suffixes.make_splitter, of which preprocess builds one per call.
+of suffixes.make_splitter.  preprocess maps token lists and
+preprocess_lines text lines, both through _render and its rules.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from enum import Enum
+from itertools import chain
 
 from .compounds import CompoundSuffixSet
 from .corpus import Corpus, _Frozen
-from .markers import check_marker, join_marked
+from .markers import check_marker, join_marked, mark_pieces
 from .suffixes import SuffixList, make_splitter
 
 # Tokens carrying this POS tag are exempt from splitting when tags are
@@ -51,40 +53,44 @@ class PipelineConfig(_Frozen):
         super().__init__(mode, suffix_list, compound_set, marker, nnp_tags)
 
 
-def _splitter(config: PipelineConfig, marker: str | None) -> Callable[[str], list[str]]:
-    """make_splitter with the configured mode's stages, marking with marker."""
+def _splitter(config: PipelineConfig) -> Callable[[str], list[str]]:
+    """make_splitter with the configured mode's stages."""
     mode = config.mode
     compound_set = config.compound_set if mode in COMPOUND_MODES else None
-    return make_splitter(compound_set, config.suffix_list if mode in SUFFIX_MODES else None, marker)
+    return make_splitter(compound_set, config.suffix_list if mode in SUFFIX_MODES else None)
 
 
 def token_pieces(word: str, config: PipelineConfig) -> list[str]:
     """One token's unmarked pieces under the configured mode, in surface
     order; they always concatenate back to the word."""
-    return _splitter(config, None)(word)
+    return _splitter(config)(word)
 
 
-def preprocess(corpus: Corpus, config: PipelineConfig) -> Corpus:
-    """Apply the configured splitting to every token of every sentence.
+class _Cache(dict):
+    """word -> finish(its pieces under config's mode), made on first lookup."""
 
-    Sentence count is always preserved.  When a marker is configured, any
-    input token already containing it is rejected (round-tripping would be
-    ambiguous otherwise).  When tags are configured (one per token, in a
-    line-parallel corpus), tokens tagged NNP pass through whole.  Each
-    distinct word not tagged NNP is split once per call: its marked pieces
-    are kept in a dict that lives as long as the call.  Sentences are
-    checked in order, tag count before tokens, so the first faulty one raises;
-    a sentence or tag row that is a str, not a list, raises TypeError.
-    """
+    __slots__ = ("split", "finish")
+
+    def __init__(self, config: PipelineConfig, finish: Callable[[list[str]], object]) -> None:
+        self.split, self.finish = _splitter(config), finish
+
+    def __missing__(self, word: str) -> object:
+        value = self[word] = self.finish(self.split(word))
+        return value
+
+
+def _render(
+    sentences: Iterable[list[str]], count: int, config: PipelineConfig, finish: Callable
+) -> Iterator[Iterable[object]]:
+    """The per-sentence rules, stated once: yield each sentence's tokens as
+    finish(pieces), a token tagged NNP being one piece, splitting each other
+    word once per call.  The tags must have count sentences; then the first
+    faulty sentence raises, its tag count checked before its tokens."""
     tags, marker = config.nnp_tags, config.marker
-    if tags is not None and len(tags) != len(corpus):
-        raise ValueError(
-            f"tag file has {len(tags)} sentences, corpus has {len(corpus)}"
-        )
-    split = _splitter(config, marker)
-    cache: dict[str, list[str]] = {}
-    result: Corpus = []
-    for k, sentence in enumerate(corpus):
+    if tags is not None and len(tags) != count:
+        raise ValueError(f"tag file has {len(tags)} sentences, corpus has {count}")
+    render = _Cache(config, finish).__getitem__
+    for k, sentence in enumerate(sentences):
         if isinstance(sentence, str):  # would be split as its characters
             raise TypeError(f"corpus sentence {k + 1} is a str, not a list of tokens")
         sentence_tags = None if tags is None else tags[k]
@@ -95,22 +101,43 @@ def preprocess(corpus: Corpus, config: PipelineConfig) -> Corpus:
                 f"sentence {k + 1}: {len(sentence_tags)} tags "
                 f"for {len(sentence)} tokens"
             )
-        tokens: list[str] = []
-        for t, word in enumerate(sentence):
-            if marker is not None and marker in word:
-                raise ValueError(
-                    f"sentence {k + 1}: input token {word!r} contains "
-                    f"the marker {marker!r}"
-                )
-            if sentence_tags is not None and sentence_tags[t] == NNP_TAG:
-                tokens.append(word)
-                continue
-            pieces = cache.get(word)
-            if pieces is None:
-                pieces = cache[word] = split(word)
-            tokens.extend(pieces)
-        result.append(tokens)
-    return result
+        # a marker has no whitespace, so a hit in the joined tokens is in one
+        if marker is not None and marker in " ".join(sentence):
+            t = next(t for t, word in enumerate(sentence) if marker in word)
+            for u in range(t):  # reading order: a token before it may fail to split
+                if sentence_tags is None or sentence_tags[u] != NNP_TAG:
+                    render(sentence[u])
+            raise ValueError(
+                f"sentence {k + 1}: input token {sentence[t]!r} contains "
+                f"the marker {marker!r}"
+            )
+        if sentence_tags is None:
+            yield map(render, sentence)
+        else:
+            yield (finish([word]) if tag == NNP_TAG else render(word)
+                   for word, tag in zip(sentence, sentence_tags))
+
+
+def preprocess(corpus: Corpus, config: PipelineConfig) -> Corpus:
+    """Apply the configured splitting to every token of every sentence.
+
+    Sentence count is always preserved.  When a marker is configured, any
+    input token already containing it is rejected (round-tripping would be
+    ambiguous otherwise).  When tags are configured (one per token, in a
+    line-parallel corpus), tokens tagged NNP pass through whole.  A sentence
+    or tag row that is a str, not a list, raises TypeError."""
+    marker = config.marker
+    items = _render(corpus, len(corpus), config, lambda pieces: mark_pieces(pieces, marker))
+    return [list(chain.from_iterable(sentence)) for sentence in items]
+
+
+def preprocess_lines(lines: Sequence[str], config: PipelineConfig) -> Iterator[str]:
+    """preprocess on text lines split by str.split, giving the lines
+    write_token_corpus would write: a word is rendered once, as its pieces
+    joined by the marker and a space (or a space), and a line joins its
+    tokens' renderings with spaces."""
+    sep = " " if config.marker is None else config.marker + " "
+    return map(" ".join, _render(map(str.split, lines), len(lines), config, sep.join))
 
 
 def reconstruct(corpus: Corpus, marker: str = "@@") -> Corpus:

@@ -7,8 +7,8 @@ that correspond to free-standing postpositions in the target language.
 It and compounds.CompoundSuffixSet derive from _Tails, which states once
 what both tail inventories hold: lengths, order and the ends index.
 
-make_splitter states the compound, suffix and marker rules once: every
-splitter in the package calls the function it builds.
+make_splitter states the compound and suffix rules once: every splitter in
+the package calls the function it builds.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from collections.abc import Callable, Collection, Iterable, Iterator
 from functools import cached_property
 
 from .corpus import _Frozen, is_token, read_lines, write_lines
-from .markers import mark_pieces
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:  # read for annotations only: compounds imports this module
@@ -139,17 +138,17 @@ def separate_suffix(word: str, suffixes: SuffixList) -> Split:
 
 def make_splitter(
     compound_set: CompoundSuffixSet | None, suffix_list: SuffixList | None,
-    marker: str | None = None, margin: int | None = None,
+    margin: int | None = None,
 ) -> Callable[[str], list[str]]:
-    """Build the function from a word to its marked pieces: the one
-    statement of the splitting rules, which every splitter here calls.
+    """Build the function from a word to its pieces: the one statement of
+    the splitting rules, which every splitter here calls.
 
     With a compound inventory it strips the longest member off the residue's
     right edge while one is strictly shorter than the residue and the word
     is longer than member length + margin (the inventory's own by default).
     With a suffix list it then splits each constituent once, on the longest
-    listed strict tail.  None skips a stage.  mark_pieces marks the pieces,
-    which concatenate back to the word.  An empty word raises ValueError
+    listed strict tail.  None skips a stage.  The pieces concatenate back
+    to the word.  An empty word raises ValueError
     unless both stages are skipped.  A strip reads the lengths the
     inventory's ends index lists for the residue's last shortest characters
     and probes only those that fit, longest first: one dict lookup and at
@@ -192,6 +191,6 @@ def make_splitter(
                         break
                 else:
                     pieces.append(constituent)
-        return mark_pieces(pieces, marker)
+        return pieces
 
     return split

@@ -2,23 +2,28 @@
 
 import importlib.util
 import inspect
+import io
 import os
 import subprocess
 import sys
 import warnings
+from contextlib import redirect_stderr
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import mtprep
 from mtprep import cli
 from mtprep.aligner import train_em
 from mtprep.cli import load_config, main
 from mtprep.compounds import (
-    induce_compound_suffixes, load_compound_suffixes, save_compound_suffixes,
+    CompoundSuffixSet, induce_compound_suffixes, load_compound_suffixes,
+    save_compound_suffixes,
 )
 from mtprep.corpus import (
     build_vocabulary,
+    parse_token_corpus,
     read_token_corpus,
     write_lines,
     write_token_corpus,
@@ -433,6 +438,60 @@ def test_preprocess_matches_the_per_token_oracle_on_synthetic_text(
     assert read_token_corpus(out) == expected
     # every mode but bl splits some words of this text
     assert (expected == corpus) == (mode is Mode.BL)
+
+
+# words over "abkD", a few over "abkD@" (so some hold the marker "@@"), the
+# characters that separate tokens, and both line ends: empty lines, CRLF, a
+# lone carriage return and Unicode whitespace that ends no line
+_word = st.text(alphabet="abkD", min_size=1, max_size=10)
+_separator = st.sampled_from(["\n", "\r\n", "\r", "\t", " ", "\xa0", "\x85", "\u2028"])
+prep_text = st.lists(st.one_of(
+    _word, _word, _separator, _separator, st.text(alphabet="abkD@", min_size=1, max_size=10),
+), max_size=30).map("".join)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    text=prep_text, mode=st.sampled_from(list(Mode)), marker=st.sampled_from([None, "@@"]),
+    with_tags=st.booleans(), data=st.data(),
+)
+def test_preprocess_file_output_is_the_oracle_corpus_written(
+    text, mode, marker, with_tags, data, tmp_path_factory
+):
+    folder = tmp_path_factory.mktemp("prep")
+    src, out, expected_file = folder / "in.txt", folder / "out.txt", folder / "expected.txt"
+    suffixes, compounds = folder / "suf.txt", folder / "comp.tsv"
+    src.write_bytes(text.encode("utf-8"))
+    write_lines(["a", "Da", "kab", "D@"], suffixes)
+    save_compound_suffixes(CompoundSuffixSet({"kaD": 1, "bk": 2, "ab": 1}, 1), compounds)
+    out.write_bytes(b"untouched\n")
+    argv = [
+        "preprocess", "--mode", mode.value, "--suffixes", str(suffixes),
+        "--compounds", str(compounds), "-i", str(src), "-o", str(out),
+    ] + (["--marker", marker] if marker else [])
+    corpus, tags = parse_token_corpus(text), None
+    if with_tags:  # an NNP or NN tag per token
+        tag_st = st.sampled_from(["NNP", "NN"])
+        tags = [data.draw(st.lists(tag_st, min_size=len(s), max_size=len(s))) for s in corpus]
+        write_token_corpus(tags, folder / "tags.txt")
+        argv += ["--pos-tags", str(folder / "tags.txt")]
+    config = PipelineConfig(
+        mode, load_suffix_list(suffixes), load_compound_suffixes(compounds), marker
+    )
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code = main(argv)
+    try:
+        expected = preprocess_oracle(
+            corpus, lambda word: token_pieces_oracle(word, config), marker, tags
+        )
+    except ValueError as exc:  # a marker hit: the oracle's message, no output
+        assert (code, err.getvalue()) == (1, f"error: {exc}\n")
+        assert out.read_bytes() == b"untouched\n"
+        return
+    assert (code, err.getvalue()) == (0, "")
+    write_token_corpus(expected, expected_file)
+    assert out.read_bytes() == expected_file.read_bytes()
 
 
 # --- induce-suffixes ---------------------------------------------------------

@@ -5,9 +5,10 @@ from hypothesis import given, settings, strategies as st
 
 import mtprep.pipeline as pipeline
 from mtprep.compounds import CompoundSuffixSet, induce_compound_suffixes
-from mtprep.markers import join_marked
+from mtprep.markers import join_marked, mark_pieces
 from mtprep.pipeline import (
-    COMPOUND_MODES, SUFFIX_MODES, Mode, PipelineConfig, preprocess, reconstruct, token_pieces,
+    COMPOUND_MODES, SUFFIX_MODES, Mode, PipelineConfig, preprocess, preprocess_lines,
+    reconstruct, token_pieces,
 )
 from mtprep.suffixes import SuffixList, make_splitter
 
@@ -112,6 +113,11 @@ def test_tag_corpus_length_mismatch_is_an_error():
         ([["a"], ["x@@"]], [[], ["NN"]], "sentence 1: 0 tags for 1 tokens"),
         # both in sentence 1: its tag count is checked before its tokens
         ([["x@@"]], [[]], "sentence 1: 0 tags for 1 tokens"),
+        # an empty word before the marker: in reading order its split fails
+        # first, unless its NNP tag leaves it whole
+        ([["", "x@@"]], None, "cannot split an empty word"),
+        ([["", "x@@"]], [["NN", "NN"]], "cannot split an empty word"),
+        ([["", "x@@"]], [["NNP", "NN"]], "sentence 1: input token 'x@@' contains"),
     ],
 )
 def test_first_faulty_sentence_raises(corpus, tags, error):
@@ -377,15 +383,18 @@ def test_token_pieces_matches_the_unwindowed_composition(data, word, margin, mar
         cfg = PipelineConfig(mode=mode, suffix_list=suffixes, compound_set=compounds)
         expected, error = pieces_or_error(token_pieces_oracle, word, cfg)
         assert pieces_or_error(token_pieces, word, cfg) == (expected, error)
-        # the factory itself, marking every piece but the last
+        # the factory itself
         split = make_splitter(
             compounds if mode in COMPOUND_MODES else None,
             suffixes if mode in SUFFIX_MODES else None,
-            marker,
         )
-        if expected is not None and marker is not None:
-            expected = [piece + marker for piece in expected[:-1]] + expected[-1:]
         assert pieces_or_error(lambda w, _: split(w), word, cfg) == (expected, error)
+        # the text preprocess_lines renders the word as: its pieces, marked
+        if expected is not None and word:
+            marked = PipelineConfig(mode, suffixes, compounds, marker)
+            assert list(preprocess_lines([word], marked)) == [
+                " ".join(mark_pieces(expected, marker))
+            ]
 
 
 # "a", "b", a Devanagari letter and an astral (non-BMP) character
