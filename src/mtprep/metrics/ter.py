@@ -14,22 +14,26 @@ Edit distances are computed bit-parallel (Myers 1999, Hyyrö 2003) over match
 masks built once per segment.  Moves are enumerated from the reference
 positions that hold each hypothesis token, also listed once per segment.
 Greedy search keeps _columns, the column before every position of the
-current hypothesis, and scores each candidate from the stored column at its
-first changed position without building it.  A shift changes only the
-positions it rotates, so the columns before them, and the reversed
-sentences' columns of the suffix after them, carry over to the next step;
-both passes resume from there.  A candidate is dropped once a lower bound on
-its final distance, from its column so far and the distance of the unchanged
-rest (Hirschberg's 1975 split at a fixed position; _columns of the reversed
-sentences), reaches the step's best.  It can then at best tie, and only a
-strictly better score replaces the best, so the winner is that of scoring
-every candidate in full; only it is built.  The scores are identical to
-those of the plain O(n*m) dynamic program, which the tests keep as the oracle.
+current hypothesis.  A shift changes only the positions it rotates, so the
+columns before them, and the reversed sentences' columns of the suffix after
+them, carry over to the next step; both passes resume from there.  A
+candidate is dropped, before anything of it is built, once a lower bound on
+its final distance, from the stored column at its first changed position and
+the distance of the unchanged rest (Hirschberg's 1975 split at a fixed
+position; _columns of the reversed sentences), reaches the step's best: it
+can then at best tie.  The rest are scored in packs of at most PACK_LANES,
+one candidate to each field of one integer (Hyyrö, Fredriksson and Navarro
+2005), by one pass from the stored column at the pack's first changed
+position; the bound is checked again after each pack.  Only a strictly
+better score replaces the best, so the winner is the first minimum in move
+order, that of scoring every candidate alone; only it is built.  The scores
+are identical to those of the plain O(n*m) dynamic program, which the tests
+keep as the oracle.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 
 from ..corpus import Corpus, Sentence, _Frozen
 from .common import validate_corpora
@@ -37,6 +41,10 @@ from .common import validate_corpora
 # Exact search is exponential in the worst case; beyond this many tokens on
 # either side, fall back to greedy.
 EXACT_SEARCH_LIMIT = 7
+
+# Greedy TER scores at most this many candidates of a step in one pass, so a
+# step holds at most this many lanes of match masks on hostile input.
+PACK_LANES = 256
 
 # One edit-distance DP column in bit-parallel form: (VP, VN, last-row value).
 Column = tuple[int, int, int]
@@ -189,27 +197,68 @@ def _exact_ter(hyp: Sentence, ref: Sentence) -> SentenceTer:
     return SentenceTer(best_shifts, best_edits, ref_length)
 
 
-def _scan_below(
-    state: Column, eqs: Iterable[int], limits: Iterable[int], full: int, top: int
-) -> Column | None:
-    """The last of _columns, but resumed from state; None as soon as the last
-    row reaches the limit paired with the token just scanned."""
-    vp, vn, score = state
-    for eq, limit in zip(eqs, limits):
+def _lanes(
+    start: Column, lanes: list[list[bytes]], size: int, full: int
+) -> tuple[int, int]:
+    """VP and VN of the last of _columns for every lane at once, all resumed
+    from start, field k of each holding lane k's.
+
+    A lane is one sequence of match masks, each as size little-endian bytes
+    with size * 8 > m, so that a field has a spare top bit; the lanes are
+    equally long.  Packing independent columns into one word is Hyyrö,
+    Fredriksson and Navarro (2005): each position runs _columns' operations
+    once for every lane.  The spare bit takes the carry of (eq & vp) + vp,
+    so no carry crosses into the next field; ph's bits above the reference's
+    reach the next field only at its row 0, which the shifted-in 1 sets
+    anyway; VP is cut back to full, and VN lies within eq | vn.  The last
+    row is not tracked: _lane_counts reads it off VP and VN at the end.
+    """
+    ones = int.from_bytes(b"\x01".ljust(size, b"\x00") * len(lanes), "little")
+    full *= ones
+    vp, vn = start[0] * ones, start[1] * ones
+    for column in zip(*lanes):
+        eq = int.from_bytes(b"".join(column), "little")
         xv = eq | vn
         xh = (((eq & vp) + vp) ^ vp) | eq
         ph = vn | ~(xh | vp)
         mh = vp & xh
-        if ph & top:
-            score += 1
-        elif mh & top:
-            score -= 1
-        if score >= limit:
-            return None
-        ph = (ph << 1) | 1
+        ph = (ph << 1) | ones
         vp = ((mh << 1) | ~(xv | ph)) & full
         vn = ph & xv
-    return vp, vn, score
+    return vp, vn
+
+
+# per byte value: the bits set, and the bits clear
+_SET_BITS = bytes(bin(value).count("1") for value in range(256))
+_CLEAR_BITS = bytes(8 - bits for bits in _SET_BITS)
+
+
+def _lane_counts(vp: int, vn: int, count: int, size: int) -> Sequence[int]:
+    """popcount(VP_k) - popcount(VN_k) + 8 * size for each of count lanes of
+    size bytes, in lane order.
+
+    After t tokens a column's last row is t + popcount(VP) - popcount(VN):
+    row 0 holds t, and VP and VN hold the +1 and -1 steps down the column.
+    Up to 15 bytes a lane, the counts come from C: every byte of VP becomes
+    its set bits and every byte of VN its clear bits, at most 16 together,
+    and multiplying by a 1 in each of a field's bytes sums the field into
+    its top byte.  No such sum of size bytes reaches 256, so no carry
+    crosses a byte.
+    """
+    total = size * count
+    vps, vns = vp.to_bytes(total, "little"), vn.to_bytes(total, "little")
+    if size < 16:
+        bits = int.from_bytes(vps.translate(_SET_BITS), "little") + int.from_bytes(
+            vns.translate(_CLEAR_BITS), "little"
+        )
+        sums = bits * int.from_bytes(b"\x01" * size, "little")
+        return sums.to_bytes(total + size, "little")[size - 1 : total : size]
+    return [
+        int.from_bytes(vps[k : k + size], "little").bit_count()
+        - int.from_bytes(vns[k : k + size], "little").bit_count()
+        + 8 * size
+        for k in range(0, total, size)
+    ]
 
 
 def _greedy_ter(hyp: Sentence, ref: Sentence) -> SentenceTer:
@@ -217,35 +266,44 @@ def _greedy_ter(hyp: Sentence, ref: Sentence) -> SentenceTer:
 
     A move (i, j, length) from _moves changes the current hypothesis only
     from lo = min(i, j) up to hi = max(i, j) + length (capped at its length
-    n), so the search stores _columns, one before each position, and a
-    candidate resumes from the one at lo over its rearranged span, then over
-    the unchanged tail.  The same holds for the shift a step applies: the
-    columns up to lo stay and the rest resume from the one at lo; the
-    reversed pass keeps its columns over current[hi:] and resumes from the
-    one after them; the match masks are moved as the tokens are.  With m the
-    reference length and D(x) the distance from x to the reference, a
-    candidate whose column after position k >= hi has last row s ends at
-    least at s - slack[k], where slack[k] = m - D(current[k:]): adjacent
-    cells of a column differ by at most 1, and D(t, ref[r:]) >= D(t) - r.
-    Each span token still to scan can lower s by at most 1 more.  _columns
-    of the reversed sentences fills slack, and _scan_below drops a candidate
-    once s reaches best_edits + slack[k] (plus those span tokens).  The
-    first check, at k = lo, reads only the stored column, so the span is
-    built after it.  A dropped candidate can at best tie; only a strictly
-    better score replaces the best, so ties, repeats included, go as in
-    scoring every candidate in full.  A step ends early once a candidate
-    reaches the sentences' length difference, which no later candidate can
-    beat, and none starts there.
+    n), so the search stores _columns, one before each position.  The
+    shift a step applies keeps the columns up to lo, and the rest resume
+    from the one at lo; the reversed pass keeps its columns over
+    current[hi:] and resumes from the one after them; the match masks are
+    moved as the tokens are.  With m the reference length and D(x) the
+    distance from x to the reference, a candidate whose column at lo has
+    last row s ends at least at s - (hi - lo) - slack[hi], where slack[k] =
+    m - D(current[k:]): each span token lowers the last row by 1 at most,
+    adjacent cells of a column differ by at most 1, and D(t, ref[r:]) >=
+    D(t) - r.  _columns of the reversed sentences fills slack.  A candidate
+    whose bound reaches the step's best so far is dropped before anything
+    of it is built: it can at best tie.
+
+    The survivors are scored in packs of up to PACK_LANES, in _moves order,
+    by one _lanes pass each.  Lane k holds candidate k's rotated masks from
+    the pack's smallest lo onward, and all lanes start from the column
+    there: before its own lo, a lane reads unchanged tokens.  Its distance
+    is n + popcount(VP) - popcount(VN).  Only a strictly better distance
+    replaces the best, so the winner is the first minimum in _moves order,
+    as in scoring every candidate alone; only it is built.  The bound is
+    checked again with the best after each pack, which keeps a step's
+    memory to PACK_LANES lanes of at most n masks.  A step ends early once
+    a pack reaches the sentences' length difference, which no later
+    candidate can beat.
     """
     masks, ref_length = _match_masks(ref), len(ref)
     back = _match_masks(ref[::-1]).get
     positions = _positions(ref)
     full = (1 << ref_length) - 1
     top = 1 << (ref_length - 1)
+    # bytes per lane field: at least one bit above the reference's m
+    size = ref_length // 8 + 1
     get = masks.get
     current = list(hyp)
     n = len(current)
     eqs = [get(tok, 0) for tok in current]
+    # eqs as lane fields, for _lanes
+    chunks = [eq.to_bytes(size, "little") for eq in eqs]
     # back_eqs[k] matches current[k] against the reversed reference
     back_eqs = [back(tok, 0) for tok in current]
     columns = _columns(eqs, full, top)
@@ -256,46 +314,55 @@ def _greedy_ter(hyp: Sentence, ref: Sentence) -> SentenceTer:
     # No permutation of the hypothesis is closer to the reference than the
     # difference of their lengths.
     floor = abs(n - ref_length)
+    # a lane's distance less its _lane_counts entry
+    base = n - 8 * size
     while edits > floor:
         # slack[k] = m - D(current[k:])
         slack = [ref_length - column[2] for column in reversed(backward)]
         best = None
         best_edits = edits
-        cut = [edits + s for s in slack]
-        for i, j, length in _moves(current, ref, positions):
-            end = i + length
-            # the move rotates current[lo:hi] so that current[mid:hi] leads
-            if j < i:
-                # the block lands earlier, before current[j:i]
-                lo, mid, hi = j, i, end
-            else:
-                # current[end:hi] moves up and the block lands after it
-                lo, mid, hi = i, end, min(j + length, n)
-            # each span token still to scan can lower the last row by 1 at most
-            limit = cut[hi] + hi - lo
-            if columns[lo][2] >= limit:
-                continue
-            span = eqs[mid:hi] + eqs[lo:mid]
-            bounds = range(limit - 1, cut[hi] - 1, -1)
-            state = _scan_below(columns[lo], span, bounds, full, top)
-            if state is None:
-                continue
-            state = _scan_below(state, eqs[hi:], cut[hi + 1 :], full, top)
-            if state is None:
-                continue
-            best_edits = state[2]
-            best = (i, j, length), lo, hi
-            if best_edits == floor:
-                break
+        moves = _moves(current, ref, positions)
+        while best_edits > floor:
             cut = [best_edits + s for s in slack]
+            pack = []
+            first = n
+            for i, j, length in moves:
+                end = i + length
+                # the move rotates current[lo:hi] so that current[mid:hi] leads
+                if j < i:
+                    # the block lands earlier, before current[j:i]
+                    lo, mid, hi = j, i, end
+                else:
+                    # current[end:hi] moves up and the block lands after it
+                    lo, mid, hi = i, end, min(j + length, n)
+                if columns[lo][2] < cut[hi] + hi - lo:
+                    pack.append((i, j, length, lo, mid, hi))
+                    if lo < first:
+                        first = lo
+                    if len(pack) == PACK_LANES:
+                        break
+            if not pack:
+                break
+            lanes = [
+                chunks[first:lo] + chunks[mid:hi] + chunks[lo:mid] + chunks[hi:]
+                for _, _, _, lo, mid, hi in pack
+            ]
+            counts = _lane_counts(
+                *_lanes(columns[first], lanes, size, full), len(pack), size
+            )
+            low = min(counts)
+            if low + base < best_edits:
+                best_edits = low + base
+                best = pack[counts.index(low)]
         if best is None:
             break
         # only current[lo:hi] changed: keep the columns before lo and the
         # backward columns of current[hi:], and resume both passes from there
-        move, lo, hi = best
-        current = _shift(current, *move)
-        eqs = _shift(eqs, *move)
-        back_eqs = _shift(back_eqs, *move)
+        i, j, length, lo, _, hi = best
+        current = _shift(current, i, j, length)
+        eqs = _shift(eqs, i, j, length)
+        chunks = _shift(chunks, i, j, length)
+        back_eqs = _shift(back_eqs, i, j, length)
         columns = columns[:lo] + _columns(eqs[lo:], full, top, columns[lo])
         backward = backward[: n - hi] + _columns(
             back_eqs[hi - 1 :: -1], full, top, backward[n - hi]

@@ -176,6 +176,119 @@ def exhaustive_ter_edits(hyp, ref):
     return best
 
 
+
+def _bit_columns(eqs, full, top, start=None):
+    """Bit-parallel edit-distance columns (Myers 1999, in Hyyrö's 2003
+    form), one after each match mask of eqs, resumed from start (by default
+    the empty prefix's column): (VP, VN, last row)."""
+    if start is None:
+        start = (full, 0, top.bit_length())
+    vp, vn, score = start
+    columns = [start]
+    for eq in eqs:
+        xv = eq | vn
+        xh = (((eq & vp) + vp) ^ vp) | eq
+        ph = vn | ~(xh | vp)
+        mh = vp & xh
+        if ph & top:
+            score += 1
+        elif mh & top:
+            score -= 1
+        ph = (ph << 1) | 1
+        vp = ((mh << 1) | ~(xv | ph)) & full
+        vn = ph & xv
+        columns.append((vp, vn, score))
+    return columns
+
+
+def _scan_below(state, eqs, limits, full, top):
+    """The last of _bit_columns, but resumed from state; None as soon as the
+    last row reaches the limit paired with the token just scanned."""
+    vp, vn, score = state
+    for eq, limit in zip(eqs, limits):
+        xv = eq | vn
+        xh = (((eq & vp) + vp) ^ vp) | eq
+        ph = vn | ~(xh | vp)
+        mh = vp & xh
+        if ph & top:
+            score += 1
+        elif mh & top:
+            score -= 1
+        if score >= limit:
+            return None
+        ph = (ph << 1) | 1
+        vp = ((mh << 1) | ~(xv | ph)) & full
+        vn = ph & xv
+    return vp, vn, score
+
+
+def greedy_ter_scalar(hyp, ref):
+    """greedy_ter_oracle's search, as mtprep scored it one candidate at a
+    time before its candidates were packed into lanes: (shifts, remaining
+    edits).
+
+    Bit-parallel distances from stored columns, resumed after each shift,
+    and a lower bound that drops a candidate as soon as it can at best tie
+    the step's best (see _greedy_ter in mtprep.metrics.ter).  Far faster
+    than greedy_ter_oracle, so it is the reference on long segments."""
+    ref_length = len(ref)
+    masks, back_masks = {}, {}
+    for j, tok in enumerate(ref):
+        masks[tok] = masks.get(tok, 0) | (1 << j)
+        back_masks[tok] = back_masks.get(tok, 0) | (1 << (ref_length - 1 - j))
+    full = (1 << ref_length) - 1
+    top = 1 << (ref_length - 1)
+    current = list(hyp)
+    n = len(current)
+    eqs = [masks.get(tok, 0) for tok in current]
+    back_eqs = [back_masks.get(tok, 0) for tok in current]
+    columns = _bit_columns(eqs, full, top)
+    backward = _bit_columns(reversed(back_eqs), full, top)
+    edits = columns[-1][2]
+    shifts = 0
+    floor = abs(n - ref_length)
+    while edits > floor:
+        slack = [ref_length - column[2] for column in reversed(backward)]
+        best = None
+        best_edits = edits
+        cut = [edits + s for s in slack]
+        for i, j, length in shift_candidates(current, ref):
+            end = i + length
+            if j < i:
+                lo, mid, hi = j, i, end
+            else:
+                lo, mid, hi = i, end, min(j + length, n)
+            limit = cut[hi] + hi - lo
+            if columns[lo][2] >= limit:
+                continue
+            span = eqs[mid:hi] + eqs[lo:mid]
+            bounds = range(limit - 1, cut[hi] - 1, -1)
+            state = _scan_below(columns[lo], span, bounds, full, top)
+            if state is None:
+                continue
+            state = _scan_below(state, eqs[hi:], cut[hi + 1 :], full, top)
+            if state is None:
+                continue
+            best_edits = state[2]
+            best = (i, j, length), lo, hi
+            if best_edits == floor:
+                break
+            cut = [best_edits + s for s in slack]
+        if best is None:
+            break
+        move, lo, hi = best
+        current = apply_shift(current, *move)
+        eqs = apply_shift(eqs, *move)
+        back_eqs = apply_shift(back_eqs, *move)
+        columns = columns[:lo] + _bit_columns(eqs[lo:], full, top, columns[lo])
+        backward = backward[: n - hi] + _bit_columns(
+            back_eqs[hi - 1 :: -1], full, top, backward[n - hi]
+        )
+        edits = best_edits
+        shifts += 1
+    return shifts, edits
+
+
 # --- splitting -------------------------------------------------------------
 
 def preprocess_oracle(corpus, split, marker=None, tags=None):

@@ -2,6 +2,7 @@
 
 import random
 import time
+import tracemalloc
 from functools import partial
 
 import pytest
@@ -12,6 +13,8 @@ from mtprep.metrics.ter import (
     SentenceTer,
     _columns,
     _greedy_ter,
+    _lane_counts,
+    _lanes,
     _match_masks,
     _moves,
     _positions,
@@ -23,6 +26,7 @@ from mtprep.metrics.ter import (
 from oracles import (
     exhaustive_ter_edits,
     greedy_ter_oracle,
+    greedy_ter_scalar,
     levenshtein,
     shift_candidates,
     wer_oracle,
@@ -270,6 +274,21 @@ def test_greedy_matches_dp_oracle_on_edited_references(pair):
 
 @settings(max_examples=100, deadline=None)
 @given(
+    st.one_of(
+        st.sampled_from(["ab", "abc"]).flatmap(_greedy_pair),
+        st.sampled_from(["abcd", "abcdefgh"]).flatmap(partial(_greedy_pair, max_size=20)),
+        _edited_pair(),
+    )
+)
+def test_scalar_greedy_matches_dp_oracle(pair):
+    # greedy_ter_scalar stands in for the DP oracle on long segments, where
+    # that takes seconds a pair; it must agree with it where both run
+    hyp, ref = pair
+    assert greedy_ter_scalar(hyp, ref) == greedy_ter_oracle(hyp, ref)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
     st.lists(token_st, max_size=80), st.lists(token_st, min_size=1, max_size=80), st.data()
 )
 def test_columns_resumed_from_any_column_match_a_fresh_pass(hyp, ref, data):
@@ -281,6 +300,39 @@ def test_columns_resumed_from_any_column_match_a_fresh_pass(hyp, ref, data):
     fresh = _columns(eqs, full, top)
     k = data.draw(st.integers(0, len(hyp)))
     assert fresh[:k] + _columns(eqs[k:], full, top, fresh[k]) == fresh
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from([1, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65, 70, 119, 120, 130]),
+    st.data(),
+)
+def test_lanes_match_columns(m, data):
+    # greedy TER scores a step's candidates as the fields of one int, all
+    # resumed from one stored column; each field must be the column that
+    # _columns reaches over that lane alone, and its last row must read back
+    # from the counts (in C up to 15 bytes a field, per lane from 16)
+    full, top, size = (1 << m) - 1, 1 << (m - 1), m // 8 + 1
+    masks = st.integers(0, full)
+    prefix = data.draw(st.lists(masks, max_size=6))
+    start = _columns(prefix, full, top)[-1]
+    length = data.draw(st.integers(0, 12))
+    seqs = data.draw(
+        st.lists(st.lists(masks, min_size=length, max_size=length), min_size=1, max_size=9)
+    )
+    lanes = [[eq.to_bytes(size, "little") for eq in seq] for seq in seqs]
+    vp, vn = _lanes(start, lanes, size, full)
+    counts = _lane_counts(vp, vn, len(seqs), size)
+    field = (1 << (8 * size)) - 1
+    for k, seq in enumerate(seqs):
+        last = _columns(seq, full, top, start)[-1]
+        shift = 8 * size * k
+        assert (vp >> shift & field, vn >> shift & field) == last[:2]
+        assert len(prefix) + length + counts[k] - 8 * size == last[2]
+    # a one-lane pack is _columns' last column
+    one = _lanes(start, lanes[:1], size, full)
+    last = _columns(seqs[0], full, top, start)[-1]
+    assert (*one, len(prefix) + length + _lane_counts(*one, 1, size)[0] - 8 * size) == last
 
 
 @st.composite
@@ -312,6 +364,38 @@ def test_greedy_with_resumed_columns_matches_dp_oracle(pair):
     result = _greedy_ter(hyp, ref)
     assume(result.shifts >= 2)
     assert (result.shifts, result.edits_after_shifts) == greedy_ter_oracle(hyp, ref)
+
+
+@st.composite
+def _long_shift_pair(draw):
+    # 40-120 reference tokens over 2, 4 or 50 types; the hypothesis is the
+    # reference after two to six block moves of up to six tokens and up to
+    # a tenth of its tokens substituted
+    rng = draw(st.randoms(use_true_random=False))
+    vocab = [f"t{k}" for k in range(draw(st.sampled_from([2, 4, 50])))]
+    ref = rng.choices(vocab, k=draw(st.integers(40, 120)))
+    hyp = list(ref)
+    for _ in range(rng.randint(2, 6)):
+        length = rng.randint(1, 6)
+        i = rng.randrange(len(hyp) - length + 1)
+        block = hyp[i : i + length]
+        del hyp[i : i + length]
+        j = rng.randrange(len(hyp) + 1)
+        hyp[j:j] = block
+    for _ in range(rng.randint(0, len(hyp) // 10)):
+        hyp[rng.randrange(len(hyp))] = rng.choice(vocab)
+    return hyp, ref
+
+
+@settings(max_examples=5, deadline=None)
+@given(_long_shift_pair())
+def test_greedy_matches_scalar_search_on_long_segments(pair):
+    # steps with hundreds of candidates, several packs of lanes each, and
+    # lane fields of 6 to 16 bytes; greedy_ter_scalar scores one candidate
+    # at a time and is checked against the DP oracle above
+    hyp, ref = pair
+    result = _greedy_ter(hyp, ref)
+    assert (result.shifts, result.edits_after_shifts) == greedy_ter_scalar(hyp, ref)
 
 
 _W = [f"w{k}" for k in range(20)]
@@ -376,11 +460,64 @@ def test_greedy_on_long_low_entropy_segments():
     assert pinned == [(4, 2), (6, 9), (8, 9)]
 
 
+def cliff_pairs():
+    """Three seeded pairs on which greedy TER took seconds when it scored
+    one candidate at a time: a shuffled copy of a 100-token reference over
+    2 and over 4 token types, and a 200-token reference over 2,000
+    Zipf-weighted types after 20 block moves of 1-3 tokens and 20
+    substitutions."""
+    pairs = []
+    for alphabet in ("ab", "abcd"):
+        rng = random.Random(1)
+        ref = rng.choices(alphabet, k=100)
+        pairs.append((rng.sample(ref, len(ref)), ref))
+    rng = random.Random(1)
+    vocab = [f"w{k}" for k in range(2000)]
+    weights = [1 / (k + 1) for k in range(2000)]
+    ref = rng.choices(vocab, weights, k=200)
+    hyp = list(ref)
+    for _ in range(20):
+        length = rng.randint(1, 3)
+        i = rng.randrange(len(hyp) - length + 1)
+        block = hyp[i : i + length]
+        del hyp[i : i + length]
+        j = rng.randrange(len(hyp) + 1)
+        hyp[j:j] = block
+    for _ in range(20):
+        hyp[rng.randrange(len(hyp))] = rng.choices(vocab, weights)[0]
+    pairs.append((hyp, ref))
+    return pairs
+
+
+def test_greedy_on_cliff_segments():
+    # the values greedy_ter_scalar gives (7, 2 and 4 s a pair on a 2-vCPU
+    # x86-64 box, so it is not run here)
+    results = [sentence_ter(hyp, ref) for hyp, ref in cliff_pairs()]
+    pinned = [(r.shifts, r.edits_after_shifts) for r in results]
+    assert pinned == [(7, 14), (23, 11), (31, 13)]
+
+
+def test_greedy_memory_is_bounded_on_a_hostile_segment():
+    # a 2-token 100-token pair has steps of about 10,000 candidates; packed
+    # all at once their lanes peak at about 18 MB, in packs of PACK_LANES
+    # at about 0.5 MB
+    hyp, ref = cliff_pairs()[0]
+    tracemalloc.start()
+    try:
+        result = sentence_ter(hyp, ref)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (result.shifts, result.edits_after_shifts) == (7, 14)
+    assert peak < 4_000_000, f"greedy TER peaked at {peak / 1e6:.1f} MB"
+
+
 def test_greedy_speed_floor():
     # 20 seeded 30-token pairs: the reference with three block moves and four
-    # substitutions.  About 0.12 s on a 2-vCPU x86-64 box with the bounded
-    # greedy search, 0.4 s with the bit-parallel distance alone and 7 s with
-    # a Python DP; the budget is 10x the bit-parallel time.
+    # substitutions.  About 0.03 s on a 2-vCPU x86-64 box with each step's
+    # candidates scored in lanes of one int, 0.1 s scoring them one at a
+    # time with the bound, 0.4 s with the bit-parallel distance alone and 7 s
+    # with a Python DP; the budget is 10x the bit-parallel time.
     rng = random.Random(2016)
     vocab = [f"w{k}" for k in range(6)]
     pairs = []
