@@ -33,7 +33,7 @@ _EXPORTS = {
         "BleuScore", "EvalReport", "NistScore", "SentenceTer", "TerScore", "bleu",
         "edit_distance", "evaluate", "nist", "sentence_ter", "ter",
     ),
-    "pipeline": ("Mode", "PipelineConfig", "preprocess", "reconstruct", "token_pieces"),
+    "pipeline": ("Mode", "PipelineConfig", "preprocess", "reconstruct"),
     "suffixes": (
         "Split", "SuffixList", "load_suffix_list", "save_suffix_list", "separate_suffix",
     ),

@@ -116,10 +116,13 @@ def split_compound(
     word: str, compound_suffixes: CompoundSuffixSet, margin: int | None = None
 ) -> list[str]:
     """The word's constituents, in surface order, by make_splitter's compound
-    stage under margin (by default the one the inventory was induced with)."""
+    stage under the inventory's margin.  Another margin splits under a copy
+    of the inventory with that margin, built for this call."""
     if margin is not None:
         check_int("margin", margin, 0)
-    return make_splitter(compound_suffixes, None, margin)(word)
+        if margin != compound_suffixes.margin:
+            compound_suffixes = CompoundSuffixSet(compound_suffixes.counts, margin)
+    return make_splitter(compound_suffixes, None)(word)
 
 
 def save_compound_suffixes(

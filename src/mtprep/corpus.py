@@ -9,7 +9,7 @@ through write_lines, so "a line" means the same everywhere, and a written
 file always reads back: write_lines refuses, before it opens the file, any
 text read_text would refuse.  Integers read from text go through
 parse_digits, integer arguments of the library through check_int, and
-corpora through check_sentences, which refuses a sentence given as a str
+corpora through checked_sentences, which refuses a sentence given as a str
 (check_parallel adds the sentence counts of two parallel sides).  _Frozen
 is the one base of the package's value classes, here because every module
 that defines one imports this one.
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import codecs
 from collections import Counter
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from itertools import chain
 
 TYPE_CHECKING = False
@@ -135,24 +135,26 @@ def check_int(name: str, value: object, minimum: int) -> None:
         raise ValueError(f"{name} must be >= {minimum}")
 
 
-def check_sentences(side: str, corpus: Iterable[object]) -> None:
-    """Refuse a corpus with a sentence that is a str, not a list of tokens
-    (every layer would read its characters as tokens): TypeError names the
-    side and the sentence's number."""
+def checked_sentences(side: str, corpus: Iterable[Sentence]) -> Iterator[Sentence]:
+    """Yield the corpus's sentences, refusing one that is a str, not a list
+    of tokens (every layer would read its characters as tokens), when it is
+    reached: TypeError names the side and the sentence's number.  Checking
+    as it reads, it reads the corpus once, so a generator corpus works."""
     for k, sentence in enumerate(corpus, start=1):
         if isinstance(sentence, str):
             raise TypeError(f"{side} sentence {k} is a str, not a list of tokens")
+        yield sentence
 
 
 def check_parallel(
     first: str, a: Sequence[object], second: str, b: Sequence[object]
 ) -> None:
     """Refuse two line-parallel corpora (side names first and second) whose
-    sentence counts differ, with ValueError, then each with check_sentences."""
+    sentence counts differ, with ValueError, then each with checked_sentences."""
     if len(a) != len(b):
         raise ValueError(f"{first} corpus has {len(a)} sentences, {second} has {len(b)}")
-    check_sentences(first, a)
-    check_sentences(second, b)
+    for _ in chain(checked_sentences(first, a), checked_sentences(second, b)):
+        pass
 
 
 class _Frozen:
@@ -245,11 +247,12 @@ def write_token_corpus(corpus: Corpus, path: str | os.PathLike[str]) -> None:
     write_lines, which refuses what read_token_corpus could not read back.
 
     Inverse of read_token_corpus for corpora whose tokens are non-empty and
-    whitespace-free.
+    whitespace-free.  A sentence that is a str raises TypeError
+    (checked_sentences) before the file is opened.
     """
-    write_lines((" ".join(sentence) for sentence in corpus), path)
+    write_lines(map(" ".join, checked_sentences("corpus", corpus)), path)
 
 
 def build_vocabulary(corpus: Corpus) -> Counter[str]:
     """Count exact token frequencies over the whole corpus."""
-    return Counter(chain.from_iterable(corpus))
+    return Counter(chain.from_iterable(checked_sentences("corpus", corpus)))

@@ -12,12 +12,6 @@ Ngram = tuple[str, ...]
 NIST_ORDER = 5  # as in Doddington 2002; BLEU's orders 1 to 4 are a prefix
 
 
-def ngram_counts(tokens: Sequence[str], n: int) -> Counter[Ngram]:
-    """Multiset of the order-n n-grams of a token sequence, n >= 1, in the
-    order of their first occurrence; zip builds each n-gram in C."""
-    return Counter(zip(*[tokens[k:] for k in range(n)]))
-
-
 def validate_corpora(hyps: Sequence[Sequence[str]], refs: Sequence[Sequence[str]]) -> None:
     """Common preconditions: parallel, every sentence a list of tokens
     (corpus.check_parallel), non-empty, no empty reference."""
@@ -52,7 +46,8 @@ def ngram_statistics(
     1 to NIST_ORDER in one pass.  Each segment's order-n reference n-grams
     are listed once and feed both the corpus counts and the segment's own
     counts; Counter counts an iterable in C, but updates from a mapping in
-    a Python loop."""
+    a Python loop.  zip lists a side's n-grams, building each one in C, in
+    the order of their first occurrence."""
     validate_corpora(hyps, refs)
     hyp_length = sum(len(h) for h in hyps)
     if hyp_length == 0:
@@ -65,7 +60,7 @@ def ngram_statistics(
         for hyp, ref in zip(hyps, refs):
             ref_ngrams = list(zip(*[ref[k:] for k in range(n)]))
             ref_counts.update(ref_ngrams)
-            order.append(ngram_counts(hyp, n) & Counter(ref_ngrams))
+            order.append(Counter(zip(*[hyp[k:] for k in range(n)])) & Counter(ref_ngrams))
         clipped.append(tuple(order))
         totals.append(sum(max(len(h) - n + 1, 0) for h in hyps))
     return NgramStatistics(

@@ -272,12 +272,12 @@ def _greedy_ter(hyp: Sentence, ref: Sentence) -> SentenceTer:
     current[hi:] and resumes from the one after them; the match masks are
     moved as the tokens are.  With m the reference length and D(x) the
     distance from x to the reference, a candidate whose column at lo has
-    last row s ends at least at s - (hi - lo) - slack[hi], where slack[k] =
-    m - D(current[k:]): each span token lowers the last row by 1 at most,
-    adjacent cells of a column differ by at most 1, and D(t, ref[r:]) >=
-    D(t) - r.  _columns of the reversed sentences fills slack.  A candidate
-    whose bound reaches the step's best so far is dropped before anything
-    of it is built: it can at best tie.
+    last row s ends at least at s - (hi - lo) - m + D(current[hi:]), the
+    last row of backward[n - hi]: each span token lowers the last row by 1
+    at most, adjacent cells of a column differ by at most 1, and
+    D(t, ref[r:]) >= D(t) - r.  A candidate whose bound reaches the step's
+    best so far is dropped before anything of it is built: it can at best
+    tie.
 
     The survivors are scored in packs of up to PACK_LANES, in _moves order,
     by one _lanes pass each.  Lane k holds candidate k's rotated masks from
@@ -317,13 +317,10 @@ def _greedy_ter(hyp: Sentence, ref: Sentence) -> SentenceTer:
     # a lane's distance less its _lane_counts entry
     base = n - 8 * size
     while edits > floor:
-        # slack[k] = m - D(current[k:])
-        slack = [ref_length - column[2] for column in reversed(backward)]
         best = None
         best_edits = edits
         moves = _moves(current, ref, positions)
         while best_edits > floor:
-            cut = [best_edits + s for s in slack]
             pack = []
             first = n
             for i, j, length in moves:
@@ -335,7 +332,7 @@ def _greedy_ter(hyp: Sentence, ref: Sentence) -> SentenceTer:
                 else:
                     # current[end:hi] moves up and the block lands after it
                     lo, mid, hi = i, end, min(j + length, n)
-                if columns[lo][2] < cut[hi] + hi - lo:
+                if columns[lo][2] + backward[n - hi][2] < best_edits + ref_length + hi - lo:
                     pack.append((i, j, length, lo, mid, hi))
                     if lo < first:
                         first = lo

@@ -14,7 +14,7 @@ from enum import Enum
 from itertools import chain
 
 from .compounds import CompoundSuffixSet
-from .corpus import Corpus, _Frozen
+from .corpus import Corpus, _Frozen, checked_sentences
 from .markers import check_marker, join_marked, mark_pieces
 from .suffixes import SuffixList, make_splitter
 
@@ -52,18 +52,16 @@ class PipelineConfig(_Frozen):
             raise ValueError(f"mode {mode.value} requires a compound suffix set")
         super().__init__(mode, suffix_list, compound_set, marker, nnp_tags)
 
-
-def _splitter(config: PipelineConfig) -> Callable[[str], list[str]]:
-    """make_splitter with the configured mode's stages."""
-    mode = config.mode
-    compound_set = config.compound_set if mode in COMPOUND_MODES else None
-    return make_splitter(compound_set, config.suffix_list if mode in SUFFIX_MODES else None)
-
-
-def token_pieces(word: str, config: PipelineConfig) -> list[str]:
-    """One token's unmarked pieces under the configured mode, in surface
-    order; they always concatenate back to the word."""
-    return _splitter(config)(word)
+    def splitter(self) -> Callable[[str], list[str]]:
+        """make_splitter with the mode's stages: a function from a word to
+        its unmarked pieces, in surface order, which always concatenate back
+        to the word.  Each call builds a new one, so build it once and call
+        it per word, as preprocess does."""
+        mode = self.mode
+        return make_splitter(
+            self.compound_set if mode in COMPOUND_MODES else None,
+            self.suffix_list if mode in SUFFIX_MODES else None,
+        )
 
 
 class _Cache(dict):
@@ -72,7 +70,7 @@ class _Cache(dict):
     __slots__ = ("split", "finish")
 
     def __init__(self, config: PipelineConfig, finish: Callable[[list[str]], object]) -> None:
-        self.split, self.finish = _splitter(config), finish
+        self.split, self.finish = config.splitter(), finish
 
     def __missing__(self, word: str) -> object:
         value = self[word] = self.finish(self.split(word))
@@ -90,9 +88,7 @@ def _render(
     if tags is not None and len(tags) != count:
         raise ValueError(f"tag file has {len(tags)} sentences, corpus has {count}")
     render = _Cache(config, finish).__getitem__
-    for k, sentence in enumerate(sentences):
-        if isinstance(sentence, str):  # would be split as its characters
-            raise TypeError(f"corpus sentence {k + 1} is a str, not a list of tokens")
+    for k, sentence in enumerate(checked_sentences("corpus", sentences)):
         sentence_tags = None if tags is None else tags[k]
         if isinstance(sentence_tags, str):
             raise TypeError(f"tag sentence {k + 1} is a str, not a list of tags")
@@ -145,9 +141,10 @@ def reconstruct(corpus: Corpus, marker: str = "@@") -> Corpus:
 
     reconstruct(preprocess(x, config-with-marker), marker) == x.  A sentence
     ending in a marked token is malformed and raises, and so does a marker
-    that is None or not one token, even on an empty corpus.
+    that is None or not one token, even on an empty corpus, and a sentence
+    that is a str raises TypeError (corpus.checked_sentences).
     """
     if marker is None:
         raise ValueError("reconstruct needs a marker")
     check_marker(marker)
-    return [join_marked(sentence, marker) for sentence in corpus]
+    return [join_marked(sentence, marker) for sentence in checked_sentences("corpus", corpus)]

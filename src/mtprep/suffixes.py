@@ -137,15 +137,14 @@ def separate_suffix(word: str, suffixes: SuffixList) -> Split:
 
 
 def make_splitter(
-    compound_set: CompoundSuffixSet | None, suffix_list: SuffixList | None,
-    margin: int | None = None,
+    compound_set: CompoundSuffixSet | None, suffix_list: SuffixList | None
 ) -> Callable[[str], list[str]]:
     """Build the function from a word to its pieces: the one statement of
     the splitting rules, which every splitter here calls.
 
     With a compound inventory it strips the longest member off the residue's
     right edge while one is strictly shorter than the residue and the word
-    is longer than member length + margin (the inventory's own by default).
+    is longer than member length + margin, the margin the inventory records.
     With a suffix list it then splits each constituent once, on the longest
     listed strict tail.  None skips a stage.  The pieces concatenate back
     to the word.  An empty word raises ValueError
@@ -157,7 +156,7 @@ def make_splitter(
     compounds = suffixes = None
     if compound_set is not None:
         compounds, c_ends, c_low = compound_set.members, compound_set.ends, compound_set.shortest
-        margin = compound_set.margin if margin is None else margin
+        margin = compound_set.margin
     if suffix_list is not None:
         suffixes, s_ends, s_low = suffix_list.members, suffix_list.ends, suffix_list.shortest
 

@@ -25,7 +25,7 @@ from mtprep.corpus import parse_token_corpus, write_token_corpus
 from mtprep.demo import load_demo_fixtures, run_demo
 from mtprep.metrics.bleu import bleu
 from mtprep.metrics.ter import sentence_ter, ter
-from mtprep.pipeline import Mode, PipelineConfig, preprocess, reconstruct, token_pieces
+from mtprep.pipeline import Mode, PipelineConfig, preprocess, reconstruct
 from mtprep.suffixes import SuffixList, separate_suffix
 from mtprep.synth import alignment_improvement, build_benchmark
 
@@ -107,18 +107,18 @@ def test_criterion_3_concatenation_identity():
                     for _ in range(rng.randint(1, 6))
                 }
             )
-            configs = [
+            splitters = [
                 PipelineConfig(
                     mode=mode, suffix_list=suffix_list, compound_set=compound_set
-                )
+                ).splitter()
                 for mode in Mode
             ]
             for _ in range(100):
                 word = "".join(
                     rng.choice("abcd") for _ in range(rng.randint(1, 20))
                 )
-                for config in configs:
-                    pieces = token_pieces(word, config)
+                for split in splitters:
+                    pieces = split(word)
                     assert "".join(pieces) == word
                     assert all(pieces)
                 checked += 1

@@ -1,5 +1,6 @@
 """Compound suffix induction and recursive compound splitting."""
 
+import inspect
 import re
 from collections import Counter
 
@@ -14,6 +15,7 @@ from mtprep.compounds import (
     split_compound,
 )
 from mtprep.pipeline import Mode, PipelineConfig, preprocess
+from mtprep.suffixes import make_splitter
 
 from oracles import compound_split_oracle, induce_oracle
 
@@ -212,6 +214,22 @@ def test_split_uses_the_inventory_margin():
     cset = CompoundSuffixSet({"kaDuuna": 1}, margin=2)
     assert split_compound("abckaDuuna", cset) == ["abc", "kaDuuna"]
     assert induce_compound_suffixes(["kaDuuna", "abckaDuuna"], margin=2) == cset
+
+
+def test_the_splitter_reads_the_margin_from_the_inventory_alone(monkeypatch):
+    # the same member under margins 0 and 5: 8 > 7 + 0 holds, 8 > 7 + 5 does not
+    loose = CompoundSuffixSet({"kaDuuna": 1}, margin=0)
+    strict = CompoundSuffixSet({"kaDuuna": 1}, margin=5)
+    assert list(inspect.signature(make_splitter).parameters) == ["compound_set", "suffix_list"]
+    assert make_splitter(loose, None)("xkaDuuna") == ["x", "kaDuuna"]
+    assert make_splitter(strict, None)("xkaDuuna") == ["xkaDuuna"]
+    # another margin splits as an inventory induced with it would
+    assert split_compound("xkaDuuna", strict, 0) == split_compound("xkaDuuna", loose)
+    assert split_compound("xkaDuuna", loose, 5) == split_compound("xkaDuuna", strict)
+    # the inventory's own margin builds no copy
+    monkeypatch.setattr("mtprep.compounds.CompoundSuffixSet", None)
+    assert split_compound("xkaDuuna", loose, 0) == ["x", "kaDuuna"]
+    assert split_compound("xkaDuuna", strict, 5) == ["xkaDuuna"]
 
 
 def test_split_never_empties_residue():

@@ -31,7 +31,7 @@ from mtprep.corpus import (
     write_token_corpus,
 )
 from mtprep.metrics import ngram_statistics, ter
-from mtprep.pipeline import PipelineConfig, preprocess
+from mtprep.pipeline import PipelineConfig, preprocess, reconstruct
 from mtprep.suffixes import SuffixList, load_suffix_list
 
 token = st.text(
@@ -294,6 +294,9 @@ STR_SENTENCES = {
     "align_corpus": (lambda: align_corpus(["ab"], [["x"]], TranslationTable({})), "source", 1),
     "preprocess": (lambda: preprocess([["c"], "ab c"], ss_config()), "corpus", 2),
     "preprocess-tags": (lambda: preprocess([["ab"]], ss_config(["NN"])), "tag", 1),
+    "reconstruct": (lambda: reconstruct([["a@@", "b"], "ab@@ c"], "@@"), "corpus", 2),
+    "write_token_corpus": (lambda: write_token_corpus(["abc"], os.devnull), "corpus", 1),
+    "build_vocabulary": (lambda: build_vocabulary([["a"], [], "ab"]), "corpus", 3),
 }
 
 
@@ -302,6 +305,20 @@ def test_a_sentence_that_is_a_str_is_refused_by_side_and_number(layer):
     call, side, number = STR_SENTENCES[layer]
     with pytest.raises(TypeError, match=f"^{side} sentence {number} is a str, not a list of t"):
         call()
+
+
+def test_the_corpus_layers_read_a_generator_corpus_once(tmp_path):
+    # each sentence is checked as it is read, so a one-shot corpus still works
+    corpus = [["ab@@", "c"], [], ["ab"]]
+    path = tmp_path / "out"
+    write_token_corpus(iter(corpus), path)
+    assert read_token_corpus(path) == corpus
+    assert build_vocabulary(iter(corpus)) == {"ab@@": 1, "c": 1, "ab": 1}
+    assert reconstruct(iter(corpus), "@@") == [["abc"], [], ["ab"]]
+    # a refused corpus leaves no file behind
+    with pytest.raises(TypeError, match="^corpus sentence 2 is a str"):
+        write_token_corpus(iter([["a"], "b c"]), tmp_path / "refused")
+    assert not (tmp_path / "refused").exists()
 
 
 GOLD_SRC = [["a", "b"], [], ["c"]]

@@ -8,7 +8,7 @@ from mtprep.compounds import CompoundSuffixSet, induce_compound_suffixes
 from mtprep.markers import join_marked, mark_pieces
 from mtprep.pipeline import (
     COMPOUND_MODES, SUFFIX_MODES, Mode, PipelineConfig, preprocess, preprocess_lines,
-    reconstruct, token_pieces,
+    reconstruct,
 )
 from mtprep.suffixes import SuffixList, make_splitter
 
@@ -49,7 +49,7 @@ def test_combined_mode_splits_then_separates():
     cfg = PipelineConfig(
         mode=Mode.CS_SS, suffix_list=suffixes, compound_set=compounds
     )
-    assert token_pieces("daMtatajGYaaMkaDuuna", cfg) == [
+    assert cfg.splitter()("daMtatajGYaaMkaDuuna") == [
         "daMtatajGY",
         "aaM",
         "kaDu",
@@ -205,7 +205,8 @@ def test_concatenation_identity_all_modes(corpus):
             mode=mode, suffix_list=SUFFIXES, compound_set=compounds
         )
         out = preprocess(corpus, cfg)
-        assert ["".join(token_pieces(w, cfg)) for s in corpus for w in s] == [
+        split = cfg.splitter()
+        assert ["".join(split(w)) for s in corpus for w in s] == [
             w for s in corpus for w in s
         ]
         # sentence boundaries are preserved
@@ -323,7 +324,7 @@ def test_marker_collision_after_cached_tokens():
         preprocess(corpus, config(Mode.CS_SS, marker="@@"))
 
 
-def test_token_pieces_runs_once_per_non_nnp_type_per_call(monkeypatch):
+def test_splitter_runs_once_per_non_nnp_type_per_call(monkeypatch):
     calls = count_splits(monkeypatch)
     corpus = [
         ["mahinyaaMnii", "dara", "mahinyaaMnii", "kaDuuna"],
@@ -346,13 +347,18 @@ def test_empty_word_is_refused_by_every_splitting_mode(mode):
     # bl leaves every word whole, the empty one too; the other modes refuse it
     cfg = config(mode)
     if mode is Mode.BL:
-        assert token_pieces("", cfg) == [""]
+        assert cfg.splitter()("") == [""]
         assert preprocess([[""]], cfg) == [[""]]
         return
     with pytest.raises(ValueError, match="^cannot split an empty word$"):
-        token_pieces("", cfg)
+        cfg.splitter()("")
     with pytest.raises(ValueError, match="^cannot split an empty word$"):
         preprocess([[""]], cfg)
+
+
+def splitter(word, cfg):
+    """The config's splitter on one word, as a library caller reaches it."""
+    return cfg.splitter()(word)
 
 
 def pieces_or_error(split, word, cfg):
@@ -376,13 +382,13 @@ def ab_inventory_st(draw, word):
     st.data(), st.text(alphabet="ab", max_size=16), st.integers(min_value=0, max_value=3),
     st.sampled_from([None, "@@"]),
 )
-def test_token_pieces_matches_the_unwindowed_composition(data, word, margin, marker):
+def test_splitter_matches_the_unwindowed_composition(data, word, margin, marker):
     suffixes = SuffixList(data.draw(ab_inventory_st(word)))
     compounds = CompoundSuffixSet(dict.fromkeys(data.draw(ab_inventory_st(word)), 1), margin)
     for mode in Mode:
         cfg = PipelineConfig(mode=mode, suffix_list=suffixes, compound_set=compounds)
         expected, error = pieces_or_error(token_pieces_oracle, word, cfg)
-        assert pieces_or_error(token_pieces, word, cfg) == (expected, error)
+        assert pieces_or_error(splitter, word, cfg) == (expected, error)
         # the factory itself
         split = make_splitter(
             compounds if mode in COMPOUND_MODES else None,
@@ -427,7 +433,7 @@ def test_splitters_match_the_oracle_on_members_sharing_endings(data, bases, marg
         cfg = PipelineConfig(mode, suffixes, compounds, marker)
         for word in words:
             expected = pieces_or_error(token_pieces_oracle, word, cfg)
-            assert pieces_or_error(token_pieces, word, cfg) == expected
+            assert pieces_or_error(splitter, word, cfg) == expected
         got, expected = run_both([words], cfg)
         assert got == expected
 
