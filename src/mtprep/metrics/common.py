@@ -43,11 +43,16 @@ def ngram_statistics(
 ) -> NgramStatistics:
     """Check the preconditions of the n-gram metrics (those of
     validate_corpora and at least one hypothesis token), then count orders
-    1 to NIST_ORDER in one pass.  Each segment's order-n reference n-grams
-    are listed once and feed both the corpus counts and the segment's own
-    counts; Counter counts an iterable in C, but updates from a mapping in
-    a Python loop.  zip lists a side's n-grams, building each one in C, in
-    the order of their first occurrence."""
+    1 to NIST_ORDER in one pass.  zip lists a side's n-grams, building each
+    one in C, in the order of their first occurrence.  Each segment's
+    order-n reference n-grams are listed once and feed the corpus counts
+    and the set that filters the hypothesis n-grams; the matched ones are
+    counted as they come, so their keys keep the hypothesis order.  Only
+    when one of them occurs more than once are they clipped against the
+    segment's reference counts, in place: a count of 1 is already at most
+    its reference count.  Counter counts an iterable in C, but Counter &
+    Counter loops in Python over every hypothesis n-gram, matched or
+    not."""
     validate_corpora(hyps, refs)
     hyp_length = sum(len(h) for h in hyps)
     if hyp_length == 0:
@@ -60,7 +65,12 @@ def ngram_statistics(
         for hyp, ref in zip(hyps, refs):
             ref_ngrams = list(zip(*[ref[k:] for k in range(n)]))
             ref_counts.update(ref_ngrams)
-            order.append(Counter(zip(*[hyp[k:] for k in range(n)])) & Counter(ref_ngrams))
+            matched = Counter(
+                filter(set(ref_ngrams).__contains__, zip(*[hyp[k:] for k in range(n)]))
+            )
+            if matched.total() != len(matched):
+                matched &= Counter(ref_ngrams)
+            order.append(matched)
         clipped.append(tuple(order))
         totals.append(sum(max(len(h) - n + 1, 0) for h in hyps))
     return NgramStatistics(

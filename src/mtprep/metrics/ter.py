@@ -34,6 +34,7 @@ keep as the oracle.
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
+from itertools import repeat
 
 from ..corpus import Corpus, Sentence, _Frozen
 from .common import validate_corpora
@@ -71,9 +72,12 @@ def _columns(
     column (VP, VN, score) holds the +1/-1 vertical deltas of one DP column,
     bit j for ref row j, and the last row's value; eqs are the match masks
     of the hypothesis tokens, and each advances the whole column with a few
-    word operations.  Python's ~ is unbounded, so VP is masked to the
-    reference's bits (full); VN stays within them because it is an AND with
-    eq | vn.  top is the bit of the last reference row.
+    word operations.  The recurrence's two complements are taken within the
+    reference's bits (full), as x ^ full: Python's ~x is negative, and
+    CPython copies a negative operand into two's complement for every &, |
+    and ^.  Bits above full, such as the carry of (eq & vp) + vp, never
+    reach the column: VP is masked to full, and VN stays within it because
+    it is an AND with eq | vn.  top is the bit of the last reference row.
     """
     if start is None:
         start = (full, 0, top.bit_length())
@@ -82,7 +86,7 @@ def _columns(
     for eq in eqs:
         xv = eq | vn
         xh = (((eq & vp) + vp) ^ vp) | eq
-        ph = vn | ~(xh | vp)
+        ph = vn | ((xh | vp) ^ full)
         mh = vp & xh
         if ph & top:
             score += 1
@@ -90,7 +94,7 @@ def _columns(
             score -= 1
         # Row 0 of every column is one more than the last: shift in a +1.
         ph = (ph << 1) | 1
-        vp = ((mh << 1) | ~(xv | ph)) & full
+        vp = ((mh << 1) | ((xv | ph) ^ full)) & full
         vn = ph & xv
         columns.append((vp, vn, score))
     return columns
@@ -207,23 +211,25 @@ def _lanes(
     with size * 8 > m, so that a field has a spare top bit; the lanes are
     equally long.  Packing independent columns into one word is Hyyrö,
     Fredriksson and Navarro (2005): each position runs _columns' operations
-    once for every lane.  The spare bit takes the carry of (eq & vp) + vp,
-    so no carry crosses into the next field; ph's bits above the reference's
-    reach the next field only at its row 0, which the shifted-in 1 sets
-    anyway; VP is cut back to full, and VN lies within eq | vn.  The last
-    row is not tracked: _lane_counts reads it off VP and VN at the end.
+    once for every lane, each position's packed mask built in C.  As in
+    _columns, the complements are taken within full, so no value is
+    negative, and bits outside full never reach VP or VN.  The spare bit
+    takes the carry of (eq & vp) + vp, so no carry crosses into the next
+    field; ph's spare bits reach the next field only at its row 0, which
+    the shifted-in 1 sets anyway; VP is cut back to full, and VN lies
+    within eq | vn.  The last row is not tracked: _lane_counts reads it off
+    VP and VN at the end.
     """
     ones = int.from_bytes(b"\x01".ljust(size, b"\x00") * len(lanes), "little")
     full *= ones
     vp, vn = start[0] * ones, start[1] * ones
-    for column in zip(*lanes):
-        eq = int.from_bytes(b"".join(column), "little")
+    for eq in map(int.from_bytes, map(b"".join, zip(*lanes)), repeat("little")):
         xv = eq | vn
         xh = (((eq & vp) + vp) ^ vp) | eq
-        ph = vn | ~(xh | vp)
+        ph = vn | ((xh | vp) ^ full)
         mh = vp & xh
         ph = (ph << 1) | ones
-        vp = ((mh << 1) | ~(xv | ph)) & full
+        vp = ((mh << 1) | ((xv | ph) ^ full)) & full
         vn = ph & xv
     return vp, vn
 

@@ -21,6 +21,25 @@ def grams(tokens, n):
     return [tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1)]
 
 
+def expected_clipped(hyp, ref, n):
+    """Matched n-grams only, in the order they first occur in hyp, each at
+    the lesser of its hyp and ref counts."""
+    hyp_grams = grams(hyp, n)
+    ref_counts = Counter(grams(ref, n))
+    return [
+        (g, min(hyp_grams.count(g), ref_counts[g]))
+        for g in dict.fromkeys(hyp_grams)
+        if ref_counts[g]
+    ]
+
+
+def assert_clipped_match_brute_force(hyps, refs, stats):
+    for n, order in enumerate(stats.clipped, 1):
+        assert len(order) == len(hyps)
+        for clipped, hyp, ref in zip(order, hyps, refs):
+            assert list(clipped.items()) == expected_clipped(hyp, ref, n)
+
+
 @settings(max_examples=100)
 @given(pair_st.filter(lambda pairs: any(h for h, _ in pairs)))
 def test_statistics_match_brute_force(pairs):
@@ -29,24 +48,54 @@ def test_statistics_match_brute_force(pairs):
     stats = ngram_statistics(hyps, refs)
     assert NIST_ORDER == 5
     assert len(stats.clipped) == len(stats.totals) == NIST_ORDER
-    for n, order in enumerate(stats.clipped, 1):
-        assert len(order) == len(pairs)
-        for clipped, hyp, ref in zip(order, hyps, refs):
-            hyp_grams = grams(hyp, n)
-            ref_counts = Counter(grams(ref, n))
-            # matched n-grams only, in the order they first occur in hyp
-            expected = {
-                g: min(hyp_grams.count(g), ref_counts[g])
-                for g in dict.fromkeys(hyp_grams)
-                if ref_counts[g]
-            }
-            assert list(clipped.items()) == list(expected.items())
+    assert_clipped_match_brute_force(hyps, refs, stats)
+    for n in range(1, NIST_ORDER + 1):
         assert stats.totals[n - 1] == sum(len(grams(h, n)) for h in hyps)
     assert stats.ref_counts == Counter(
         g for ref in refs for n in range(1, NIST_ORDER + 1) for g in grams(ref, n)
     )
     assert stats.hyp_length == sum(map(len, hyps))
     assert stats.ref_length == sum(map(len, refs))
+
+
+@st.composite
+def _wide_pairs(draw):
+    # 2-12 token types and up to 30 tokens a side, so that most hypothesis
+    # n-grams of the higher orders have no match in their reference
+    tokens = st.sampled_from("abcdefghijkl"[: draw(st.integers(2, 12))])
+    return draw(
+        st.lists(
+            st.tuples(
+                st.lists(tokens, min_size=1, max_size=30),
+                st.lists(tokens, min_size=1, max_size=30),
+            ),
+            min_size=1,
+            max_size=4,
+        )
+    )
+
+
+@settings(max_examples=200)
+@given(_wide_pairs())
+def test_clipped_match_brute_force_on_wide_alphabets(pairs):
+    hyps = [h for h, _ in pairs]
+    refs = [r for _, r in pairs]
+    assert_clipped_match_brute_force(hyps, refs, ngram_statistics(hyps, refs))
+
+
+def test_clipping_caps_an_ngram_the_hypothesis_repeats():
+    # "a" occurs 4 times in the hypothesis and twice in the reference, "b"
+    # once against three times: each is clipped to the lesser count, and
+    # the keys keep the hypothesis order
+    hyp, ref = "a a a b c a".split(), "a a b b b c".split()
+    stats = ngram_statistics([hyp], [ref])
+    assert [list(order[0].items()) for order in stats.clipped] == [
+        [(("a",), 2), (("b",), 1), (("c",), 1)],
+        [(("a", "a"), 1), (("a", "b"), 1), (("b", "c"), 1)],
+        [(("a", "a", "b"), 1)],
+        [],
+        [],
+    ]
 
 
 @pytest.mark.parametrize(

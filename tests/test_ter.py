@@ -335,6 +335,37 @@ def test_lanes_match_columns(m, data):
     assert (*one, len(prefix) + length + _lane_counts(*one, 1, size)[0] - 8 * size) == last
 
 
+@pytest.mark.parametrize("m", [7, 15, 63, 119, 127])
+def test_lanes_carry_through_the_one_spare_bit(m):
+    # a field of size * 8 == m + 1 bits has one spare bit.  An all-match
+    # position (eq == full) carries (eq & vp) + vp into it, and ph's spare
+    # bit then shifts onto the next field's row 0; all-miss positions
+    # (eq == 0) turn the column the other way.  119 bits a field take
+    # _lane_counts' path in C, 127 its per-lane path.
+    full, top, size = (1 << m) - 1, 1 << (m - 1), m // 8 + 1
+    assert size * 8 == m + 1
+    length = m + 5
+    half = length // 2
+    seqs = [
+        [full] * length,
+        [0] * length,
+        [full] * half + [0] * (length - half),
+        [0] * half + [full] * (length - half),
+        [full] * length,
+    ]
+    lanes = [[eq.to_bytes(size, "little") for eq in seq] for seq in seqs]
+    field = (1 << (8 * size)) - 1
+    for prefix in ([], [full] * 3, [0] * 3):
+        start = _columns(prefix, full, top)[-1]
+        vp, vn = _lanes(start, lanes, size, full)
+        counts = _lane_counts(vp, vn, len(seqs), size)
+        for k, seq in enumerate(seqs):
+            last = _columns(seq, full, top, start)[-1]
+            shift = 8 * size * k
+            assert (vp >> shift & field, vn >> shift & field) == last[:2]
+            assert len(prefix) + length + counts[k] - 8 * size == last[2]
+
+
 @st.composite
 def _multi_shift_pair(draw):
     # 16-40 reference tokens over 2, 4 or 50 types; the hypothesis is the
