@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from array import array
 from collections.abc import Iterable
+from functools import lru_cache
 
 from .corpus import Corpus, Sentence, _Frozen, check_int, check_parallel, parse_digits
 
@@ -26,6 +27,11 @@ NULL_TOKEN = "<null>"
 PROB_FLOOR = 1e-12
 
 Link = tuple[int, int]
+
+# How many distinct pair texts parse_alignment keeps parsed.  A gold file
+# repeats a few pairs ("0-0", "1-1", ...) on every line, but it may hold any
+# number of distinct ones, so the cache is bounded.
+_LINK_CACHE_SIZE = 4096
 
 
 class TranslationTable(_Frozen):
@@ -218,12 +224,18 @@ def format_alignment(links: set[Link]) -> str:
 
 def parse_alignment(line: str) -> set[Link]:
     """Inverse of format_alignment; blank line means no links.  A pair is two
-    corpus.parse_digits integers joined by "-"; anything else raises."""
-    links = set()
-    for pair in line.split():
-        i, _, j = pair.partition("-")
-        link = parse_digits(i), parse_digits(j)
-        if None in link:
-            raise ValueError(f"bad alignment pair {pair!r}")
-        links.add(link)
-    return links
+    corpus.parse_digits integers joined by "-"; anything else raises.  Each
+    distinct pair text is parsed once (up to _LINK_CACHE_SIZE of them are
+    kept), so equal pairs across lines give the same link tuple."""
+    return set(map(_link, line.split()))
+
+
+@lru_cache(maxsize=_LINK_CACHE_SIZE)
+def _link(pair: str) -> Link:
+    """One "i-j" pair text as a link.  A malformed pair raises ValueError,
+    which lru_cache does not keep, so it raises again each time."""
+    i, _, j = pair.partition("-")
+    link = parse_digits(i), parse_digits(j)
+    if None in link:
+        raise ValueError(f"bad alignment pair {pair!r}")
+    return link

@@ -255,9 +255,11 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _read_gold(path: str, src: Corpus, tgt: Corpus) -> list[set]:
-    """Gold links, one line per sentence pair; every link must index into
-    the pair's source and target sentences.  Checked before training, so a
-    bad gold file fails before any alignment is printed."""
+    """Gold links, one parse_alignment call per line; every link must index
+    into the pair's source and target sentences.  Checked before training,
+    so a bad gold file fails before any alignment is printed.  Errors come
+    in this order: a malformed pair on any line, the line count, then the
+    first line with a link out of bounds, naming its smallest such link."""
     gold = []
     for lineno, line in enumerate(read_lines(path), start=1):
         try:
@@ -271,12 +273,13 @@ def _read_gold(path: str, src: Corpus, tgt: Corpus) -> list[set]:
     for lineno, (links, src_sent, tgt_sent) in enumerate(
         zip(gold, src, tgt), start=1
     ):
-        for i, j in sorted(links):
-            if i >= len(src_sent) or j >= len(tgt_sent):
+        n, m = len(src_sent), len(tgt_sent)
+        for i, j in links:
+            if i >= n or j >= m:
+                i, j = min(link for link in links if link[0] >= n or link[1] >= m)
                 raise ValueError(
                     f"{path}:{lineno}: link {i}-{j} is past the end of a "
-                    f"{len(src_sent)}-token source or {len(tgt_sent)}-token "
-                    "target sentence"
+                    f"{n}-token source or {m}-token target sentence"
                 )
     return gold
 

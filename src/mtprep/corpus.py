@@ -222,9 +222,13 @@ def parse_token_corpus(text: str) -> Corpus:
     and whitespace-free by construction.  Writing the result back
     (write_token_corpus) reproduces the text byte for byte only when every
     line is its tokens joined by single ASCII spaces and the text ends
-    with a line feed (or is empty).
+    with a line feed (or is empty).  Equal tokens of one call are one str
+    object (a dict of the call's tokens, dropped on return, shares them), so
+    a corpus holds one str per distinct token and a dict finds its key by
+    identity.
     """
-    return [line.split() for line in split_lines(text)]
+    share = {}.setdefault
+    return [list(map(share, words, words)) for words in map(str.split, split_lines(text))]
 
 
 def read_token_corpus(path: str | os.PathLike[str]) -> Corpus:

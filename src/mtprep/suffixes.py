@@ -152,6 +152,11 @@ def make_splitter(
     inventory's ends index lists for the residue's last shortest characters
     and probes only those that fit, longest first: one dict lookup and at
     most longest - shortest + 1 set lookups, and the first hit is the longest.
+    The residue is an end index into the word, so a strip slices only the
+    probed tails, and the compound stage is linear in the word's length
+    for a given inventory.  No probe is made once the cap is below the
+    shortest member's length, so a key's start is never negative, where a
+    slice would wrap around.
     """
     compounds = suffixes = None
     if compound_set is not None:
@@ -166,19 +171,22 @@ def make_splitter(
         pieces = [word]
         if compounds is not None:
             top = len(word) - margin - 1  # longer members fail the margin
-            residue, pieces = word, []  # pieces: the stripped members, right to left
+            # the residue is word[:end]; pieces: the stripped members, right to left
+            end, pieces = len(word), []
             while True:
-                cap = len(residue) - 1  # a strip leaves a non-empty residue
+                cap = end - 1  # a strip leaves a non-empty residue
                 if cap > top:
                     cap = top
-                for length in c_ends.get(residue[-c_low:], ()):
-                    if length <= cap and residue[-length:] in compounds:
-                        pieces.append(residue[-length:])
-                        residue = residue[:-length]
+                if cap < c_low:  # no member fits, and the key's start would be < 1
+                    break
+                for length in c_ends.get(word[end - c_low : end], ()):
+                    if length <= cap and word[end - length : end] in compounds:
+                        pieces.append(word[end - length : end])
+                        end -= length
                         break
                 else:
                     break
-            pieces.append(residue)
+            pieces.append(word[:end])
             pieces.reverse()
         if suffixes is not None:
             constituents, pieces = pieces, []

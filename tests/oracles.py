@@ -416,6 +416,29 @@ def induce_oracle(vocab_words, margin=5):
     return induced
 
 
+# --- alignment text -------------------------------------------------------
+
+def _digits(text):
+    """text as an int if it is ASCII digits 0-9 that int() converts."""
+    try:
+        return int(text) if text.isascii() and text.isdigit() else None
+    except ValueError:  # more digits than int() converts
+        return None
+
+
+def parse_alignment_oracle(line):
+    """The links of an "i-j i-j ..." line, each pair parsed on its own as two
+    digit runs joined by "-"; the first other pair raises ValueError."""
+    links = set()
+    for pair in line.split():
+        i, _, j = pair.partition("-")
+        link = _digits(i), _digits(j)
+        if None in link:
+            raise ValueError(f"bad alignment pair {pair!r}")
+        links.add(link)
+    return links
+
+
 # --- EM aligner ------------------------------------------------------------
 
 NULL_TOKEN = "<null>"

@@ -9,6 +9,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mtprep import aligner
 from mtprep.aligner import (
     NULL_TOKEN,
     F1Score,
@@ -22,7 +23,7 @@ from mtprep.aligner import (
     viterbi_align,
 )
 from mtprep.synth import build_benchmark
-from oracles import em_oracle, viterbi_oracle
+from oracles import em_oracle, parse_alignment_oracle, viterbi_oracle
 
 # two-sentence workhorse: "a b | x y" plus the disambiguating pair "a | x"
 SRC = [["a", "b"], ["a"]]
@@ -383,3 +384,48 @@ def test_parse_rejects_malformed_pairs():
 @given(st.sets(st.tuples(st.integers(0, 30), st.integers(0, 30)), max_size=12))
 def test_format_parse_round_trip_property(links):
     assert parse_alignment(format_alignment(links)) == links
+
+
+# well-formed pairs, a zero-padded one, and malformed ones
+pair_st = st.sampled_from([
+    "0-0", "0-1", "1-0", "12-3", "01-2", "0-01", "7-7",
+    "0", "0-", "-1", "a-1", "0-1-2", "0:1", "\u0661-\u0660", "\u00b2-1",
+])
+gold_line_st = st.lists(pair_st, max_size=8).map(" ".join)
+
+
+def _parsed(parse, line):
+    try:
+        return parse(line)
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=200)
+@given(st.lists(gold_line_st, min_size=1, max_size=4))
+def test_parse_matches_the_per_pair_oracle(lines):
+    # the same links, or the same message, as parsing every pair on its own,
+    # whatever earlier lines left in the cache
+    for line in lines:
+        assert _parsed(parse_alignment, line) == _parsed(parse_alignment_oracle, line)
+
+
+def test_parse_shares_one_link_per_distinct_pair_text():
+    (first,), (second,) = parse_alignment("3-4"), parse_alignment("0-0 3-4") - {(0, 0)}
+    assert first == (3, 4) and first is second
+
+
+def test_a_malformed_pair_raises_after_good_pairs_were_cached():
+    assert parse_alignment("0-0 1-1") == {(0, 0), (1, 1)}
+    for _ in range(2):  # a failure is not cached: it raises again
+        with pytest.raises(ValueError, match=r"^bad alignment pair '1-x'$"):
+            parse_alignment("0-0 1-1 1-x")
+    assert parse_alignment("0-0 1-1") == {(0, 0), (1, 1)}
+
+
+def test_a_line_with_more_distinct_pairs_than_the_cache_holds():
+    n = aligner._LINK_CACHE_SIZE + 100
+    links = {(k, k % 7) for k in range(n)}
+    line = format_alignment(links)
+    assert parse_alignment(line) == links
+    assert parse_alignment(line + " 0-0") == links | {(0, 0)}

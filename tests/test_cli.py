@@ -663,6 +663,32 @@ def test_align_malformed_gold_pair_is_a_data_error(line, tmp_path, capsys):
     assert captured.out == ""
 
 
+def test_gold_errors_come_in_a_fixed_order(tmp_path):
+    # a malformed pair anywhere comes first, then the line count, then the
+    # first line with a link out of bounds
+    src, tgt = [["a", "b"], ["c"]], [["x", "y"], ["z"]]
+    gold = tmp_path / "gold.txt"
+    gold.write_text("0-0 5-9\n0-x\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r":2: bad alignment pair '0-x'$"):
+        cli._read_gold(gold, src, tgt)
+    gold.write_text("0-0 5-9\n0-0\n0-0\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r": 3 gold alignments for 2 sentence pairs$"):
+        cli._read_gold(gold, src, tgt)
+    gold.write_text("0-0\n0-1\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r":2: link 0-1 is past the end of a "
+                       r"1-token source or 1-token target sentence$"):
+        cli._read_gold(gold, src, tgt)
+
+
+def test_gold_bounds_error_names_the_smallest_bad_link(tmp_path):
+    src, tgt = [["a", "b"]], [["x", "y"]]
+    gold = tmp_path / "gold.txt"
+    for line, named in (("5-9 3-9", "3-9"), ("3-9 5-9", "3-9"), ("0-0 3-0 1-5 1-1", "1-5")):
+        gold.write_text(line + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=rf":1: link {named} is past the end"):
+            cli._read_gold(gold, src, tgt)
+
+
 def test_align_rejects_bad_iterations(tmp_path, capsys):
     src = tmp_path / "s.txt"
     src.write_text("a\n", encoding="utf-8")

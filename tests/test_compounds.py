@@ -2,6 +2,7 @@
 
 import inspect
 import re
+import time
 from collections import Counter
 
 import pytest
@@ -409,3 +410,41 @@ def test_load_names_the_line_of_a_margin_too_long_for_int(tmp_path):
 def test_ordered_by_length_then_lexicographic():
     cset = CompoundSuffixSet({"na": 1, "ii": 1, "kaDuuna": 1})
     assert cset.ordered == ("kaDuuna", "ii", "na")
+
+
+# --- the strip's cost --------------------------------------------------------
+
+def test_strip_never_probes_a_residue_shorter_than_shortest():
+    # once "aaa" is stripped off "xaaa", the residue "x" is shorter than the
+    # shortest member, so no member fits it: it is not probed, where its
+    # ends key, word[end - 3 : end] with end = 1, would wrap around to ""
+    keys = []
+
+    class RecordingDict(dict):
+        def get(self, key, default=None):
+            keys.append(key)
+            return super().get(key, default)
+
+    cset = CompoundSuffixSet({"aaa": 1, "aaaa": 1}, margin=0)
+    object.__setattr__(cset, "ends", RecordingDict(cset.ends))
+    split = make_splitter(cset, None)
+    assert split("xaaa") == ["x", "aaa"]
+    assert keys == ["aaa"]
+    for word in ("ab", "aaa", "xyaaa", "aaaaaaa", "xaaaaaaa"):
+        keys.clear()
+        assert split(word) == compound_split_oracle(word, set(cset.counts), margin=0)
+        assert all(len(key) == 3 for key in keys), (word, keys)
+
+
+def test_strip_is_linear_in_token_length():
+    # a 2M-character token of 400,000 members: 0.19-0.23 s (0.31-0.55 s
+    # under -X dev) on a 2-vCPU x86-64 box with the residue kept as an end
+    # index, and 25 s when every strip copied the residue; the budget is
+    # about 10x the slowest -X dev time
+    split = make_splitter(CompoundSuffixSet({"kaara": 1}, margin=5), None)
+    word = "stem" + "kaara" * 400_000
+    start = time.perf_counter()
+    pieces = split(word)
+    elapsed = time.perf_counter() - start
+    assert pieces == ["stem"] + ["kaara"] * 400_000
+    assert elapsed < 6.0, f"a {len(word):,}-character token took {elapsed:.2f} s"

@@ -27,6 +27,7 @@ from mtprep.corpus import (
     read_lines,
     read_reversed_types,
     read_token_corpus,
+    split_lines,
     write_lines,
     write_token_corpus,
 )
@@ -62,6 +63,27 @@ def test_parse_no_trailing_newline():
 
 def test_parse_collapses_whitespace_runs():
     assert parse_token_corpus("a\t b   c\n") == [["a", "b", "c"]]
+
+
+# a few tokens, so they repeat, and separators str.split knows of, line
+# ends among them
+corpus_text_st = st.lists(
+    st.sampled_from(["a", "bb", "a\u00e9", " ", "\t", "\r", "\n", "\r\n", "\u00a0"])
+).map("".join)
+
+
+@given(corpus_text_st)
+def test_parse_shares_one_str_per_distinct_token(text):
+    parsed = parse_token_corpus(text)
+    assert parsed == [line.split() for line in split_lines(text)]
+    first = {}
+    for token in (t for sentence in parsed for t in sentence):
+        assert first.setdefault(token, token) is token
+
+
+def test_parse_keeps_no_token_between_calls():
+    [[a]], [[b]] = parse_token_corpus("token\n"), parse_token_corpus("token\n")
+    assert a == b and a is not b
 
 
 def test_read_write_round_trip(tmp_path):
