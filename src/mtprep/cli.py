@@ -151,8 +151,22 @@ def _merge_config(args: argparse.Namespace, config: dict[str, str]) -> None:
             raise UsageError(f"{source}: {exc}") from None
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that keeps '--' as an option's own value.  Some
+    Python versions' argparse drop the '--' of `--flag=--` and store [],
+    which no caster takes; here the option gets '--' through its type and
+    choices checks, as any other value does."""
+
+    def _get_values(self, action, arg_strings):
+        if action.option_strings and action.nargs is None and arg_strings == ["--"]:
+            value = self._get_value(action, "--")
+            self._check_value(action, value)
+            return value
+        return super()._get_values(action, arg_strings)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mtprep",
         description="Morphological preprocessing and scoring for machine "
         "translation over agglutinative source languages.",

@@ -861,6 +861,32 @@ def test_flag_and_config_key_reject_a_value_alike(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, code, message", [
+    (["induce-suffixes", "--min-count=--"], 2,
+     "usage error: --min-count: must be an integer >= 1, not '--'\n"),
+    (["induce-suffixes", "--margin=--"], 2,
+     "usage error: --margin: must be an integer >= 0, not '--'\n"),
+    (["align", "--iters=--"], 2, "usage error: --iters: must be an integer >= 1, not '--'\n"),
+    (["evaluate", "--report=--"], 2,
+     "usage error: --report: invalid choice: '--' (choose from tsv, json)\n"),
+    (["preprocess", "--mode=--"], 2, "argument --mode: invalid choice: '--'"),
+    (["align", "--gold=--"], 1, "error: [Errno 2] No such file or directory: '--'\n"),
+], ids=["min-count", "margin", "iters", "report", "mode", "gold"])
+def test_double_dash_given_as_a_flag_value_is_that_value(
+    argv, code, message, corpus_file, tmp_path, capsys
+):
+    out, path = tmp_path / "out.txt", str(corpus_file)
+    files = {
+        "induce-suffixes": ["--mono", path, "-o", str(out)],
+        "align": ["--src", path, "--tgt", path],
+        "evaluate": ["--hyp", path, "--ref", path],
+        "preprocess": ["-i", path, "-o", str(out)],
+    }[argv[0]]
+    assert main(argv + files) == code
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_config_value_from_the_flag_choices_is_used(corpus_file, tmp_path, capsys):
     import json
 
