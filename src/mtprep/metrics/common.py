@@ -44,9 +44,13 @@ def ngram_statistics(
     """Check the preconditions of the n-gram metrics (those of
     validate_corpora and at least one hypothesis token), then count orders
     1 to NIST_ORDER in one pass.  zip lists a side's n-grams, building each
-    one in C, in the order of their first occurrence.  Each segment's
-    order-n reference n-grams are listed once and feed the corpus counts
-    and the set that filters the hypothesis n-grams; the matched ones are
+    one in C, in the order of their first occurrence, over the n slices
+    [k:] of the sentence, whose slice objects are built once per order.
+    Each segment's order-n reference n-grams are listed once; they feed
+    the set that filters the hypothesis n-grams, and they join one list of
+    the order's reference n-grams over the whole corpus, which the corpus
+    counts take in one update per order (the keys keep the order of
+    counting segment by segment).  The matched hypothesis n-grams are
     counted as they come, so their keys keep the hypothesis order.  Only
     when one of them occurs more than once are they clipped against the
     segment's reference counts, in place: a count of 1 is already at most
@@ -61,16 +65,19 @@ def ngram_statistics(
     clipped = []
     totals = []
     for n in range(1, NIST_ORDER + 1):
+        starts = [slice(k, None) for k in range(n)]
         order = []
+        every_ref: list[Ngram] = []
         for hyp, ref in zip(hyps, refs):
-            ref_ngrams = list(zip(*[ref[k:] for k in range(n)]))
-            ref_counts.update(ref_ngrams)
+            ref_ngrams = list(zip(*map(ref.__getitem__, starts)))
+            every_ref += ref_ngrams
             matched = Counter(
-                filter(set(ref_ngrams).__contains__, zip(*[hyp[k:] for k in range(n)]))
+                filter(set(ref_ngrams).__contains__, zip(*map(hyp.__getitem__, starts)))
             )
             if matched.total() != len(matched):
                 matched &= Counter(ref_ngrams)
             order.append(matched)
+        ref_counts.update(every_ref)
         clipped.append(tuple(order))
         totals.append(sum(max(len(h) - n + 1, 0) for h in hyps))
     return NgramStatistics(

@@ -32,6 +32,7 @@ def information(gram: Ngram, ref_counts: Counter[Ngram], ref_length: int) -> flo
     reference word count (ref_length).  Weights depend only on the
     proportions of the reference n-gram counts: repeating the whole
     reference corpus changes no weight, repeating one sentence does.
+    nist_from_statistics restates these two lines in its loop.
     """
     prefix = ref_counts[gram[:-1]] if len(gram) > 1 else ref_length
     return math.log2(prefix / ref_counts[gram])
@@ -49,15 +50,25 @@ def nist(hyps: Corpus, refs: Corpus) -> NistScore:
 
 
 def nist_from_statistics(stats: NgramStatistics) -> NistScore:
-    """NIST over every order the statistics hold (1 to NIST_ORDER)."""
+    """NIST over every order the statistics hold (1 to NIST_ORDER).
+
+    Each matched n-gram's weight is information()'s two lines, restated in
+    the loop so that no call is made per n-gram, and the weighted counts
+    are added one by one in the order the statistics hold them, which is
+    the oracle's: each order's sum has the bits of adding
+    matched * information(...) in that order."""
     hyp_length, ref_length = stats.hyp_length, stats.ref_length
+    ref_counts = stats.ref_counts
+    log2 = math.log2
     per_order = []
     score = 0.0  # added up here, not by sum(), as in bleu_from_statistics
     for order, total in zip(stats.clipped, stats.totals):
         info_sum = 0.0
         for clipped in order:
             for gram, matched in clipped.items():
-                info_sum += matched * information(gram, stats.ref_counts, ref_length)
+                # information(gram, ref_counts, ref_length), restated
+                prefix = ref_counts[gram[:-1]] if len(gram) > 1 else ref_length
+                info_sum += matched * log2(prefix / ref_counts[gram])
         per_order.append(info_sum / total if total else 0.0)
         score += per_order[-1]
 

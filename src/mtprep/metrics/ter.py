@@ -17,11 +17,12 @@ Greedy search keeps _columns, the column before every position of the
 current hypothesis.  A shift changes only the positions it rotates, so the
 columns before them, and the reversed sentences' columns of the suffix after
 them, carry over to the next step; both passes resume from there.  A
-candidate is dropped, before anything of it is built, once a lower bound on
-its final distance, from the stored column at its first changed position and
-the distance of the unchanged rest (Hirschberg's 1975 split at a fixed
-position; _columns of the reversed sentences), reaches the step's best: it
-can then at best tie.  The rest are scored in packs of at most PACK_LANES,
+candidate is dropped, before anything of it is built (the scan of the moves
+runs in place, so not even its move tuple), once a lower bound on its final
+distance, from the stored column at its first changed position and the
+distance of the unchanged rest (Hirschberg's 1975 split at a fixed position;
+_columns of the reversed sentences), reaches the step's best: it can then at
+best tie.  The rest are scored in packs of at most PACK_LANES,
 one candidate to each field of one integer (Hyyrö, Fredriksson and Navarro
 2005), by one pass from the stored column at the pack's first changed
 position; the bound is checked again after each pack.  Only a strictly
@@ -33,8 +34,9 @@ keep as the oracle.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Generator, Iterable, Sequence
 from itertools import repeat
+from operator import itemgetter
 
 from ..corpus import Corpus, Sentence, _Frozen
 from .common import validate_corpora
@@ -149,7 +151,9 @@ def _moves(hyp: Sentence, ref: Sentence, positions: dict[str, list[int]]):
     already start at j; the move deletes the block and reinserts it at
     position j of what remains (at its end when j is past it).  For each
     block start i only the reference positions holding hyp[i] are tried;
-    positions is _positions(ref), built once per segment.
+    positions is _positions(ref), built once per segment.  This is the one
+    statement of the move rule: exact search reads it, and greedy search's
+    _packs restates its loops so as to bound a move before building it.
     """
     n, m = len(hyp), len(ref)
     for i, tok in enumerate(hyp):
@@ -267,6 +271,49 @@ def _lane_counts(vp: int, vn: int, count: int, size: int) -> Sequence[int]:
     ]
 
 
+def _packs(
+    current: list[str],
+    ref: Sentence,
+    positions: dict[str, list[int]],
+    columns: list[Column],
+    backward: list[Column],
+    limit: int,
+) -> Generator[list[tuple[int, ...]], int, None]:
+    """The moves of _moves(current, ref, positions) whose lower bound is
+    below limit, each as (i, j, length, lo, mid, hi), in _moves order and
+    in packs of PACK_LANES; the last pack is shorter, possibly empty.
+    After each full pack the caller sends the limit for the moves after it.
+
+    The scan restates _moves' loops, so that a move the bound rejects
+    builds nothing, not even its tuple.  The move rotates current[lo:hi]
+    so that current[mid:hi] leads, and its bound is the one _greedy_ter
+    states, with limit the step's best distance plus the reference length.
+    """
+    n, m = len(current), len(ref)
+    pack = []
+    for i, tok in enumerate(current):
+        for j in positions.get(tok, ()):
+            if i == j:
+                continue
+            # the block is current[i:end], matching ref[j:k]
+            end, k = i, j
+            while end < n and k < m and current[end] == ref[k]:
+                end += 1
+                k += 1
+                if j < i:
+                    # the block lands earlier, before current[j:i]
+                    lo, mid, hi = j, i, end
+                else:
+                    # current[end:hi] moves up and the block lands after it
+                    lo, mid, hi = i, end, k if k < n else n
+                if columns[lo][2] + backward[n - hi][2] < limit + hi - lo:
+                    pack.append((i, j, end - i, lo, mid, hi))
+                    if len(pack) == PACK_LANES:
+                        limit = yield pack
+                        pack = []
+    yield pack
+
+
 def _greedy_ter(hyp: Sentence, ref: Sentence) -> SentenceTer:
     """One best-gain shift at a time until no shift strictly helps.
 
@@ -285,17 +332,18 @@ def _greedy_ter(hyp: Sentence, ref: Sentence) -> SentenceTer:
     best so far is dropped before anything of it is built: it can at best
     tie.
 
-    The survivors are scored in packs of up to PACK_LANES, in _moves order,
-    by one _lanes pass each.  Lane k holds candidate k's rotated masks from
-    the pack's smallest lo onward, and all lanes start from the column
-    there: before its own lo, a lane reads unchanged tokens.  Its distance
-    is n + popcount(VP) - popcount(VN).  Only a strictly better distance
+    _packs scans the moves in place, in _moves order, and hands over the
+    survivors in packs of up to PACK_LANES, each scored by one _lanes pass.
+    Lane k holds candidate k's rotated masks from the pack's smallest lo
+    onward, and all lanes start from the column there: before its own lo,
+    a lane reads unchanged tokens.  Its distance is
+    n + popcount(VP) - popcount(VN).  Only a strictly better distance
     replaces the best, so the winner is the first minimum in _moves order,
-    as in scoring every candidate alone; only it is built.  The bound is
-    checked again with the best after each pack, which keeps a step's
-    memory to PACK_LANES lanes of at most n masks.  A step ends early once
-    a pack reaches the sentences' length difference, which no later
-    candidate can beat.
+    as in scoring every candidate alone; only it is built.  After each
+    full pack the scan goes on with the bound of the best so far, which
+    keeps a step's memory to PACK_LANES lanes of at most n masks.  A step
+    ends early once a pack reaches the sentences' length difference, which
+    no later candidate can beat.
     """
     masks, ref_length = _match_masks(ref), len(ref)
     back = _match_masks(ref[::-1]).get
@@ -325,29 +373,12 @@ def _greedy_ter(hyp: Sentence, ref: Sentence) -> SentenceTer:
     while edits > floor:
         best = None
         best_edits = edits
-        moves = _moves(current, ref, positions)
-        while best_edits > floor:
-            pack = []
-            first = n
-            for i, j, length in moves:
-                end = i + length
-                # the move rotates current[lo:hi] so that current[mid:hi] leads
-                if j < i:
-                    # the block lands earlier, before current[j:i]
-                    lo, mid, hi = j, i, end
-                else:
-                    # current[end:hi] moves up and the block lands after it
-                    lo, mid, hi = i, end, min(j + length, n)
-                if columns[lo][2] + backward[n - hi][2] < best_edits + ref_length + hi - lo:
-                    pack.append((i, j, length, lo, mid, hi))
-                    if lo < first:
-                        first = lo
-                    if len(pack) == PACK_LANES:
-                        break
-            if not pack:
-                break
+        packs = _packs(current, ref, positions, columns, backward, edits + ref_length)
+        pack = next(packs)
+        while pack:
+            first = min(map(itemgetter(3), pack))
             lanes = [
-                chunks[first:lo] + chunks[mid:hi] + chunks[lo:mid] + chunks[hi:]
+                [*chunks[first:lo], *chunks[mid:hi], *chunks[lo:mid], *chunks[hi:]]
                 for _, _, _, lo, mid, hi in pack
             ]
             counts = _lane_counts(
@@ -357,6 +388,9 @@ def _greedy_ter(hyp: Sentence, ref: Sentence) -> SentenceTer:
             if low + base < best_edits:
                 best_edits = low + base
                 best = pack[counts.index(low)]
+            if len(pack) < PACK_LANES or best_edits <= floor:
+                break
+            pack = packs.send(best_edits + ref_length)
         if best is None:
             break
         # only current[lo:hi] changed: keep the columns before lo and the

@@ -83,6 +83,21 @@ def test_clipped_match_brute_force_on_wide_alphabets(pairs):
     assert_clipped_match_brute_force(hyps, refs, ngram_statistics(hyps, refs))
 
 
+@settings(max_examples=100)
+@given(st.one_of(pair_st, _wide_pairs()).filter(lambda pairs: any(h for h, _ in pairs)))
+def test_reference_counts_keep_the_order_of_counting_segment_by_segment(pairs):
+    # one update per order must give the keys the order of one update per
+    # segment and order, orders outermost and segments in corpus order
+    hyps = [h for h, _ in pairs]
+    refs = [r for _, r in pairs]
+    expected = Counter()
+    for n in range(1, NIST_ORDER + 1):
+        for ref in refs:
+            expected.update(grams(ref, n))
+    stats = ngram_statistics(hyps, refs)
+    assert list(stats.ref_counts.items()) == list(expected.items())
+
+
 def test_clipping_caps_an_ngram_the_hypothesis_repeats():
     # "a" occurs 4 times in the hypothesis and twice in the reference, "b"
     # once against three times: each is clipped to the lesser count, and

@@ -6,7 +6,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mtprep.metrics.common import ngram_statistics
-from mtprep.metrics.nist import BETA, NistScore, information, nist
+from mtprep.metrics.nist import (
+    BETA,
+    NistScore,
+    information,
+    nist,
+    nist_from_statistics,
+)
 
 from oracles import nist_oracle
 
@@ -109,6 +115,26 @@ def test_matches_oracle(pairs):
     refs = [r for _, r in pairs]
     # exact: the implementation sums in the oracle's order
     assert nist(hyps, refs).score == nist_oracle(hyps, refs)
+
+
+@settings(max_examples=150)
+@given(pair_st)
+def test_per_order_has_the_bits_of_information(pairs):
+    # nist_from_statistics restates information() in its loop; each order
+    # must keep the bits of adding matched * information(...) one by one
+    hyps = [h for h, _ in pairs]
+    refs = [r for _, r in pairs]
+    stats = ngram_statistics(hyps, refs)
+    expected = []
+    for order, total in zip(stats.clipped, stats.totals):
+        info_sum = 0.0
+        for clipped in order:
+            for gram, matched in clipped.items():
+                weight = information(gram, stats.ref_counts, stats.ref_length)
+                info_sum += matched * weight
+        expected.append(info_sum / total if total else 0.0)
+    got = nist_from_statistics(stats).per_order
+    assert [x.hex() for x in got] == [x.hex() for x in expected]
 
 
 @settings(max_examples=80)

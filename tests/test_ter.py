@@ -1,15 +1,18 @@
 """Translation edit rate with block shifts."""
 
+import importlib
 import random
 import time
 import tracemalloc
 from functools import partial
+from unittest.mock import patch
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from mtprep.metrics.ter import (
     EXACT_SEARCH_LIMIT,
+    PACK_LANES,
     SentenceTer,
     _columns,
     _greedy_ter,
@@ -17,6 +20,7 @@ from mtprep.metrics.ter import (
     _lanes,
     _match_masks,
     _moves,
+    _packs,
     _positions,
     edit_distance,
     sentence_ter,
@@ -24,6 +28,7 @@ from mtprep.metrics.ter import (
 )
 
 from oracles import (
+    apply_shift,
     exhaustive_ter_edits,
     greedy_ter_oracle,
     greedy_ter_scalar,
@@ -31,6 +36,9 @@ from oracles import (
     shift_candidates,
     wer_oracle,
 )
+
+# the module, which the package's ter() shadows as mtprep.metrics.ter
+ter_module = importlib.import_module("mtprep.metrics.ter")
 
 token_st = st.sampled_from("abcd")
 sent_st = st.lists(token_st, min_size=1, max_size=6)
@@ -89,6 +97,78 @@ def test_moves_match_every_pair_enumeration(pair):
     # past the end of what remains of the hypothesis
     hyp, ref = pair
     assert list(_moves(hyp, ref, _positions(ref))) == shift_candidates(hyp, ref)
+
+
+def _scan_inputs(hyp, ref):
+    """The columns _greedy_ter keeps for hyp before its first shift: forward,
+    and over the reversed sentences."""
+    masks, back = _match_masks(ref), _match_masks(ref[::-1])
+    full, top = (1 << len(ref)) - 1, 1 << (len(ref) - 1)
+    columns = _columns([masks.get(tok, 0) for tok in hyp], full, top)
+    backward = _columns([back.get(tok, 0) for tok in reversed(hyp)], full, top)
+    return columns, backward
+
+
+def _assert_rotations(hyp, pack):
+    # each move's (lo, mid, hi) rotates hyp into the move's shift
+    for i, j, length, lo, mid, hi in pack:
+        rotated = hyp[:lo] + hyp[mid:hi] + hyp[lo:mid] + hyp[hi:]
+        assert rotated == apply_shift(hyp, i, j, length)
+
+
+_scan_pair = st.sampled_from(["ab", "abc"]).flatmap(
+    lambda alphabet: st.tuples(
+        st.lists(st.sampled_from(alphabet), max_size=12),
+        st.lists(st.sampled_from(alphabet), min_size=1, max_size=12),
+    )
+)
+
+
+@settings(max_examples=100)
+@given(_scan_pair)
+def test_packs_with_no_bound_are_the_moves_in_order(pair):
+    # no bound reaches len(hyp) + 2 * len(ref): the scan keeps every move
+    hyp, ref = pair
+    limit = len(hyp) + 2 * len(ref) + 1
+    packs = _packs(hyp, ref, _positions(ref), *_scan_inputs(hyp, ref), limit)
+    scanned = [next(packs)]
+    while len(scanned[-1]) == PACK_LANES:
+        scanned.append(packs.send(limit))
+    assert [move[:3] for pack in scanned for move in pack] == list(
+        _moves(hyp, ref, _positions(ref))
+    )
+    for pack in scanned:
+        _assert_rotations(hyp, pack)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_scan_pair, st.integers(1, 4), st.data())
+def test_packs_are_the_moves_the_bound_keeps(pair, lanes, data):
+    # in packs of 1-4 lanes, with a lower limit sent after each full pack:
+    # a pack is the next moves in _moves order whose bound, as _greedy_ter
+    # states it, is below the limit in force
+    hyp, ref = pair
+    n, m = len(hyp), len(ref)
+    columns, backward = _scan_inputs(hyp, ref)
+
+    def bound(i, j, length):
+        lo, hi = (j, i + length) if j < i else (i, min(j + length, n))
+        return columns[lo][2] + backward[n - hi][2] - (hi - lo)
+
+    limit = data.draw(st.integers(0, n + 2 * m + 1))
+    with patch.object(ter_module, "PACK_LANES", lanes):
+        packs = _packs(hyp, ref, _positions(ref), columns, backward, limit)
+        pack, kept = next(packs), []
+        for move in _moves(hyp, ref, _positions(ref)):
+            if bound(*move) < limit:
+                kept.append(move)
+                if len(kept) == lanes:
+                    assert [scanned[:3] for scanned in pack] == kept
+                    _assert_rotations(hyp, pack)
+                    limit = data.draw(st.integers(0, limit))
+                    pack, kept = packs.send(limit), []
+        assert [scanned[:3] for scanned in pack] == kept
+        _assert_rotations(hyp, pack)
 
 
 # --- single sentences --------------------------------------------------------
@@ -272,19 +352,33 @@ def test_greedy_matches_dp_oracle_on_edited_references(pair):
     assert (result.shifts, result.edits_after_shifts) == greedy_ter_oracle(hyp, ref)
 
 
-@settings(max_examples=100, deadline=None)
-@given(
-    st.one_of(
-        st.sampled_from(["ab", "abc"]).flatmap(_greedy_pair),
-        st.sampled_from(["abcd", "abcdefgh"]).flatmap(partial(_greedy_pair, max_size=20)),
-        _edited_pair(),
-    )
+_any_greedy_pair = st.one_of(
+    st.sampled_from(["ab", "abc"]).flatmap(_greedy_pair),
+    st.sampled_from(["abcd", "abcdefgh"]).flatmap(partial(_greedy_pair, max_size=20)),
+    _edited_pair(),
 )
+
+
+@settings(max_examples=100, deadline=None)
+@given(_any_greedy_pair)
 def test_scalar_greedy_matches_dp_oracle(pair):
     # greedy_ter_scalar stands in for the DP oracle on long segments, where
     # that takes seconds a pair; it must agree with it where both run
     hyp, ref = pair
     assert greedy_ter_scalar(hyp, ref) == greedy_ter_oracle(hyp, ref)
+
+
+@pytest.mark.parametrize("lanes", [1, 2, 3])
+@settings(max_examples=40, deadline=None)
+@given(_any_greedy_pair)
+def test_greedy_in_small_packs_matches_dp_oracle(lanes, pair):
+    # packs of 1-3 lanes fill on every step, so each step scores full packs,
+    # sends the scan a new limit after each and may stop at the floor
+    # between them; the winner must still be the first minimum, ties included
+    hyp, ref = pair
+    with patch.object(ter_module, "PACK_LANES", lanes):
+        result = sentence_ter(hyp, ref)
+    assert (result.shifts, result.edits_after_shifts) == greedy_ter_oracle(hyp, ref)
 
 
 @settings(max_examples=100, deadline=None)
