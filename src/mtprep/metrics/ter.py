@@ -11,32 +11,30 @@ lexicographic order.  Greedy can over-count by a shift or two in rare
 interleaved-block cases, which is why short sentences get exact search.
 
 Edit distances are computed bit-parallel (Myers 1999, Hyyrö 2003) over match
-masks built once per segment.  Moves are enumerated from the reference
-positions that hold each hypothesis token, also listed once per segment.
-Greedy search keeps _columns, the column before every position of the
-current hypothesis.  A shift changes only the positions it rotates, so the
-columns before them, and the reversed sentences' columns of the suffix after
-them, carry over to the next step; both passes resume from there.  A
-candidate is dropped, before anything of it is built (the scan of the moves
-runs in place, so not even its move tuple), once a lower bound on its final
-distance, from the stored column at its first changed position and the
-distance of the unchanged rest (Hirschberg's 1975 split at a fixed position;
-_columns of the reversed sentences), reaches the step's best: it can then at
-best tie.  The rest are scored in packs of at most PACK_LANES,
+masks built once per segment.  _packs is the one statement of the move rule:
+it scans the moves from the reference positions that hold each hypothesis
+token, also listed once per segment, and hands each over as the rotation
+(lo, mid, hi) that applies it, seq[:lo] + seq[mid:hi] + seq[lo:mid] +
+seq[hi:].  Exact search reads every move.  Greedy search keeps _columns, the
+column before every position of the current hypothesis.  A shift changes
+only current[lo:hi], so the columns before lo, and the reversed sentences'
+columns of the suffix from hi, carry over to the next step; both passes
+resume from there.  A candidate is dropped before anything of it is built
+once _packs' lower bound on its final distance reaches the step's best: it
+can then at best tie.  The rest are scored in packs of at most PACK_LANES,
 one candidate to each field of one integer (Hyyrö, Fredriksson and Navarro
 2005), by one pass from the stored column at the pack's first changed
 position; the bound is checked again after each pack.  Only a strictly
-better score replaces the best, so the winner is the first minimum in move
-order, that of scoring every candidate alone; only it is built.  The scores
-are identical to those of the plain O(n*m) dynamic program, which the tests
-keep as the oracle.
+better score replaces the best, so the winner is the first minimum in
+(i, j, length) lexicographic order, that of scoring every candidate alone;
+only it is built.  The scores are identical to those of the plain O(n*m)
+dynamic program, which the tests keep as the oracle.
 """
 
 from __future__ import annotations
 
 from collections.abc import Generator, Iterable, Sequence
 from itertools import repeat
-from operator import itemgetter
 
 from ..corpus import Corpus, Sentence, _Frozen
 from .common import validate_corpora
@@ -143,47 +141,21 @@ def _positions(ref: Sentence) -> dict[str, list[int]]:
     return positions
 
 
-def _moves(hyp: Sentence, ref: Sentence, positions: dict[str, list[int]]):
-    """Legal shifts (i, j, length) of hyp against ref, in that lexicographic
-    order.
-
-    The block hyp[i:i+length] must match ref[j:j+length] and must not
-    already start at j; the move deletes the block and reinserts it at
-    position j of what remains (at its end when j is past it).  For each
-    block start i only the reference positions holding hyp[i] are tried;
-    positions is _positions(ref), built once per segment.  This is the one
-    statement of the move rule: exact search reads it, and greedy search's
-    _packs restates its loops so as to bound a move before building it.
-    """
-    n, m = len(hyp), len(ref)
-    for i, tok in enumerate(hyp):
-        for j in positions.get(tok, ()):
-            if i == j:
-                continue
-            length = 0
-            while (
-                i + length < n and j + length < m and hyp[i + length] == ref[j + length]
-            ):
-                length += 1
-                yield i, j, length
-
-
-def _shift(seq, i: int, j: int, length: int):
-    """seq with the block seq[i:i+length] moved to position j of the rest."""
-    rest = seq[:i] + seq[i + length :]
-    return rest[:j] + seq[i : i + length] + rest[j:]
-
-
 def _exact_ter(hyp: Sentence, ref: Sentence) -> SentenceTer:
     """Minimum shifts + remaining edits over every shift sequence.
 
     Layered search: all states reachable with k shifts are expanded before
     any with k+1, so the first time a hypothesis permutation is seen it is
     via a minimal shift sequence.  A layer at depth d can only help while
-    d < current best total, since each shift already costs 1.
+    d < current best total, since each shift already costs 1.  A state's
+    moves are those of _packs under a limit that no bound reaches, so every
+    move is kept, in order.
     """
     masks, ref_length = _match_masks(ref), len(ref)
+    get, back = masks.get, _match_masks(ref[::-1]).get
+    full, top = (1 << ref_length) - 1, 1 << (ref_length - 1)
     positions = _positions(ref)
+    limit = len(hyp) + 2 * ref_length + 1
     best_shifts, best_edits = 0, _distance(hyp, masks, ref_length)
     layer = [tuple(hyp)]
     seen = {tuple(hyp)}
@@ -192,15 +164,18 @@ def _exact_ter(hyp: Sentence, ref: Sentence) -> SentenceTer:
         depth += 1
         grown = []
         for state in layer:
-            for i, j, length in _moves(state, ref, positions):
-                key = _shift(state, i, j, length)
-                if key in seen:
-                    continue
-                seen.add(key)
-                e = _distance(key, masks, ref_length)
-                if depth + e < best_shifts + best_edits:
-                    best_shifts, best_edits = depth, e
-                grown.append(key)
+            forward = _columns([get(tok, 0) for tok in state], full, top)
+            backward = _columns([back(tok, 0) for tok in state[::-1]], full, top)
+            for pack in _packs(state, ref, positions, forward, backward, limit):
+                for lo, mid, hi in pack:
+                    key = state[:lo] + state[mid:hi] + state[lo:mid] + state[hi:]
+                    if key in seen:
+                        continue
+                    seen.add(key)
+                    e = _distance(key, masks, ref_length)
+                    if depth + e < best_shifts + best_edits:
+                        best_shifts, best_edits = depth, e
+                    grown.append(key)
         layer = grown
     return SentenceTer(best_shifts, best_edits, ref_length)
 
@@ -272,22 +247,39 @@ def _lane_counts(vp: int, vn: int, count: int, size: int) -> Sequence[int]:
 
 
 def _packs(
-    current: list[str],
+    current: Sequence[str],
     ref: Sentence,
     positions: dict[str, list[int]],
     columns: list[Column],
     backward: list[Column],
     limit: int,
-) -> Generator[list[tuple[int, ...]], int, None]:
-    """The moves of _moves(current, ref, positions) whose lower bound is
-    below limit, each as (i, j, length, lo, mid, hi), in _moves order and
-    in packs of PACK_LANES; the last pack is shorter, possibly empty.
-    After each full pack the caller sends the limit for the moves after it.
+) -> Generator[list[tuple[int, int, int]], int | None, None]:
+    """The moves of current against ref whose lower bound is below limit,
+    each as the rotation (lo, mid, hi), in (i, j, length) lexicographic
+    order and in packs of PACK_LANES; the last pack is shorter, possibly
+    empty.  A limit sent after a full pack holds for the moves after it;
+    a plain next() keeps the one in force.
 
-    The scan restates _moves' loops, so that a move the bound rejects
-    builds nothing, not even its tuple.  The move rotates current[lo:hi]
-    so that current[mid:hi] leads, and its bound is the one _greedy_ter
-    states, with limit the step's best distance plus the reference length.
+    This is the one statement of the move rule.  A move (i, j, length)
+    takes the block current[i:i+length], which must match ref[j:j+length]
+    and must not already start at j, and reinserts it at position j of
+    what remains (at its end when j is past it).  For each block start i
+    only the reference positions holding current[i] are tried; positions
+    is _positions(ref), built once per segment.  The move changes current
+    only from lo = min(i, j) up to hi = max(i, j) + length, capped at its
+    length n, and rotates current[lo:hi] so that current[mid:hi] leads.
+
+    columns is _columns over current, and backward _columns over the
+    reversed sentences.  With m the reference length and D(x) the distance
+    from x to the reference, a move whose column at lo has last row s ends
+    at least at s - (hi - lo) - m + D(current[hi:]), the last row of
+    backward[n - hi]: each span token lowers the last row by 1 at most,
+    adjacent cells of a column differ by at most 1, and
+    D(t, ref[r:]) >= D(t) - r (Hirschberg's 1975 split at a fixed
+    position).  A move is kept while that is below limit - m, and one the
+    bound rejects builds nothing, not even its tuple.  With limit a
+    distance plus m, a dropped move can at best tie that distance; no
+    bound reaches n + 2 * m + 1, so that limit keeps every move.
     """
     n, m = len(current), len(ref)
     pack = []
@@ -307,9 +299,11 @@ def _packs(
                     # current[end:hi] moves up and the block lands after it
                     lo, mid, hi = i, end, k if k < n else n
                 if columns[lo][2] + backward[n - hi][2] < limit + hi - lo:
-                    pack.append((i, j, end - i, lo, mid, hi))
+                    pack.append((lo, mid, hi))
                     if len(pack) == PACK_LANES:
-                        limit = yield pack
+                        sent = yield pack
+                        if sent is not None:
+                            limit = sent
                         pack = []
     yield pack
 
@@ -317,33 +311,27 @@ def _packs(
 def _greedy_ter(hyp: Sentence, ref: Sentence) -> SentenceTer:
     """One best-gain shift at a time until no shift strictly helps.
 
-    A move (i, j, length) from _moves changes the current hypothesis only
-    from lo = min(i, j) up to hi = max(i, j) + length (capped at its length
-    n), so the search stores _columns, one before each position.  The
-    shift a step applies keeps the columns up to lo, and the rest resume
-    from the one at lo; the reversed pass keeps its columns over
-    current[hi:] and resumes from the one after them; the match masks are
-    moved as the tokens are.  With m the reference length and D(x) the
-    distance from x to the reference, a candidate whose column at lo has
-    last row s ends at least at s - (hi - lo) - m + D(current[hi:]), the
-    last row of backward[n - hi]: each span token lowers the last row by 1
-    at most, adjacent cells of a column differ by at most 1, and
-    D(t, ref[r:]) >= D(t) - r.  A candidate whose bound reaches the step's
-    best so far is dropped before anything of it is built: it can at best
-    tie.
+    A move (lo, mid, hi) from _packs changes the current hypothesis only in
+    current[lo:hi], so the search stores _columns, one before each
+    position.  The shift a step applies keeps the columns up to lo, and the
+    rest resume from the one at lo; the reversed pass keeps its columns
+    over current[hi:] and resumes from the one after them; the match masks
+    are rotated as the tokens are.
 
-    _packs scans the moves in place, in _moves order, and hands over the
-    survivors in packs of up to PACK_LANES, each scored by one _lanes pass.
-    Lane k holds candidate k's rotated masks from the pack's smallest lo
-    onward, and all lanes start from the column there: before its own lo,
-    a lane reads unchanged tokens.  Its distance is
-    n + popcount(VP) - popcount(VN).  Only a strictly better distance
-    replaces the best, so the winner is the first minimum in _moves order,
-    as in scoring every candidate alone; only it is built.  After each
-    full pack the scan goes on with the bound of the best so far, which
-    keeps a step's memory to PACK_LANES lanes of at most n masks.  A step
-    ends early once a pack reaches the sentences' length difference, which
-    no later candidate can beat.
+    _packs scans the moves in place, drops every move whose bound reaches
+    the step's best so far (the limit is that best plus the reference
+    length), and hands over the survivors in packs of up to PACK_LANES,
+    each scored by one _lanes pass.  Lane k holds candidate k's rotated
+    masks from the pack's smallest lo onward, and all lanes start from the
+    column there: before its own lo, a lane reads unchanged tokens.  Its
+    distance is n + popcount(VP) - popcount(VN).  Only a strictly better
+    distance replaces the best, so the winner is the first minimum in
+    (i, j, length) lexicographic order, as in scoring every candidate
+    alone; only it is built.  After each full pack the scan goes on with
+    the bound of the best so far, which keeps a step's memory to
+    PACK_LANES lanes of at most n masks.  A step ends early once a pack
+    reaches the sentences' length difference, which no later candidate can
+    beat.
     """
     masks, ref_length = _match_masks(ref), len(ref)
     back = _match_masks(ref[::-1]).get
@@ -376,10 +364,10 @@ def _greedy_ter(hyp: Sentence, ref: Sentence) -> SentenceTer:
         packs = _packs(current, ref, positions, columns, backward, edits + ref_length)
         pack = next(packs)
         while pack:
-            first = min(map(itemgetter(3), pack))
+            first = min(pack)[0]  # the pack's smallest lo
             lanes = [
                 [*chunks[first:lo], *chunks[mid:hi], *chunks[lo:mid], *chunks[hi:]]
-                for _, _, _, lo, mid, hi in pack
+                for lo, mid, hi in pack
             ]
             counts = _lane_counts(
                 *_lanes(columns[first], lanes, size, full), len(pack), size
@@ -395,11 +383,11 @@ def _greedy_ter(hyp: Sentence, ref: Sentence) -> SentenceTer:
             break
         # only current[lo:hi] changed: keep the columns before lo and the
         # backward columns of current[hi:], and resume both passes from there
-        i, j, length, lo, _, hi = best
-        current = _shift(current, i, j, length)
-        eqs = _shift(eqs, i, j, length)
-        chunks = _shift(chunks, i, j, length)
-        back_eqs = _shift(back_eqs, i, j, length)
+        lo, mid, hi = best
+        current, eqs, chunks, back_eqs = (
+            seq[:lo] + seq[mid:hi] + seq[lo:mid] + seq[hi:]
+            for seq in (current, eqs, chunks, back_eqs)
+        )
         columns = columns[:lo] + _columns(eqs[lo:], full, top, columns[lo])
         backward = backward[: n - hi] + _columns(
             back_eqs[hi - 1 :: -1], full, top, backward[n - hi]

@@ -19,7 +19,6 @@ from mtprep.metrics.ter import (
     _lane_counts,
     _lanes,
     _match_masks,
-    _moves,
     _packs,
     _positions,
     edit_distance,
@@ -94,9 +93,15 @@ def test_edit_distance_matches_oracle_on_long_sentences(pair):
 )
 def test_moves_match_every_pair_enumeration(pair):
     # sides of different lengths include blocks whose landing position j is
-    # past the end of what remains of the hypothesis
+    # past the end of what remains of the hypothesis; under a limit no bound
+    # reaches, the packs read by plain iteration are every move, in order
     hyp, ref = pair
-    assert list(_moves(hyp, ref, _positions(ref))) == shift_candidates(hyp, ref)
+    # an empty reference has no moves, and no columns to bound them by
+    columns, backward = _scan_inputs(hyp, ref) if ref else ([], [])
+    limit = len(hyp) + 2 * len(ref) + 1
+    packs = _packs(hyp, ref, _positions(ref), columns, backward, limit)
+    moves = [move for pack in packs for move in pack]
+    _assert_moves(hyp, moves, shift_candidates(hyp, ref))
 
 
 def _scan_inputs(hyp, ref):
@@ -109,9 +114,18 @@ def _scan_inputs(hyp, ref):
     return columns, backward
 
 
-def _assert_rotations(hyp, pack):
-    # each move's (lo, mid, hi) rotates hyp into the move's shift
-    for i, j, length, lo, mid, hi in pack:
+def _span(n, i, j, length):
+    """The positions [lo, hi) of an n-token hypothesis that the move
+    (i, j, length) changes."""
+    return (j, i + length) if j < i else (i, min(j + length, n))
+
+
+def _assert_moves(hyp, moves, candidates):
+    # one rotation (lo, mid, hi) per oracle move (i, j, length), in order:
+    # it spans the move's changed positions and rotates hyp into its shift
+    assert len(moves) == len(candidates)
+    for (lo, mid, hi), (i, j, length) in zip(moves, candidates):
+        assert (lo, hi) == _span(len(hyp), i, j, length)
         rotated = hyp[:lo] + hyp[mid:hi] + hyp[lo:mid] + hyp[hi:]
         assert rotated == apply_shift(hyp, i, j, length)
 
@@ -134,41 +148,36 @@ def test_packs_with_no_bound_are_the_moves_in_order(pair):
     scanned = [next(packs)]
     while len(scanned[-1]) == PACK_LANES:
         scanned.append(packs.send(limit))
-    assert [move[:3] for pack in scanned for move in pack] == list(
-        _moves(hyp, ref, _positions(ref))
-    )
-    for pack in scanned:
-        _assert_rotations(hyp, pack)
+    moves = [move for pack in scanned for move in pack]
+    _assert_moves(hyp, moves, shift_candidates(hyp, ref))
 
 
 @settings(max_examples=200, deadline=None)
 @given(_scan_pair, st.integers(1, 4), st.data())
 def test_packs_are_the_moves_the_bound_keeps(pair, lanes, data):
     # in packs of 1-4 lanes, with a lower limit sent after each full pack:
-    # a pack is the next moves in _moves order whose bound, as _greedy_ter
-    # states it, is below the limit in force
+    # a pack is the next moves in (i, j, length) lexicographic order whose
+    # bound, as _packs states it, is below the limit in force
     hyp, ref = pair
     n, m = len(hyp), len(ref)
     columns, backward = _scan_inputs(hyp, ref)
 
     def bound(i, j, length):
-        lo, hi = (j, i + length) if j < i else (i, min(j + length, n))
+        lo, hi = _span(n, i, j, length)
         return columns[lo][2] + backward[n - hi][2] - (hi - lo)
 
     limit = data.draw(st.integers(0, n + 2 * m + 1))
     with patch.object(ter_module, "PACK_LANES", lanes):
         packs = _packs(hyp, ref, _positions(ref), columns, backward, limit)
         pack, kept = next(packs), []
-        for move in _moves(hyp, ref, _positions(ref)):
+        for move in shift_candidates(hyp, ref):
             if bound(*move) < limit:
                 kept.append(move)
                 if len(kept) == lanes:
-                    assert [scanned[:3] for scanned in pack] == kept
-                    _assert_rotations(hyp, pack)
+                    _assert_moves(hyp, pack, kept)
                     limit = data.draw(st.integers(0, limit))
                     pack, kept = packs.send(limit), []
-        assert [scanned[:3] for scanned in pack] == kept
-        _assert_rotations(hyp, pack)
+        _assert_moves(hyp, pack, kept)
 
 
 # --- single sentences --------------------------------------------------------
@@ -242,10 +251,13 @@ def test_snover_2006_example():
     assert ter([hyp.split()], [ref.split()]).score == 4 / 13
 
 
-@settings(max_examples=200, deadline=None)
-@given(sent_st, sent_st)
-def test_matches_exhaustive_search(hyp, ref):
-    assert sentence_ter(hyp, ref).total_edits == exhaustive_ter_edits(hyp, ref)
+@settings(max_examples=800, deadline=None)
+@given(sent_st, sent_st, st.sampled_from([PACK_LANES, 1, 2, 3]))
+def test_matches_exhaustive_search(hyp, ref, lanes):
+    # exact search reads _packs by plain iteration, so a full pack must keep
+    # the limit in force: also in packs of 1-3 lanes
+    with patch.object(ter_module, "PACK_LANES", lanes):
+        assert sentence_ter(hyp, ref).total_edits == exhaustive_ter_edits(hyp, ref)
 
 
 @settings(max_examples=150)
