@@ -5,9 +5,9 @@ the same sentence pair, chosen uniformly.  Training learns the lexical
 table t(target | source); Viterbi alignment links each target position to
 its argmax source position; both put the null word, when on, in slot 0.
 Training numbers the table's cells (each source word's co-occurring
-targets as one run of ids) and iterates over flat lists; the result is a
-dict of rows, which Viterbi reads.  Small corpora only; there is no
-distortion model.
+targets as one run of ids) and iterates over flat lists, walking each
+sentence pair's cell ids as one block; the result is a dict of rows, which
+Viterbi reads.  Small corpora only; there is no distortion model.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import math
 from array import array
 from collections.abc import Iterable
 from functools import lru_cache
+from itertools import islice
 
 from .corpus import Corpus, Sentence, _Frozen, check_int, check_parallel, parse_digits
 
@@ -76,9 +77,10 @@ def train_em(
 
     Training runs over cells, one per co-occurring (source, target) pair:
     t(t|s) and the expected counts are flat float lists indexed by cell,
-    and the E-step reads, for each target word, its source positions' cell
-    ids from one array.  Every sum runs in the order of the dict-per-source
-    EM it replaces, so each value is bit-identical to it.
+    and the E-step walks one array of cell ids, each sentence pair's as
+    one block, taking each target word's source positions' ids as one
+    tuple.  Every sum runs in the order of the dict-per-source EM it
+    replaces, so each value is bit-identical to it.
     """
     check_int("iterations", iterations, 1)  # True would train once, 2.5 fail in range
     if type(null_word) is not bool:  # "no" would turn the null word on
@@ -111,13 +113,14 @@ def train_em(
         runs.append((lo, hi))
         p += [1.0 / len(row)] * len(row)
 
-    # The E-step's reads: for each target word, one cell per source position.
+    # The E-step's reads, pair after pair: for each target word, one cell
+    # per source position.
     cells = array("I")
-    widths = array("I")  # the source length of each target word
+    shapes = array("I")  # each pair's source length, then its target length
     for src, tgt in pairs:
         rows = [cooc[s] for s in src]
         cells.extend([row[t] for t in tgt for row in rows])
-        widths.extend([len(src)] * len(tgt))
+        shapes.extend((len(src), len(tgt)))
     sources = list(cooc)
     targets = [t for row in cooc.values() for t in row]  # the target of each cell
     del pairs, cooc
@@ -128,16 +131,16 @@ def train_em(
     cnt = [0.0] * len(p)
     for _ in range(iterations):
         log_likelihood = 0.0
-        pos = 0
-        for n in widths:
-            ids = cells[pos : pos + n].tolist()
-            pos += n
-            denom = sum(map(read, ids))
-            if denom < PROB_FLOOR:
-                denom = PROB_FLOOR
-            log_likelihood += math.log(denom / n)
-            for c in ids:  # a cell read as 0.0 adds an exact 0.0
-                cnt[c] += p[c] / denom
+        stream = iter(cells)  # read once, pair after pair
+        for n, m in zip(*[iter(shapes)] * 2):
+            # the pair's m target words, each as a tuple of its n cells
+            for ids in islice(zip(*[stream] * n), m):
+                denom = sum(map(read, ids))
+                if denom < PROB_FLOOR:
+                    denom = PROB_FLOOR
+                log_likelihood += math.log(denom / n)
+                for c in ids:  # a cell read as 0.0 adds an exact 0.0
+                    cnt[c] += p[c] / denom
         history.append(log_likelihood)
         for lo, hi in runs:
             run = cnt[lo:hi]
@@ -148,7 +151,7 @@ def train_em(
                 if 0.0 in run:  # a cell read as 0.0 got no count: it leaves the row
                     dropped.update(c for c in range(lo, hi) if not p[c])
                 p[lo:hi] = [c / total for c in run]
-    del cells, widths, cnt
+    del cells, shapes, cnt
 
     probs = {
         s: {targets[c]: p[c] for c in range(lo, hi) if c not in dropped}
