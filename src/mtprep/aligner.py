@@ -7,7 +7,9 @@ its argmax source position; both put the null word, when on, in slot 0.
 Training numbers the table's cells (each source word's co-occurring
 targets as one run of ids) and iterates over flat lists, walking each
 sentence pair's cell ids as one block; the result is a dict of rows, which
-Viterbi reads.  Small corpora only; there is no distortion model.
+Viterbi reads.  Aligning a corpus whose table has no more cells than it has
+target tokens first finds each target word's best source word, once.  Small
+corpora only; there is no distortion model.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import math
 from array import array
 from collections.abc import Iterable
 from functools import lru_cache
-from itertools import islice
+from itertools import chain, islice, starmap
 
 from .corpus import Corpus, Sentence, _Frozen, check_int, check_parallel, parse_digits
 
@@ -29,9 +31,10 @@ PROB_FLOOR = 1e-12
 
 Link = tuple[int, int]
 
-# How many distinct pair texts parse_alignment keeps parsed.  A gold file
-# repeats a few pairs ("0-0", "1-1", ...) on every line, but it may hold any
-# number of distinct ones, so the cache is bounded.
+# How many distinct pair texts parse_alignment keeps parsed, and how many
+# distinct links Viterbi and format_alignment keep as one tuple and one text.
+# An alignment repeats a few pairs ("0-0", "1-1", ...) on every line, but it
+# may hold any number of distinct ones, so each cache is bounded.
 _LINK_CACHE_SIZE = 4096
 
 
@@ -122,10 +125,10 @@ def train_em(
         cells.extend([row[t] for t in tgt for row in rows])
         shapes.extend((len(src), len(tgt)))
     sources = list(cooc)
-    targets = [t for row in cooc.values() for t in row]  # the target of each cell
+    targets = list(chain.from_iterable(cooc.values()))  # the target of each cell
     del pairs, cooc
 
-    dropped: set[int] = set()  # cells no longer in their source word's row
+    dropped: dict[int, str] = {}  # cells no longer in their row, to its source word
     history = []
     read = p.__getitem__  # p is only ever updated in place
     cnt = [0.0] * len(p)
@@ -142,24 +145,37 @@ def train_em(
                 for c in ids:  # a cell read as 0.0 adds an exact 0.0
                     cnt[c] += p[c] / denom
         history.append(log_likelihood)
-        for lo, hi in runs:
+        for s, (lo, hi) in zip(sources, runs):
             run = cnt[lo:hi]
             # zero for the next E-step, which frees the counts as the M-step goes
             cnt[lo:hi] = [0.0] * (hi - lo)
             total = sum(run)  # 0.0 counts leave the sum's bits alone
             if total >= PROB_FLOOR:  # else no evidence: keep the old distribution
                 if 0.0 in run:  # a cell read as 0.0 got no count: it leaves the row
-                    dropped.update(c for c in range(lo, hi) if not p[c])
+                    dropped.update((c, s) for c in range(lo, hi) if not p[c])
                 p[lo:hi] = [c / total for c in run]
     del cells, shapes, cnt
 
-    probs = {
-        s: {targets[c]: p[c] for c in range(lo, hi) if c not in dropped}
-        for s, (lo, hi) in zip(sources, runs)
-    }
     return TranslationTable(
-        probs=probs, log_likelihoods=tuple(history), has_null=null_word
+        probs=_rows(sources, runs, targets, p, dropped),
+        log_likelihoods=tuple(history), has_null=null_word,
     )
+
+
+def _rows(
+    sources: list[str], runs: list[tuple[int, int]], targets: list[str],
+    p: list[float], dropped: dict[int, str],
+) -> dict[str, dict[str, float]]:
+    """Each source word's row of the table, {target: t(t|s)} in cell order,
+    without the cells in dropped (each mapped to its source word).  Every row
+    is built whole, in C; the rare dropped cells are then deleted, which
+    keeps the other keys' order."""
+    probs = {
+        s: dict(zip(targets[lo:hi], p[lo:hi])) for s, (lo, hi) in zip(sources, runs)
+    }
+    for c, s in dropped.items():
+        del probs[s][targets[c]]
+    return probs
 
 
 def viterbi_align(src: Sentence, tgt: Sentence, table: TranslationTable) -> set[Link]:
@@ -169,24 +185,65 @@ def viterbi_align(src: Sentence, tgt: Sentence, table: TranslationTable) -> set[
     null word it occupies slot 0, so it wins ties and absorbs unknown
     target words; positions it claims get no link.
     """
-    first = int(table.has_null)  # slot of the first real source word
-    rows = [table.probs.get(s, {}) for s in _with_null(src, table.has_null)]
-    if not rows:
-        return set()  # no source word and no null word: nothing to link to
-    links: set[Link] = set()
-    for j, t in enumerate(tgt):
-        column = [row.get(t, 0.0) for row in rows]
-        i = column.index(max(column))  # leftmost maximum
-        if i >= first:
-            links.add((i - first, j))
-    return links
+    return _viterbi(src, tgt, table, {})
 
 
 def align_corpus(
     src_corpus: Corpus, tgt_corpus: Corpus, table: TranslationTable
 ) -> list[set[Link]]:
+    """viterbi_align of each sentence pair.  When the table has no more
+    cells than the corpus has target tokens, one pass over it first finds
+    each target word's best source word, so a target word whose best source
+    word is in its sentence reads no column; the links are the same."""
     check_parallel("source", src_corpus, "target", tgt_corpus)
-    return [viterbi_align(s, t, table) for s, t in zip(src_corpus, tgt_corpus)]
+    cells = sum(map(len, table.probs.values()))
+    best = _best_sources(table.probs) if cells <= sum(map(len, tgt_corpus)) else {}
+    return [_viterbi(s, t, table, best) for s, t in zip(src_corpus, tgt_corpus)]
+
+
+def _best_sources(probs: dict[str, dict[str, float]]) -> dict[str, str | None]:
+    """Each target word's source word of highest t(t|s), where that value is
+    above the 0.0 a source word without t reads and no other source word's
+    equals it: in any sentence holding that word, its first slot is the
+    leftmost maximum of the target word's column.  None where no one source
+    word holds the top value."""
+    best: dict[str, str | None] = {}
+    top: dict[str, float] = {}
+    for s, row in probs.items():
+        for t, p in row.items():
+            q = top.get(t, 0.0)
+            if p > q:
+                top[t], best[t] = p, s
+            elif p == q:
+                best[t] = None
+            elif p != p:  # NaN: which slot max() picks depends on the column
+                top[t], best[t] = math.inf, None
+    return best
+
+
+def _viterbi(
+    src: Sentence, tgt: Sentence, table: TranslationTable, best: dict[str, str | None]
+) -> set[Link]:
+    """viterbi_align, taking a target word's slot from best where its best
+    source word is in the sentence, and reading its column otherwise."""
+    words = _with_null(src, table.has_null)
+    if not words:
+        return set()  # no source word and no null word: nothing to link to
+    first = int(table.has_null)  # slot of the first real source word
+    # each word's first slot, written last to first
+    slot = dict(zip(reversed(words), range(len(words) - 1, -1, -1))) if best else {}
+    rows = None
+    links: set[Link] = set()
+    for j, t in enumerate(tgt):
+        i = slot.get(best.get(t)) if best else None
+        if i is None:
+            if rows is None:
+                rows = [table.probs.get(s, {}) for s in words]
+            column = [row.get(t, 0.0) for row in rows]
+            i = column.index(max(column))  # leftmost maximum
+        if i >= first:
+            links.add(_pair(i - first, j))
+    return links
 
 
 class F1Score(_Frozen):
@@ -222,7 +279,7 @@ def corpus_alignment_f1(
 
 def format_alignment(links: set[Link]) -> str:
     """Render links as the conventional "i-j" pairs, sorted."""
-    return " ".join(f"{i}-{j}" for i, j in sorted(links))
+    return " ".join(starmap(_text, sorted(links)))
 
 
 def parse_alignment(line: str) -> set[Link]:
@@ -242,3 +299,17 @@ def _link(pair: str) -> Link:
     if None in link:
         raise ValueError(f"bad alignment pair {pair!r}")
     return link
+
+
+@lru_cache(maxsize=_LINK_CACHE_SIZE)
+def _pair(i: int, j: int) -> Link:
+    """The link (i, j), one tuple while it stays cached: Viterbi's link
+    sets share them, so the cycle collector does not count each copy."""
+    return i, j
+
+
+@lru_cache(maxsize=_LINK_CACHE_SIZE, typed=True)
+def _text(i: int, j: int) -> str:
+    """The "i-j" text of a link; typed, so a link holding True or 1.0 does
+    not get the text cached for 1."""
+    return f"{i}-{j}"

@@ -439,6 +439,11 @@ def parse_alignment_oracle(line):
     return links
 
 
+def format_alignment_oracle(links):
+    """The links as sorted "i-j" pairs, each formatted afresh."""
+    return " ".join(f"{i}-{j}" for i, j in sorted(links))
+
+
 # --- EM aligner ------------------------------------------------------------
 
 NULL_TOKEN = "<null>"
@@ -485,6 +490,15 @@ def em_oracle(src_corpus, tgt_corpus, iterations=5, null_word=False):
                 continue  # no evidence this round: keep the old distribution
             probs[s] = {t: c / total for t, c in counts[s].items()}
     return probs, tuple(history)
+
+
+def table_rows_oracle(sources, runs, targets, p, dropped):
+    """train_em's table from its flat cells: each source word's run of cells
+    lo..hi as {target: t(t|s)}, testing each cell against dropped."""
+    return {
+        s: {targets[c]: p[c] for c in range(lo, hi) if c not in dropped}
+        for s, (lo, hi) in zip(sources, runs)
+    }
 
 
 def viterbi_oracle(src, tgt, probs, has_null=False):

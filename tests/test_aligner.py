@@ -24,7 +24,13 @@ from mtprep.aligner import (
     viterbi_align,
 )
 from mtprep.synth import build_benchmark
-from oracles import em_oracle, parse_alignment_oracle, viterbi_oracle
+from oracles import (
+    em_oracle,
+    format_alignment_oracle,
+    parse_alignment_oracle,
+    table_rows_oracle,
+    viterbi_oracle,
+)
 
 # two-sentence workhorse: "a b | x y" plus the disambiguating pair "a | x"
 SRC = [["a", "b"], ["a"]]
@@ -308,6 +314,36 @@ def test_table_key_order_does_not_depend_on_the_hash_seed():
     assert outputs[0].startswith("[('<null>', [('KAL'")
 
 
+@st.composite
+def flat_table_st(draw):
+    """train_em's flat cells: distinct source words, each with a run of
+    distinct targets, a t(t|s) per cell, and some cells dropped (mapped to
+    their source word)."""
+    sources = draw(st.lists(st.text("abc", max_size=3), unique=True, max_size=6))
+    runs, targets = [], []
+    for _ in sources:
+        row = draw(st.lists(st.sampled_from("WXYZ"), min_size=1, max_size=4, unique=True))
+        runs.append((len(targets), len(targets) + len(row)))
+        targets += row
+    p = draw(st.lists(st.floats(0.0, 1.0), min_size=len(targets), max_size=len(targets)))
+    cells = st.sampled_from(range(len(targets))) if targets else st.nothing()
+    owner = {c: s for s, (lo, hi) in zip(sources, runs) for c in range(lo, hi)}
+    dropped = {c: owner[c] for c in draw(st.sets(cells))}
+    return sources, runs, targets, p, dropped
+
+
+@settings(max_examples=200)
+@given(flat_table_st())
+def test_table_rows_match_the_per_cell_oracle(flat):
+    rows = aligner._rows(*flat)
+    want = table_rows_oracle(*flat)
+    assert rows == want
+    assert list(rows) == list(want)
+    assert [list(row.items()) for row in rows.values()] == [
+        list(row.items()) for row in want.values()
+    ]
+
+
 # --- Viterbi -----------------------------------------------------------------
 
 def test_alignment_picks_argmax_source():
@@ -353,6 +389,49 @@ def test_empty_corpus_aligns_to_nothing_but_cannot_train():
         train_em([], [])
     with pytest.raises(ValueError, match="^source corpus has 0 sentences, target has 1$"):
         align_corpus([], [["x"]], table)
+
+
+@pytest.mark.parametrize("side", ["fused", "split"])
+def test_align_corpus_shares_one_link_per_distinct_pair(side):
+    # the split side's table has fewer cells than the corpus has target
+    # tokens, so align_corpus reads each target word's best source word off
+    # _best_sources; the fused side's has more, so it reads every column
+    bench = build_benchmark(sentences=2000, seed=1)
+    src = getattr(bench, f"src_{side}")
+    table = train_em(src, bench.tgt, iterations=1)
+    alignments = align_corpus(src, bench.tgt, table)
+    assert alignments == [viterbi_align(s, t, table) for s, t in zip(src, bench.tgt)]
+    links = [link for pair in alignments for link in pair]
+    assert len(set(map(id, links))) == len(set(links)) < len(links)
+
+
+# table values with ties, zeros, values below the 0.0 a missing cell reads,
+# infinities and NaNs
+value_st = st.one_of(
+    st.sampled_from([0.0, 0.25, 0.5, 1.0, -1.0, math.inf, math.nan]),
+    st.floats(allow_nan=True),
+)
+
+
+@st.composite
+def any_table_st(draw):
+    has_null = draw(st.booleans())
+    sources = draw(st.lists(st.sampled_from("abcd"), unique=True))
+    if has_null:
+        sources.append(NULL_TOKEN)
+    rows = st.dictionaries(st.sampled_from("WXYZ"), value_st, max_size=4)
+    return TranslationTable({s: draw(rows) for s in sources}, has_null=has_null)
+
+
+@settings(max_examples=300)
+@given(
+    any_table_st(),
+    st.lists(st.tuples(st.lists(st.sampled_from("abcde")), st.lists(st.sampled_from("WXYZV"))), max_size=4),
+)
+def test_best_sources_give_the_slot_the_column_gives(table, pairs):
+    best = aligner._best_sources(table.probs)
+    for src, tgt in pairs:
+        assert aligner._viterbi(src, tgt, table, best) == viterbi_align(src, tgt, table)
 
 
 def test_scaling_a_table_row_keeps_the_argmax():
@@ -434,6 +513,31 @@ def test_parse_rejects_malformed_pairs():
 @given(st.sets(st.tuples(st.integers(0, 30), st.integers(0, 30)), max_size=12))
 def test_format_parse_round_trip_property(links):
     assert parse_alignment(format_alignment(links)) == links
+
+
+# a few links with ints of any size, or more distinct ones than the text
+# cache holds
+links_st = st.one_of(
+    st.sets(st.tuples(st.integers(), st.integers()), max_size=12),
+    st.builds(
+        lambda base, n, m: {(base + k, k % m) for k in range(n)},
+        st.integers(), st.integers(0, aligner._LINK_CACHE_SIZE + 100), st.integers(1, 50),
+    ),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(links_st, min_size=1, max_size=4))
+def test_format_matches_the_uncached_oracle(lines):
+    # whatever earlier lines left in the cache
+    for links in lines:
+        assert format_alignment(links) == format_alignment_oracle(links)
+
+
+def test_format_gives_each_index_type_its_own_text():
+    assert format_alignment({(1, 0)}) == "1-0"
+    assert format_alignment({(True, 0)}) == "True-0"
+    assert format_alignment({(1.0, 0)}) == "1.0-0"
 
 
 # well-formed pairs, a zero-padded one, and malformed ones

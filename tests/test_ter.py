@@ -5,11 +5,13 @@ import random
 import time
 import tracemalloc
 from functools import partial
+from pathlib import Path
 from unittest.mock import patch
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from mtprep.corpus import read_token_corpus
 from mtprep.metrics.ter import (
     EXACT_SEARCH_LIMIT,
     PACK_LANES,
@@ -626,12 +628,54 @@ def cliff_pairs():
     return pairs
 
 
-def test_greedy_on_cliff_segments():
+@pytest.fixture
+def lane_work(monkeypatch):
+    """[lanes scored, lane-positions] over the _lanes calls the test makes:
+    a count of greedy TER's work that host load cannot move."""
+    work = [0, 0]
+
+    def counting(start, lanes, size, full):
+        work[0] += len(lanes)
+        work[1] += len(lanes) * len(lanes[0])
+        return _lanes(start, lanes, size, full)
+
+    monkeypatch.setattr(ter_module, "_lanes", counting)
+    return work
+
+
+# [lanes scored, lane-positions] of each cliff pair; a change that scores
+# fewer lowers them
+CLIFF_LANE_WORK = [[77_111, 7_694_911], [77_512, 7_741_804], [40_041, 7_994_076]]
+
+
+def test_greedy_on_cliff_segments(lane_work):
     # the values greedy_ter_scalar gives (7, 2 and 4 s a pair on a 2-vCPU
     # x86-64 box, so it is not run here)
-    results = [sentence_ter(hyp, ref) for hyp, ref in cliff_pairs()]
+    results, work = [], []
+    for hyp, ref in cliff_pairs():
+        lane_work[:] = [0, 0]
+        results.append(sentence_ter(hyp, ref))
+        work.append(list(lane_work))
     pinned = [(r.shifts, r.edits_after_shifts) for r in results]
     assert pinned == [(7, 14), (23, 11), (31, 13)]
+    for got, most in zip(work, CLIFF_LANE_WORK):
+        assert got[0] <= most[0] and got[1] <= most[1], (got, most)
+
+
+def test_greedy_lane_work_on_the_seed_1_eval_mixed_segments(
+    lane_work, monkeypatch, tmp_path
+):
+    # the benchmark's own generator, which only writes files under tmp_path
+    monkeypatch.syspath_prepend(str(Path(__file__).parent.parent / "perfbench"))
+    from workloads import prepare_eval
+
+    prepare_eval(1, "full", tmp_path)
+    hyps, refs = (read_token_corpus(tmp_path / f"{n}.txt") for n in ("hyp", "ref"))
+    greedy = [(h, r) for h, r in zip(hyps, refs) if max(len(h), len(r)) > EXACT_SEARCH_LIMIT]
+    for hyp, ref in greedy:
+        sentence_ter(hyp, ref)
+    assert len(greedy) == 288
+    assert lane_work[0] <= 17_929 and lane_work[1] <= 354_487, lane_work
 
 
 def test_greedy_memory_is_bounded_on_a_hostile_segment():
