@@ -3,21 +3,29 @@
 Run:  python demos/01_suffix_separation.py
 """
 
-from mtprep.suffixes import SuffixList, separate_suffix
+from mtprep.pipeline import Mode, PipelineConfig
+from mtprep.suffixes import SuffixList
 
 # a tiny Marathi-flavoured suffix inventory; real lists come from a file
 # via load_suffix_list and usually hold a few dozen case endings
 suffixes = SuffixList(["aaMnii", "aaMnaa", "kaDuuna", "nii", "ii"])
 
+
+def ss_splitter(suffix_list):
+    """The ss mode's splitter: a word to its stem and suffix, or to itself."""
+    return PipelineConfig(Mode.SS, suffix_list=suffix_list).splitter()
+
+
 print("suffix list, longest first:", ", ".join(suffixes))
 print()
 
+split = ss_splitter(suffixes)  # build once, call per word
 for word in ["mahinyaaMnii", "varShaaMnii", "gheNe", "nii"]:
-    split = separate_suffix(word, suffixes)
-    if split.suffix is None:
+    pieces = split(word)
+    if len(pieces) == 1:
         print(f"{word:>14}  ->  (no listed suffix applies)")
     else:
-        print(f"{word:>14}  ->  {split.stem} + {split.suffix}")
+        print(f"{word:>14}  ->  {' + '.join(pieces)}")
 
 print()
 print("notes:")
@@ -27,7 +35,7 @@ print("   falls through to the shorter 'ii')")
 print(" * the longest listed match wins, which can cut too deep when a")
 print("   longer, more specific entry is missing from the list:")
 
-bad = separate_suffix("jarmaniitiila", SuffixList(["iila"]))
-good = separate_suffix("jarmaniitiila", SuffixList(["iila", "tiila"]))
-print(f"   with only 'iila' listed : jarmaniitiila -> {bad.stem} + {bad.suffix}")
-print(f"   with 'tiila' added      : jarmaniitiila -> {good.stem} + {good.suffix}")
+bad = ss_splitter(SuffixList(["iila"]))("jarmaniitiila")
+good = ss_splitter(SuffixList(["iila", "tiila"]))("jarmaniitiila")
+print(f"   with only 'iila' listed : jarmaniitiila -> {' + '.join(bad)}")
+print(f"   with 'tiila' added      : jarmaniitiila -> {' + '.join(good)}")

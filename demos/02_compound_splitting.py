@@ -3,8 +3,9 @@
 Run:  python demos/02_compound_splitting.py
 """
 
-from mtprep.compounds import induce_compound_suffixes, split_compound
-from mtprep.corpus import build_vocabulary, parse_token_corpus
+from mtprep.compounds import induce_compound_suffixes
+from mtprep.corpus import parse_token_corpus
+from mtprep.pipeline import Mode, PipelineConfig
 
 # monolingual text stands in for the large corpus a real run would use
 monolingual = parse_token_corpus(
@@ -18,7 +19,8 @@ monolingual = parse_token_corpus(
     "kaDuuna tajGYaaM DaakTara sarakaara\n"
 )
 
-vocab = build_vocabulary(monolingual)
+# induction reads only which words occur, not how often
+vocab = {word for sentence in monolingual for word in sentence}
 inventory = induce_compound_suffixes(vocab)
 
 print("vocabulary types:", len(vocab))
@@ -28,8 +30,9 @@ for suffix in inventory.ordered:
     print(f"  {suffix}  seen trailing {inventory.counts[suffix]} longer types")
 print()
 
+split = PipelineConfig(Mode.CS, compound_set=inventory).splitter()  # build once
 for word in ["daMtatajGYaaMkaDuuna", "sarakaarakaDuuna", "tapaasuuna", "kaDuuna"]:
-    pieces = split_compound(word, inventory)
+    pieces = split(word)
     arrow = " + ".join(pieces) if len(pieces) > 1 else "(left whole)"
     print(f"{word:>22}  ->  {arrow}")
 

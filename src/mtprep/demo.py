@@ -32,8 +32,6 @@ def load_demo_fixtures() -> tuple[SuffixList, CompoundSuffixSet, Corpus, Corpus]
     compounds = _load_fixture("demo_compounds.tsv", load_compound_suffixes)
     src = _load_fixture("demo_source.txt", read_token_corpus)
     tgt = _load_fixture("demo_target.txt", read_token_corpus)
-    if len(src) != len(tgt) or not src:
-        raise ValueError("demo corpus fixtures are not parallel")
     return suffixes, compounds, src, tgt
 
 

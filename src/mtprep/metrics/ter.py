@@ -15,20 +15,21 @@ masks built once per segment.  _packs is the one statement of the move rule:
 it scans the moves from the reference positions that hold each hypothesis
 token, also listed once per segment, and hands each over as the rotation
 (lo, mid, hi) that applies it, seq[:lo] + seq[mid:hi] + seq[lo:mid] +
-seq[hi:].  Exact search reads every move.  Greedy search keeps _columns, the
-column before every position of the current hypothesis.  A shift changes
-only current[lo:hi], so the columns before lo, and the reversed sentences'
-columns of the suffix from hi, carry over to the next step; both passes
-resume from there.  A candidate is dropped before anything of it is built
-once _packs' lower bound on its final distance reaches the step's best: it
-can then at best tie.  The rest are scored in packs of at most PACK_LANES,
-one candidate to each field of one integer (Hyyrö, Fredriksson and Navarro
-2005), by one pass from the stored column at the pack's first changed
-position; the bound is checked again after each pack.  Only a strictly
-better score replaces the best, so the winner is the first minimum in
-(i, j, length) lexicographic order, that of scoring every candidate alone;
-only it is built.  The scores are identical to those of the plain O(n*m)
-dynamic program, which the tests keep as the oracle.
+seq[hi:].  Exact search passes it columns of zeros, which bound no move, so
+it reads every move.  Greedy search keeps _columns, the column before every
+position of the current hypothesis.  A shift changes only current[lo:hi], so
+the columns before lo, and the reversed sentences' columns of the suffix
+from hi, carry over to the next step; both passes resume from there.  A
+candidate is dropped before anything of it is built once _packs' lower bound
+on its final distance reaches the step's best: it can then at best tie.  The
+rest are scored in packs of at most PACK_LANES, one candidate to each field
+of one integer (Hyyrö, Fredriksson and Navarro 2005), by one pass from the
+stored column at the pack's first changed position; the bound is checked
+again after each pack.  Only a strictly better score replaces the best, so
+the winner is the first minimum in (i, j, length) lexicographic order, that
+of scoring every candidate alone; only it is built.  The scores are
+identical to those of the plain O(n*m) dynamic program, which the tests keep
+as the oracle.
 """
 
 from __future__ import annotations
@@ -148,14 +149,12 @@ def _exact_ter(hyp: Sentence, ref: Sentence) -> SentenceTer:
     any with k+1, so the first time a hypothesis permutation is seen it is
     via a minimal shift sequence.  A layer at depth d can only help while
     d < current best total, since each shift already costs 1.  A state's
-    moves are those of _packs under a limit that no bound reaches, so every
-    move is kept, in order.
+    moves are those of _packs over columns of zeros, which bound no move,
+    so every move is kept, in order.
     """
     masks, ref_length = _match_masks(ref), len(ref)
-    get, back = masks.get, _match_masks(ref[::-1]).get
-    full, top = (1 << ref_length) - 1, 1 << (ref_length - 1)
     positions = _positions(ref)
-    limit = len(hyp) + 2 * ref_length + 1
+    zeros = [(0, 0, 0)] * (len(hyp) + 1)
     best_shifts, best_edits = 0, _distance(hyp, masks, ref_length)
     layer = [tuple(hyp)]
     seen = {tuple(hyp)}
@@ -164,9 +163,7 @@ def _exact_ter(hyp: Sentence, ref: Sentence) -> SentenceTer:
         depth += 1
         grown = []
         for state in layer:
-            forward = _columns([get(tok, 0) for tok in state], full, top)
-            backward = _columns([back(tok, 0) for tok in state[::-1]], full, top)
-            for pack in _packs(state, ref, positions, forward, backward, limit):
+            for pack in _packs(state, ref, positions, zeros, zeros, 0):
                 for lo, mid, hi in pack:
                     key = state[:lo] + state[mid:hi] + state[lo:mid] + state[hi:]
                     if key in seen:
@@ -278,8 +275,9 @@ def _packs(
     D(t, ref[r:]) >= D(t) - r (Hirschberg's 1975 split at a fixed
     position).  A move is kept while that is below limit - m, and one the
     bound rejects builds nothing, not even its tuple.  With limit a
-    distance plus m, a dropped move can at best tie that distance; no
-    bound reaches n + 2 * m + 1, so that limit keeps every move.
+    distance plus m, a dropped move can at best tie that distance.  Over
+    columns of zeros the test reads 0 < limit + hi - lo, and hi > lo, so
+    with a limit of 0 or more exact search keeps every move.
     """
     n, m = len(current), len(ref)
     pack = []

@@ -76,3 +76,35 @@ def test_train_em_peak_grows_by_a_bounded_slope_per_token_pair():
     assert slope <= TRAIN_EM_BYTES_PER_TOKEN_PAIR, (
         f"train_em's peak grew {slope:.1f} bytes per token pair"
     )
+
+
+# argv[1] distinct words, one a line: the hex spellings of as many distinct
+# 32-bit numbers (an odd multiplier is a bijection), over the letters a-p;
+# then induce-suffixes on them through the command line.
+INDUCE_SUFFIXES = """
+import sys, tempfile
+from pathlib import Path
+from mtprep.cli import main
+
+spell = str.maketrans("0123456789abcdef", "abcdefghijklmnop")
+with tempfile.TemporaryDirectory() as tmp:
+    mono, out = Path(tmp, "mono.txt"), Path(tmp, "out.tsv")
+    with open(mono, "w") as f:
+        f.writelines(
+            f"{k * 2654435761 % 2**32:x}\\n".translate(spell) for k in range(int(sys.argv[1]))
+        )
+    assert main(["induce-suffixes", "--mono", str(mono), "-o", str(out)]) == 0
+"""
+
+# Bytes of peak per distinct type that induce-suffixes may add.
+INDUCE_BYTES_PER_TYPE = 175
+
+
+def test_induce_suffixes_peak_grows_by_a_bounded_slope_per_type():
+    # the command reads the text and its reverse, then holds the set of the
+    # reversed types and a sorted list of them: about 144 bytes a type were
+    # measured
+    slope = peak_slope(INDUCE_SUFFIXES, 200_000, 400_000)
+    assert slope <= INDUCE_BYTES_PER_TYPE, (
+        f"induce-suffixes' peak grew {slope:.1f} bytes per distinct type"
+    )

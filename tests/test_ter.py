@@ -678,6 +678,32 @@ def test_greedy_lane_work_on_the_seed_1_eval_mixed_segments(
     assert lane_work[0] <= 17_929 and lane_work[1] <= 354_487, lane_work
 
 
+def test_exact_search_work_on_the_seed_1_eval_mixed_segments(monkeypatch, tmp_path):
+    # [passes, tokens] over the _columns calls exact search makes: one pass
+    # per distance of a state it reaches, and none for the moves of a state,
+    # which _packs reads over columns of zeros
+    monkeypatch.syspath_prepend(str(Path(__file__).parent.parent / "perfbench"))
+    from workloads import prepare_eval
+
+    prepare_eval(1, "full", tmp_path)
+    hyps, refs = (read_token_corpus(tmp_path / f"{n}.txt") for n in ("hyp", "ref"))
+    work = [0, 0]
+
+    def counting(*args):
+        columns = _columns(*args)
+        work[0] += 1
+        work[1] += len(columns) - 1
+        return columns
+
+    monkeypatch.setattr(ter_module, "_columns", counting)
+    exact = [(h, r) for h, r in zip(hyps, refs) if max(len(h), len(r)) <= EXACT_SEARCH_LIMIT]
+    results = [sentence_ter(hyp, ref) for hyp, ref in exact]
+    assert len(exact) == 72
+    assert sum(r.shifts for r in results) == 65
+    assert sum(r.edits_after_shifts for r in results) == 34
+    assert work[0] <= 388 and work[1] <= 2_049, work
+
+
 def test_greedy_memory_is_bounded_on_a_hostile_segment():
     # a 2-token 100-token pair has steps of about 10,000 candidates; packed
     # all at once their lanes peak at about 18 MB, in packs of PACK_LANES
