@@ -304,8 +304,7 @@ def _cmd_align(args: argparse.Namespace) -> int:
     gold = _read_gold(args.gold, src, tgt) if args.gold else None
     table = _self.train_em(src, tgt, iterations=args.iters, null_word=args.null)
     alignments = _self.align_corpus(src, tgt, table)
-    for links in alignments:
-        print(_self.format_alignment(links))
+    print("\n".join(map(_self.format_alignment, alignments)))
     if gold is not None:
         score = _self.corpus_alignment_f1(alignments, gold)
         print(

@@ -9,10 +9,9 @@ the reference length is penalized by exactly 0.5.
 from __future__ import annotations
 
 import math
-from collections import Counter
 
 from ..corpus import Corpus, _Frozen
-from .common import Ngram, NgramStatistics, ngram_statistics
+from .common import NgramStatistics, ngram_statistics
 
 # exp(BETA * ln(2/3)^2) == 0.5
 BETA = math.log(0.5) / math.log(2.0 / 3.0) ** 2
@@ -24,25 +23,12 @@ class NistScore(_Frozen):
     )
 
 
-def information(gram: Ngram, ref_counts: Counter[Ngram], ref_length: int) -> float:
-    """Info weight of a reference n-gram.
-
-    info(g) = log2(count(prefix of g) / count(g)), counted over the whole
-    reference corpus, with the prefix count of a unigram taken as the
-    reference word count (ref_length).  Weights depend only on the
-    proportions of the reference n-gram counts: repeating the whole
-    reference corpus changes no weight, repeating one sentence does.
-    nist_from_statistics restates these two lines in its loop.
-    """
-    prefix = ref_counts[gram[:-1]] if len(gram) > 1 else ref_length
-    return math.log2(prefix / ref_counts[gram])
-
-
 def nist(hyps: Corpus, refs: Corpus) -> NistScore:
     """Score a hypothesis corpus against a parallel reference corpus.
 
-    Each order from 1 to NIST_ORDER contributes (sum of info over clipped
-    matches) divided by the number of hypothesis n-grams of that order;
+    Each order from 1 to NIST_ORDER contributes (sum of the weights of its
+    clipped matches, as nist_from_statistics states them) divided by the
+    number of hypothesis n-grams of that order;
     orders with no hypothesis n-grams contribute 0.  Matching is per segment against its
     own reference, info weights come from the whole reference corpus.
     """
@@ -52,11 +38,13 @@ def nist(hyps: Corpus, refs: Corpus) -> NistScore:
 def nist_from_statistics(stats: NgramStatistics) -> NistScore:
     """NIST over every order the statistics hold (1 to NIST_ORDER).
 
-    Each matched n-gram's weight is information()'s two lines, restated in
-    the loop so that no call is made per n-gram, and the weighted counts
-    are added one by one in the order the statistics hold them, which is
-    the oracle's: each order's sum has the bits of adding
-    matched * information(...) in that order."""
+    Each matched n-gram g weighs log2(count(prefix of g) / count(g)),
+    counted over the whole reference corpus, with the prefix count of a
+    unigram taken as the reference word count (ref_length).  Weights depend
+    only on the proportions of the reference n-gram counts: repeating the
+    whole reference corpus changes no weight, repeating one sentence does.
+    The weighted counts are added one by one in the order the statistics
+    hold them, which is the oracle's, so each order's sum has its bits."""
     hyp_length, ref_length = stats.hyp_length, stats.ref_length
     ref_counts = stats.ref_counts
     log2 = math.log2
@@ -66,7 +54,6 @@ def nist_from_statistics(stats: NgramStatistics) -> NistScore:
         info_sum = 0.0
         for clipped in order:
             for gram, matched in clipped.items():
-                # information(gram, ref_counts, ref_length), restated
                 prefix = ref_counts[gram[:-1]] if len(gram) > 1 else ref_length
                 info_sum += matched * log2(prefix / ref_counts[gram])
         per_order.append(info_sum / total if total else 0.0)

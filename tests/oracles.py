@@ -42,6 +42,14 @@ def bleu_oracle(hyps, refs, max_n=4):
 
 # --- NIST ------------------------------------------------------------------
 
+def nist_information(gram, counts, total_words):
+    """Info weight of a reference n-gram: log2(count(prefix) / count(gram))
+    over the reference corpus, where counts holds every reference n-gram and
+    the prefix count of a unigram is the reference word count total_words."""
+    prefix = counts[gram[:-1]] if len(gram) > 1 else total_words
+    return math.log2(prefix / counts[gram])
+
+
 def nist_oracle(hyps, refs, max_n=5):
     """Information-weighted n-gram co-occurrence with the calibrated brevity
     factor.  Info weights come from the reference corpus of this run."""
@@ -51,10 +59,6 @@ def nist_oracle(hyps, refs, max_n=5):
         total_words += len(ref)
         for n in range(1, max_n + 1):
             counts.update(ngrams(ref, n))
-
-    def info(gram):
-        prefix = counts[gram[:-1]] if len(gram) > 1 else total_words
-        return math.log2(prefix / counts[gram])
 
     score = 0.0
     for n in range(1, max_n + 1):
@@ -66,7 +70,7 @@ def nist_oracle(hyps, refs, max_n=5):
             for gram, count in hyp_counts.items():
                 matched = min(count, ref_counts[gram])
                 if matched:
-                    info_sum += matched * info(gram)
+                    info_sum += matched * nist_information(gram, counts, total_words)
             total += max(len(hyp) - n + 1, 0)
         if total:
             score += info_sum / total

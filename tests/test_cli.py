@@ -599,6 +599,17 @@ def test_align_prints_links_per_sentence(tmp_path, capsys):
     assert out == ["0-0 1-1", "0-0"]
 
 
+def test_align_prints_one_line_per_pair_even_with_no_links(tmp_path, capsys):
+    # the first and the last pair have no source words, so no links: each
+    # still prints its own empty line, and the output ends in one newline
+    src = tmp_path / "src.txt"
+    tgt = tmp_path / "tgt.txt"
+    src.write_text("\na b\n\n", encoding="utf-8")
+    tgt.write_text("x\nx y\nx\n", encoding="utf-8")
+    assert main(["align", "--src", str(src), "--tgt", str(tgt)]) == 0
+    assert capsys.readouterr().out == "\n0-0 0-1\n\n"
+
+
 def test_align_gold_f1_goes_to_stderr(tmp_path, capsys):
     src = tmp_path / "src.txt"
     tgt = tmp_path / "tgt.txt"

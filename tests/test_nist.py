@@ -6,15 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mtprep.metrics.common import ngram_statistics
-from mtprep.metrics.nist import (
-    BETA,
-    NistScore,
-    information,
-    nist,
-    nist_from_statistics,
-)
+from mtprep.metrics.nist import BETA, NistScore, nist, nist_from_statistics
 
-from oracles import nist_oracle
+from oracles import ngrams, nist_information, nist_oracle
 
 HYPS = [["the", "cat", "sat", "on", "the", "mat"], ["a", "dog", "barked", "loudly"]]
 REFS = [["the", "cat", "sat", "on", "a", "mat"], ["the", "dog", "barked", "very", "loudly"]]
@@ -68,32 +62,35 @@ def test_no_penalty_for_long_hypotheses():
     assert result.brevity == 1.0
 
 
-def info_weights(refs):
-    """The info weight of any n-gram of the reference corpus refs."""
-    stats = ngram_statistics(refs, refs)
-    return lambda gram: information(gram, stats.ref_counts, stats.ref_length)
+def weight(refs, gram):
+    """The info weight of gram over the reference corpus refs, read off
+    nist_from_statistics: gram is the only hypothesis n-gram of its order,
+    set against the first reference that holds it, and every other
+    hypothesis is empty, so that order's per_order term is the weight."""
+    n = len(gram)
+    at = next(k for k, ref in enumerate(refs) if gram in ngrams(ref, n))
+    hyps = [list(gram) if k == at else [] for k in range(len(refs))]
+    return nist_from_statistics(ngram_statistics(hyps, refs)).per_order[n - 1]
 
 
 def test_unigram_information_uses_corpus_word_count():
-    info = info_weights([["a", "a", "b", "c"]])
+    refs = [["a", "a", "b", "c"]]
     # four reference words, "a" appears twice: info = log2(4/2)
-    assert info(("a",)) == pytest.approx(1.0)
-    assert info(("b",)) == pytest.approx(2.0)
+    assert weight(refs, ("a",)) == pytest.approx(1.0)
+    assert weight(refs, ("b",)) == pytest.approx(2.0)
 
 
 def test_bigram_information_conditions_on_prefix():
-    info = info_weights([["a", "b", "a", "c"]])
     # prefix "a" occurs twice, continuation "a b" once: log2(2/1)
-    assert info(("a", "b")) == pytest.approx(1.0)
+    assert weight([["a", "b", "a", "c"]], ("a", "b")) == pytest.approx(1.0)
 
 
 def test_repeating_the_reference_corpus_keeps_every_weight():
     refs = [["a", "b"], ["a", "c"], ["d"]]
-    once, twice = info_weights(refs), info_weights(refs + refs)
     for gram in [("a",), ("d",), ("a", "b"), ("a", "c")]:
-        assert twice(gram) == once(gram)
+        assert weight(refs + refs, gram) == weight(refs, gram)
     # repeating one sentence shifts the proportions: "a b" is now 2 of 3 "a"
-    assert info_weights(refs + refs[:1])(("a", "b")) == pytest.approx(math.log2(3 / 2))
+    assert weight(refs + refs[:1], ("a", "b")) == pytest.approx(math.log2(3 / 2))
 
 
 def test_per_order_detail_shape():
@@ -120,8 +117,8 @@ def test_matches_oracle(pairs):
 @settings(max_examples=150)
 @given(pair_st)
 def test_per_order_has_the_bits_of_information(pairs):
-    # nist_from_statistics restates information() in its loop; each order
-    # must keep the bits of adding matched * information(...) one by one
+    # each order must keep the bits of adding matched * the oracle's weight
+    # one by one, in the order the statistics hold the matches
     hyps = [h for h, _ in pairs]
     refs = [r for _, r in pairs]
     stats = ngram_statistics(hyps, refs)
@@ -130,8 +127,8 @@ def test_per_order_has_the_bits_of_information(pairs):
         info_sum = 0.0
         for clipped in order:
             for gram, matched in clipped.items():
-                weight = information(gram, stats.ref_counts, stats.ref_length)
-                info_sum += matched * weight
+                info = nist_information(gram, stats.ref_counts, stats.ref_length)
+                info_sum += matched * info
         expected.append(info_sum / total if total else 0.0)
     got = nist_from_statistics(stats).per_order
     assert [x.hex() for x in got] == [x.hex() for x in expected]
